@@ -141,15 +141,18 @@ struct RunResult {
   uint64_t oracle_applies = 0;
   uint64_t oracle_violations = 0;
   uint64_t writes_applied = 0;
-  netsim::FaultPlane::Stats plane;
-  cxl::ReplicatedRegion::Stats scrub;
-  Orchestrator::Stats orch;
+  // End-of-run values of the orch.*, fault_plane.* and scrub.* counters.
+  std::map<std::string, uint64_t> counters;
   TrafficStats traffic;
+
+  uint64_t counter(const std::string& name) const { return counters.at(name); }
 };
 
-uint64_t CounterValue(obs::Registry& reg, const std::string& name) {
-  const obs::Counter* c = reg.FindCounter(name);
-  return c != nullptr ? c->value() : 0;
+uint64_t CounterValue(const obs::Registry& reg, const std::string& name,
+                      const obs::Labels& labels = {}) {
+  const obs::Counter* c = reg.FindCounter(name, labels);
+  CXLPOOL_CHECK_MSG(c != nullptr, "no counter %s", name.c_str());
+  return c->value();
 }
 
 // `obs` is the observability bundle for this run, or nullptr to run with
@@ -208,7 +211,9 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
   // poison-line fault below corrupts its media; the scrubber must detect
   // (kDataLoss on a fresh read) and repair from the healthy replica.
   constexpr uint64_t kRegionSize = 8 * kKiB;
-  auto region_or = cxl::ReplicatedRegion::Create(rack.pod().pool(), kRegionSize, 2);
+  const obs::Labels kRegionLabels = {{"region", "control-plane"}};
+  auto region_or = cxl::ReplicatedRegion::Create(
+      rack.pod().pool(), kRegionSize, 2, obs::Scope(rack.pod().metrics(), kRegionLabels));
   CXLPOOL_CHECK_OK(region_or.status());
   cxl::ReplicatedRegion region = std::move(*region_or);
   std::vector<std::byte> region_content(kRegionSize);
@@ -216,9 +221,6 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
     region_content[i] = static_cast<std::byte>((i * 131) & 0xff);
   }
   cxl::HostAdapter& host0 = rack.pod().host(0);
-  if (obs != nullptr) {
-    region.BindMetrics(&obs->metrics(), "control-plane");
-  }
   CXLPOOL_CHECK_OK(sim::RunBlocking(loop, region.Publish(host0, 0, region_content)));
   Spawn(region.ScrubLoop(host0, 50 * kMicrosecond, rack.stop_token()));
 
@@ -406,24 +408,6 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
       oracle.RecordApply(dev, epoch, client_id, at);
     });
   }
-  if (obs != nullptr) {
-    obs::Registry& reg = obs->metrics();
-    reg.RegisterProbe("fault_plane.frames_dropped", {}, [&plane] {
-      return static_cast<int64_t>(plane.stats().frames_dropped);
-    });
-    reg.RegisterProbe("fault_plane.frames_duplicated", {}, [&plane] {
-      return static_cast<int64_t>(plane.stats().frames_duplicated);
-    });
-    reg.RegisterProbe("fault_plane.frames_delayed", {}, [&plane] {
-      return static_cast<int64_t>(plane.stats().frames_delayed);
-    });
-    reg.RegisterProbe("lease_oracle.applies", {}, [&oracle] {
-      return static_cast<int64_t>(oracle.applies());
-    });
-    reg.RegisterProbe("lease_oracle.violations", {}, [&oracle] {
-      return static_cast<int64_t>(oracle.violations());
-    });
-  }
 
   Orchestrator& orch = rack.orchestrator();
   // Both invariants are enforced synchronously by DeclareAgentDead, so any
@@ -528,34 +512,48 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
   r.coherence_events = checker.events_seen();
   r.lost_dirty_lines = rack.pod().TotalLostDirtyLines();
   r.poisoned_lines_remaining = rack.pod().PoisonedLineCount();
-  r.scrub = region.stats();
+  const obs::Registry& metrics = rack.pod().metrics();
   for (int h = 0; h < 4; ++h) {
-    Agent* a = orch.agent(HostId(h));
-    const Agent::Stats& as = a->stats();
-    r.dedup_hits += as.dedup_hits;
-    r.watchdog_misses += as.watchdog_misses;
-    r.flr_resets += as.flr_resets;
-    r.expired_at_device += as.expired_at_device;
-    r.rpc_shed += a->rpc_shed();
-    r.rpc_expired += a->rpc_expired();
+    obs::Labels host = {{"host", std::to_string(h)}};
+    r.dedup_hits += CounterValue(metrics, "agent.dedup_hits", host);
+    r.watchdog_misses += CounterValue(metrics, "agent.watchdog_misses", host);
+    r.flr_resets += CounterValue(metrics, "agent.flr_resets", host);
+    r.expired_at_device += CounterValue(metrics, "agent.expired_at_device", host);
+    r.rpc_shed += CounterValue(metrics, "agent.rpc_shed", host);
+    r.rpc_expired += CounterValue(metrics, "agent.rpc_expired", host);
   }
   r.injections_by_class = chaos.injections_by_class();
-  r.orch = orch.stats();
+  for (const char* name :
+       {"orch.failovers", "orch.rebalances", "orch.host_deaths",
+        "orch.host_reregistrations", "orch.leases_revoked",
+        "orch.abandoned_migrations", "orch.suspects", "orch.suspect_recoveries",
+        "orch.condemned_by_quorum", "orch.condemned_by_ttl", "orch.fences_acked",
+        "orch.fences_ttl_expired", "fault_plane.frames_dropped",
+        "fault_plane.frames_duplicated", "fault_plane.frames_delayed"}) {
+    r.counters[name] = CounterValue(metrics, name);
+  }
+  for (const char* name :
+       {"scrub.lines_scrubbed", "scrub.repairs", "scrub.unrecoverable"}) {
+    r.counters[name] = CounterValue(metrics, name, kRegionLabels);
+  }
   r.oracle_applies = oracle.applies();
   r.oracle_violations = oracle.violations();
-  r.plane = plane.stats();
   for (const auto& dev : accels) {
     r.writes_applied += dev->writes_applied;
   }
-  r.quarantines = CounterValue(orch.metrics(), "orch.quarantines");
-  r.quarantine_releases = CounterValue(orch.metrics(), "orch.quarantine_releases");
-  r.quarantined_skips = CounterValue(orch.metrics(), "orch.quarantined_skips");
+  r.quarantines = CounterValue(metrics, "orch.quarantines");
+  r.quarantine_releases = CounterValue(metrics, "orch.quarantine_releases");
+  r.quarantined_skips = CounterValue(metrics, "orch.quarantined_skips");
   r.traffic = traffic;
 
   if (!json_path.empty() && obs != nullptr) {
     // Fold the soak-level results into the registry so the snapshot is one
-    // self-contained document (registry metrics + chaos outcome).
+    // self-contained document (registry metrics + chaos outcome). The
+    // oracles keep their own counts; their final values are copied in here.
     obs::Registry& reg = obs->metrics();
+    checker.ExportCounts(reg);
+    reg.GetCounter("lease_oracle.applies")->Add(r.oracle_applies);
+    reg.GetCounter("lease_oracle.violations")->Add(r.oracle_violations);
     reg.GetCounter("chaos.injections")->Add(r.injections);
     reg.GetCounter("chaos.recoveries")->Add(r.recoveries);
     reg.GetCounter("chaos.violations")->Add(r.violations);
@@ -595,29 +593,29 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
                 (unsigned long long)r.writes_applied);
     std::printf("orchestrator:      %llu failovers, %llu rebalances, "
                 "%llu host deaths, %llu re-registrations\n",
-                (unsigned long long)r.orch.failovers,
-                (unsigned long long)r.orch.rebalances,
-                (unsigned long long)r.orch.host_deaths,
-                (unsigned long long)r.orch.host_reregistrations);
+                (unsigned long long)r.counter("orch.failovers"),
+                (unsigned long long)r.counter("orch.rebalances"),
+                (unsigned long long)r.counter("orch.host_deaths"),
+                (unsigned long long)r.counter("orch.host_reregistrations"));
     std::printf("                   %llu leases revoked, %llu abandoned "
                 "migrations\n",
-                (unsigned long long)r.orch.leases_revoked,
-                (unsigned long long)r.orch.abandoned_migrations);
+                (unsigned long long)r.counter("orch.leases_revoked"),
+                (unsigned long long)r.counter("orch.abandoned_migrations"));
     std::printf("liveness:          %llu suspects, %llu recovered, "
                 "%llu condemned by quorum, %llu by TTL\n",
-                (unsigned long long)r.orch.suspects,
-                (unsigned long long)r.orch.suspect_recoveries,
-                (unsigned long long)r.orch.condemned_by_quorum,
-                (unsigned long long)r.orch.condemned_by_ttl);
+                (unsigned long long)r.counter("orch.suspects"),
+                (unsigned long long)r.counter("orch.suspect_recoveries"),
+                (unsigned long long)r.counter("orch.condemned_by_quorum"),
+                (unsigned long long)r.counter("orch.condemned_by_ttl"));
     std::printf("fencing:           %llu fences acked, %llu resolved by "
                 "lease-TTL expiry\n",
-                (unsigned long long)r.orch.fences_acked,
-                (unsigned long long)r.orch.fences_ttl_expired);
+                (unsigned long long)r.counter("orch.fences_acked"),
+                (unsigned long long)r.counter("orch.fences_ttl_expired"));
     std::printf("fault plane:       %llu frames dropped, %llu duplicated, "
                 "%llu delayed\n",
-                (unsigned long long)r.plane.frames_dropped,
-                (unsigned long long)r.plane.frames_duplicated,
-                (unsigned long long)r.plane.frames_delayed);
+                (unsigned long long)r.counter("fault_plane.frames_dropped"),
+                (unsigned long long)r.counter("fault_plane.frames_duplicated"),
+                (unsigned long long)r.counter("fault_plane.frames_delayed"));
     std::printf("lease oracle:      %llu applies witnessed, %llu epoch "
                 "regressions (dual-ownership intervals)\n",
                 (unsigned long long)r.oracle_applies,
@@ -639,9 +637,9 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
                 (unsigned long long)r.expired_at_device);
     std::printf("scrubber:          %llu lines swept, %llu repairs, %llu "
                 "unrecoverable, %llu poisoned lines left\n",
-                (unsigned long long)r.scrub.lines_scrubbed,
-                (unsigned long long)r.scrub.scrub_repairs,
-                (unsigned long long)r.scrub.scrub_unrecoverable,
+                (unsigned long long)r.counter("scrub.lines_scrubbed"),
+                (unsigned long long)r.counter("scrub.repairs"),
+                (unsigned long long)r.counter("scrub.unrecoverable"),
                 (unsigned long long)r.poisoned_lines_remaining);
     std::printf("lost dirty lines:  %llu\n",
                 (unsigned long long)r.lost_dirty_lines);
@@ -778,10 +776,10 @@ int main(int argc, char** argv) {
               network_only ? ", zero lost acked writes" : "");
   // Media RAS: every poisoned line must have been repaired from a healthy
   // replica — none left behind, none written off as unrecoverable.
-  CXLPOOL_CHECK(first.scrub.scrub_unrecoverable == 0);
+  CXLPOOL_CHECK(first.counter("scrub.unrecoverable") == 0);
   CXLPOOL_CHECK(first.poisoned_lines_remaining == 0);
   std::printf("scrub check:       OK — %llu repairs, zero unrecoverable, "
               "media clean\n",
-              (unsigned long long)first.scrub.scrub_repairs);
+              (unsigned long long)first.counter("scrub.repairs"));
   return 0;
 }

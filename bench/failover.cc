@@ -172,7 +172,8 @@ int main() {
               "response gap)\n", (gap_end - gap_start) / 1000.0);
   std::printf("responses received: %zu; failovers executed: %llu\n",
               responses.size(),
-              static_cast<unsigned long long>(rack.orchestrator().stats().failovers));
+              static_cast<unsigned long long>(
+                  rack.pod().metrics().FindCounter("orch.failovers")->value()));
   std::printf("\npaper context (Sec. 2.2): without pooling, a NIC failure makes "
               "the server\nunreachable until repair — hours, not tens of "
               "microseconds.\n");

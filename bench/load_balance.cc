@@ -160,7 +160,8 @@ int main() {
   std::printf("  accel 1: %zu lease(s), reported util %.0f%%\n",
               rec1.lessees.size(), rec1.utilization * 100);
   std::printf("  rebalance migrations executed: %llu\n\n",
-              static_cast<unsigned long long>(rack.orchestrator().stats().rebalances));
+              static_cast<unsigned long long>(
+                  rack.pod().metrics().FindCounter("orch.rebalances")->value()));
 
   std::printf("%8s | %14s | %14s | %s\n", "host", "p50 before", "p50 after", "jobs");
   for (auto& c : clients) {

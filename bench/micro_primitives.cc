@@ -8,6 +8,7 @@
 #include "src/cxl/pod.h"
 #include "src/mem/cache.h"
 #include "src/msg/ring.h"
+#include "src/obs/registry.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/random.h"
 #include "src/sim/stats.h"
@@ -60,7 +61,8 @@ void BM_HistogramAdd(benchmark::State& state) {
 BENCHMARK(BM_HistogramAdd);
 
 void BM_CacheFindInstall(benchmark::State& state) {
-  mem::WriteBackCache cache(4096);
+  obs::Registry metrics;
+  mem::WriteBackCache cache(4096, obs::Scope(metrics));
   std::array<std::byte, kCachelineSize> line{};
   sim::Rng rng(4);
   for (auto _ : state) {
@@ -95,7 +97,7 @@ void BM_RingMessageRoundTrip(benchmark::State& state) {
     auto once = [](msg::RingSender& s, msg::RingReceiver& r, sim::EventLoop& l,
                    std::span<const std::byte> p) -> sim::Task<> {
       // This micro-bench measures the raw SPSC ring, not the endpoint stack.
-      CXLPOOL_CHECK_OK(co_await s.Send(p));  // lint-tasks: allow(direct-ring-send)
+      CXLPOOL_CHECK_OK(co_await s.Send(p));  // simlint: allow(direct-ring-send)
       std::vector<std::byte> got;
       CXLPOOL_CHECK_OK(co_await r.Recv(&got, l.now() + kMillisecond));
     };

@@ -285,29 +285,50 @@ int main(int argc, char** argv) {
                 static_cast<long long>(ph.latency.Percentile(0.99)));
   }
 
-  const msg::RpcClient::Stats& cs = fwd->rpc_client().stats();
-  const msg::RetryPolicy::Stats& rs = fwd->retry_stats();
-  const Agent::Stats& as = home_agent->stats();
-  const msg::AdmissionController::Stats& ad = home_agent->admission().stats();
+  // The forwarded path's client and retries count under its host (1) plus
+  // the device; the home agent and its admission control under host 0.
+  const obs::Registry& metrics = rack.pod().metrics();
+  auto count = [&metrics](const std::string& name, const obs::Labels& labels) {
+    const obs::Counter* c = metrics.FindCounter(name, labels);
+    CXLPOOL_CHECK_MSG(c != nullptr, "no counter %s", name.c_str());
+    return c->value();
+  };
+  const obs::Labels path_labels = {{"host", "1"},
+                                   {"device", std::to_string(kDev.value())}};
+  const obs::Labels home_labels = {{"host", "0"}};
+  const obs::Labels dev_labels = {{"device", std::to_string(kDev.value())}};
+  const uint64_t client_rejected = count("rpc_client.rejected", path_labels);
+  const uint64_t client_dropped = count("rpc_client.dropped_oldest", path_labels);
+  const uint64_t client_expired = count("rpc_client.expired_in_queue", path_labels);
+  const uint64_t retry_calls = count("retry.calls", path_labels);
+  const uint64_t retries = count("retry.retries", path_labels);
+  const uint64_t retry_denied = count("retry.budget_denied", path_labels);
+  const uint64_t codel_sheds = count("admission.shed", home_labels);
+  const uint64_t inflight_rejects = count("admission.inflight_rejects", home_labels);
+  const uint64_t rpc_expired = count("agent.rpc_expired", home_labels);
+  const uint64_t expired_at_device = count("agent.expired_at_device", home_labels);
+  const uint64_t watchdog_misses = count("agent.watchdog_misses", home_labels);
+  const uint64_t flr_resets = count("agent.flr_resets", home_labels);
+  const uint64_t breaker_opens = count("breaker.opens", dev_labels);
   msg::CircuitBreaker* breaker = rack.orchestrator().breaker(kDev);
   CXLPOOL_CHECK(breaker != nullptr);
   std::printf("\nclient queue: %llu rejected, %llu dropped-oldest, "
               "%llu expired in queue\n",
-              static_cast<unsigned long long>(cs.rejected),
-              static_cast<unsigned long long>(cs.dropped_oldest),
-              static_cast<unsigned long long>(cs.expired_in_queue));
+              static_cast<unsigned long long>(client_rejected),
+              static_cast<unsigned long long>(client_dropped),
+              static_cast<unsigned long long>(client_expired));
   std::printf("home agent:   %llu codel sheds, %llu inflight rejects, "
               "%llu expired at dequeue, %llu expired pre-BAR\n",
-              static_cast<unsigned long long>(ad.shed),
-              static_cast<unsigned long long>(ad.inflight_rejects),
-              static_cast<unsigned long long>(home_agent->rpc_expired()),
-              static_cast<unsigned long long>(as.expired_at_device));
+              static_cast<unsigned long long>(codel_sheds),
+              static_cast<unsigned long long>(inflight_rejects),
+              static_cast<unsigned long long>(rpc_expired),
+              static_cast<unsigned long long>(expired_at_device));
   std::printf("retries:      %llu calls, %llu retries, %llu budget-denied "
               "(budget bound %.0f)\n",
-              static_cast<unsigned long long>(rs.calls),
-              static_cast<unsigned long long>(rs.retries),
-              static_cast<unsigned long long>(rs.budget_denied),
-              0.1 * static_cast<double>(rs.calls) + 10.0);
+              static_cast<unsigned long long>(retry_calls),
+              static_cast<unsigned long long>(retries),
+              static_cast<unsigned long long>(retry_denied),
+              0.1 * static_cast<double>(retry_calls) + 10.0);
   std::printf("control:      %llu probes, %llu ok, %llu deadline misses, "
               "p99 %lld ns\n",
               static_cast<unsigned long long>(probes.sent),
@@ -316,9 +337,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(probes.latency.Percentile(0.99)));
   std::printf("watchdog:     %llu probe misses, %llu FLR resets; breaker "
               "opens %llu\n",
-              static_cast<unsigned long long>(as.watchdog_misses),
-              static_cast<unsigned long long>(as.flr_resets),
-              static_cast<unsigned long long>(breaker->stats().opens));
+              static_cast<unsigned long long>(watchdog_misses),
+              static_cast<unsigned long long>(flr_resets),
+              static_cast<unsigned long long>(breaker_opens));
 
   // --- The contract ---
   // 1. Goodput at 10x within 10% of peak: overload sheds, never collapses.
@@ -338,23 +359,23 @@ int main(int argc, char** argv) {
   CXLPOOL_CHECK(probes.deadline_misses == 0);
   CXLPOOL_CHECK(probes.other == 0);
   CXLPOOL_CHECK(probes.ok == probes.sent);
-  CXLPOOL_CHECK(as.watchdog_misses == 0);
-  CXLPOOL_CHECK(as.flr_resets == 0);
+  CXLPOOL_CHECK(watchdog_misses == 0);
+  CXLPOOL_CHECK(flr_resets == 0);
   // 3. Retry amplification bounded by the token bucket.
-  CXLPOOL_CHECK(static_cast<double>(rs.retries) <=
-                0.1 * static_cast<double>(rs.calls) + 10.0);
+  CXLPOOL_CHECK(static_cast<double>(retries) <=
+                0.1 * static_cast<double>(retry_calls) + 10.0);
   // 4. Pure overload and slow drain never open the breaker (budget expiry
   //    is not device failure) and never reach quarantine.
-  CXLPOOL_CHECK(breaker->stats().opens == 0);
+  CXLPOOL_CHECK(breaker_opens == 0);
   CXLPOOL_CHECK(breaker->state(loop.now()) ==
                 msg::CircuitBreaker::State::kClosed);
   CXLPOOL_CHECK(!rack.orchestrator().InQuarantine(kDev));
   // 5. Backpressure actually engaged at every layer: the bounded queue
   //    refused work under 10x, and the slow-drain refusal chain shed dead
   //    work server-side both at dequeue and at the pre-BAR re-check.
-  CXLPOOL_CHECK(cs.rejected + cs.expired_in_queue > 0);
-  CXLPOOL_CHECK(home_agent->rpc_expired() >= 4);
-  CXLPOOL_CHECK(as.expired_at_device >= 4);
+  CXLPOOL_CHECK(client_rejected + client_expired > 0);
+  CXLPOOL_CHECK(rpc_expired >= 4);
+  CXLPOOL_CHECK(expired_at_device >= 4);
   // 6. No unexplained failures anywhere.
   for (const PhaseResult& ph : phases) {
     CXLPOOL_CHECK(ph.other == 0);
@@ -375,14 +396,14 @@ int main(int argc, char** argv) {
     reg.GetCounter("overload.probe_deadline_misses")
         ->Add(probes.deadline_misses);
     reg.GetHistogram("overload.probe_latency_ns")->MergeFrom(probes.latency);
-    reg.GetCounter("overload.client_rejected")->Add(cs.rejected);
+    reg.GetCounter("overload.client_rejected")->Add(client_rejected);
     reg.GetCounter("overload.client_expired_in_queue")
-        ->Add(cs.expired_in_queue);
+        ->Add(client_expired);
     reg.GetCounter("overload.agent_shed")
-        ->Add(ad.shed + ad.inflight_rejects);
+        ->Add(codel_sheds + inflight_rejects);
     reg.GetCounter("overload.agent_expired")
-        ->Add(home_agent->rpc_expired() + as.expired_at_device);
-    reg.GetCounter("overload.breaker_opens")->Add(breaker->stats().opens);
+        ->Add(rpc_expired + expired_at_device);
+    reg.GetCounter("overload.breaker_opens")->Add(breaker_opens);
     CXLPOOL_CHECK_OK(
         obs::WriteBenchJson(json_path, "overload_soak", loop.now(), reg));
     std::printf("\nmetrics snapshot:  %s (%zu series)\n", json_path.c_str(),

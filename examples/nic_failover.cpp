@@ -125,7 +125,8 @@ int main() {
   std::printf("\nechoes before failure: %d; after failover: %d\n", ok_before,
               ok_after);
   std::printf("failovers executed by the orchestrator: %llu\n",
-              static_cast<unsigned long long>(rack.orchestrator().stats().failovers));
+              static_cast<unsigned long long>(
+                  rack.pod().metrics().FindCounter("orch.failovers")->value()));
   std::printf("without pooling this server would be offline until a tech "
               "replaced the NIC.\n");
   CXLPOOL_CHECK(rack.pod().TotalLostDirtyLines() == 0);

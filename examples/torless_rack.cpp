@@ -177,7 +177,8 @@ int main() {
   std::printf("\nechoes via plane A (before failure): %d\n", plane_a_ok);
   std::printf("echoes via plane B (after failover):  %d\n", plane_b_ok);
   std::printf("failovers executed: %llu\n",
-              static_cast<unsigned long long>(rack.orchestrator().stats().failovers));
+              static_cast<unsigned long long>(
+                  rack.pod().metrics().FindCounter("orch.failovers")->value()));
   std::printf("\nno ToR anywhere: the rack survives a whole aggregation plane\n"
               "because its NICs are a pooled, re-routable resource (paper Sec. 5).\n");
   CXLPOOL_CHECK(rack.pod().TotalLostDirtyLines() == 0);

@@ -55,20 +55,16 @@ void CoherenceChecker::Detach() {
   }
 }
 
-void CoherenceChecker::BindObservability(obs::Observability* obs) {
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    return;
-  }
+void CoherenceChecker::BindObservability(obs::Observability* obs) { obs_ = obs; }
+
+void CoherenceChecker::ExportCounts(obs::Registry& registry) const {
   for (int t = 0; t < kNumViolationTypes; ++t) {
     auto type = static_cast<ViolationType>(t);
-    obs_->metrics().RegisterProbe(
-        "coherence.violations", {{"type", std::string(ViolationTypeName(type))}},
-        [this, type] { return static_cast<int64_t>(count(type)); });
+    registry.GetCounter("coherence.violations",
+                        {{"type", std::string(ViolationTypeName(type))}})
+        ->Add(count(type));
   }
-  obs_->metrics().RegisterProbe("coherence.events_seen", {}, [this] {
-    return static_cast<int64_t>(events_seen_);
-  });
+  registry.GetCounter("coherence.events_seen")->Add(events_seen_);
 }
 
 void CoherenceChecker::RecordAccess(LineState& line,

@@ -107,9 +107,13 @@ class CoherenceChecker : public cxl::CoherenceObserver {
 
   // Optional observability bundle: each detected violation is noted in the
   // offender host's flight ring and triggers one flight-recorder dump (so
-  // the per-host history is preserved at first-detection time), and the
-  // per-type violation counts are exported as registry probes.
+  // the per-host history is preserved at first-detection time).
   void BindObservability(obs::Observability* obs);
+
+  // The checker is an oracle, not a metric: it keeps its own counts. A
+  // bench that snapshots a registry copies the final values in once, at the
+  // end: coherence.violations{type} and coherence.events_seen.
+  void ExportCounts(obs::Registry& registry) const;
 
   // cxl::CoherenceObserver:
   void OnLineEvent(const cxl::CoherenceEvent& ev) override;

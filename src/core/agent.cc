@@ -108,67 +108,6 @@ Result<Decoded> Decode(std::span<const std::byte> payload) {
 
 }  // namespace epoch_wire
 
-void Agent::RegisterMetrics() {
-  if (obs_ == nullptr) {
-    return;
-  }
-  // Stats keep their struct home (tests read them directly); the registry
-  // sees them through probes, so the agent shows up in every metrics
-  // snapshot without double bookkeeping.
-  obs::Labels labels = {{"host", std::to_string(host_.id().value())}};
-  obs::Registry& reg = obs_->metrics();
-  reg.RegisterProbe("agent.forwarded_writes", labels,
-                    [this] { return static_cast<int64_t>(stats_.forwarded_writes); });
-  reg.RegisterProbe("agent.forwarded_reads", labels,
-                    [this] { return static_cast<int64_t>(stats_.forwarded_reads); });
-  reg.RegisterProbe("agent.stale_epoch_rejects", labels,
-                    [this] { return static_cast<int64_t>(stats_.stale_epoch_rejects); });
-  reg.RegisterProbe("agent.dedup_hits", labels,
-                    [this] { return static_cast<int64_t>(stats_.dedup_hits); });
-  reg.RegisterProbe("agent.watchdog_misses", labels,
-                    [this] { return static_cast<int64_t>(stats_.watchdog_misses); });
-  reg.RegisterProbe("agent.flr_resets", labels,
-                    [this] { return static_cast<int64_t>(stats_.flr_resets); });
-  reg.RegisterProbe("agent.reports_sent", labels,
-                    [this] { return static_cast<int64_t>(stats_.reports_sent); });
-  reg.RegisterProbe("agent.migrations_executed", labels, [this] {
-    return static_cast<int64_t>(stats_.migrations_executed);
-  });
-  // Overload-protection surface: admission (queue-delay histograms +
-  // inflight gauge) and the per-server refusal counters, summed at sample
-  // time so late-spawned serve loops are covered.
-  admission_.BindMetrics(&reg, labels);
-  reg.RegisterProbe("agent.rpc_shed", labels,
-                    [this] { return static_cast<int64_t>(rpc_shed()); });
-  reg.RegisterProbe("agent.rpc_expired", labels,
-                    [this] { return static_cast<int64_t>(rpc_expired()); });
-  reg.RegisterProbe("agent.expired_at_device", labels, [this] {
-    return static_cast<int64_t>(stats_.expired_at_device);
-  });
-  reg.RegisterProbe("agent.self_fence_rejects", labels, [this] {
-    return static_cast<int64_t>(stats_.self_fence_rejects);
-  });
-  reg.RegisterProbe("agent.peer_probes_ok", labels, [this] {
-    return static_cast<int64_t>(stats_.peer_probes_ok);
-  });
-}
-
-uint64_t Agent::rpc_shed() const {
-  uint64_t total = 0;
-  for (const auto& server : servers_) {
-    total += server->stats().shed;
-  }
-  return total;
-}
-
-uint64_t Agent::rpc_expired() const {
-  uint64_t total = 0;
-  for (const auto& server : servers_) {
-    total += server->stats().expired;
-  }
-  return total;
-}
-
 void Agent::FlightNote(const char* category, const char* fmt, ...) {
   if (obs_ == nullptr) {
     return;
@@ -245,7 +184,7 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
   // dequeue and here (slow drain, queued handler work). Past this point
   // the op touches device state, so this is the last cheap exit.
   if (sctx.deadline > 0 && host_.loop().now() >= sctx.deadline) {
-    ++stats_.expired_at_device;
+    expired_at_device_->Inc();
     FlightNote("mmio", "pre-BAR deadline expiry method=%u", method);
     co_return DeadlineExceeded("op deadline expired before device BAR");
   }
@@ -263,13 +202,13 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
   // would wrongly admit the op — our epoch is stale too) is what makes
   // "wait out the TTL" a sound fencing proof on the orchestrator side.
   if (self_fenced()) {
-    ++stats_.self_fence_rejects;
+    self_fence_rejects_->Inc();
     FlightNote("mmio", "self-fence reject dev=%u (lease TTL expired)",
                decoded->device.value());
     co_return Aborted("agent lease TTL expired; self-fenced");
   }
   if (decoded->epoch != it->second.epoch) {
-    ++stats_.stale_epoch_rejects;
+    stale_epoch_rejects_->Inc();
     FlightNote("mmio", "stale-epoch reject dev=%u epoch=%llu (local %llu)",
                decoded->device.value(),
                static_cast<unsigned long long>(decoded->epoch),
@@ -288,7 +227,7 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
       auto [seq_it, inserted] =
           it->second.applied_write_seq.try_emplace(decoded->client_id, 0);
       if (!inserted && decoded->seq <= seq_it->second) {
-        ++stats_.dedup_hits;
+        dedup_hits_->Inc();
         FlightNote("mmio", "dedup ack dev=%u client=%llu seq=%llu",
                    decoded->device.value(),
                    static_cast<unsigned long long>(decoded->client_id),
@@ -296,7 +235,7 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
         co_return std::vector<std::byte>{};
       }
     }
-    ++stats_.forwarded_writes;
+    forwarded_writes_->Inc();
     obs::Span bar = obs::MaybeStartSpan(tracer(), "mmio.device_bar",
                                         host_.id().value(), ctx,
                                         host_.loop().now());
@@ -323,7 +262,7 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
     }
     co_return std::vector<std::byte>{};
   }
-  ++stats_.forwarded_reads;
+  forwarded_reads_->Inc();
   obs::Span bar = obs::MaybeStartSpan(tracer(), "mmio.device_bar",
                                       host_.id().value(), ctx,
                                       host_.loop().now());
@@ -361,7 +300,7 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleControl(
       co_return NotFound("device not on this host");
     }
     it->second.epoch = decoded->epoch;
-    ++stats_.epoch_updates;
+    epoch_updates_->Inc();
     co_return std::vector<std::byte>{};
   }
   if (method != kMethodMigrate) {
@@ -375,32 +314,35 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleControl(
     co_await migration_handler_(decoded->old_dev, decoded->new_dev,
                                 decoded->new_home);
   }
-  ++stats_.migrations_executed;
+  migrations_executed_->Inc();
   co_return std::vector<std::byte>{};
 }
 
-void Agent::ServeForwarding(msg::Endpoint& endpoint, sim::StopToken& stop) {
-  auto server = std::make_unique<msg::RpcServer>(
-      endpoint, [this](uint16_t m, std::span<const std::byte> p,
-                       const msg::ServerContext& sctx) {
-        return HandleForwarding(m, p, sctx);
-      });
-  server->BindTracer(tracer());
-  // Every forwarding loop shares the agent's one admission controller, so
-  // the inflight bound and the CoDel state span all remote users.
-  server->BindAdmission(&admission_);
+void Agent::Serve(msg::Endpoint& endpoint, msg::RpcServer::ContextHandler handler,
+                  msg::AdmissionController* admission, sim::StopToken& stop) {
+  auto server =
+      std::make_unique<msg::RpcServer>(endpoint, std::move(handler), "agent.rpc_");
+  server->BindObservability(obs_);
+  server->BindAdmission(admission);
   sim::Spawn(server->ServeSupervised(stop));
   servers_.push_back(std::move(server));
 }
 
+void Agent::ServeForwarding(msg::Endpoint& endpoint, sim::StopToken& stop) {
+  // Every forwarding loop shares the agent's one admission controller, so
+  // the inflight bound and the CoDel state span all remote users.
+  Serve(endpoint,
+        [this](uint16_t m, std::span<const std::byte> p,
+               const msg::ServerContext& sctx) { return HandleForwarding(m, p, sctx); },
+        &admission_, stop);
+}
+
 void Agent::ServeControl(msg::Endpoint& endpoint, sim::StopToken& stop) {
-  auto server = std::make_unique<msg::RpcServer>(
-      endpoint, [this](uint16_t m, std::span<const std::byte> p) {
-        return HandleControl(m, p);
-      });
-  server->BindTracer(tracer());
-  sim::Spawn(server->ServeSupervised(stop));
-  servers_.push_back(std::move(server));
+  Serve(endpoint,
+        [this](uint16_t m, std::span<const std::byte> p, const msg::ServerContext&) {
+          return HandleControl(m, p);
+        },
+        nullptr, stop);
 }
 
 void Agent::StartReporting(msg::Endpoint& to_orchestrator, sim::StopToken& stop) {
@@ -412,19 +354,18 @@ void Agent::StartReporting(msg::Endpoint& to_orchestrator, sim::StopToken& stop)
 }
 
 void Agent::ServePeerProbe(msg::Endpoint& endpoint, sim::StopToken& stop) {
-  auto server = std::make_unique<msg::RpcServer>(
-      endpoint, [](uint16_t m, std::span<const std::byte>)
-                    -> sim::Task<Result<std::vector<std::byte>>> {
-        if (m != kMethodPeerProbe) {
-          co_return Unimplemented("unknown peer method");
-        }
-        co_return std::vector<std::byte>{};
-      });
   // A crashed host's serve loop aborts on its first memory op and the
   // supervisor keeps failing to restart it — so crashed peers simply stop
   // answering, which is exactly the signal the probe measures.
-  sim::Spawn(server->ServeSupervised(stop));
-  servers_.push_back(std::move(server));
+  Serve(endpoint,
+        [](uint16_t m, std::span<const std::byte>,
+           const msg::ServerContext&) -> sim::Task<Result<std::vector<std::byte>>> {
+          if (m != kMethodPeerProbe) {
+            co_return Unimplemented("unknown peer method");
+          }
+          co_return std::vector<std::byte>{};
+        },
+        nullptr, stop);
 }
 
 void Agent::StartPeerProbe(HostId peer, msg::Endpoint& endpoint,
@@ -442,12 +383,12 @@ sim::Task<> Agent::PeerProbeLoop(HostId peer, msg::Endpoint& endpoint,
       co_await sim::Delay(host_.loop(), config_.peer_probe_interval);
       continue;
     }
-    ++stats_.peer_probes_sent;
+    peer_probes_sent_->Inc();
     auto resp = co_await client.Call(
         kMethodPeerProbe, {}, host_.loop().now() + config_.peer_probe_timeout,
         {}, msg::kPriorityControl);
     if (resp.ok()) {
-      ++stats_.peer_probes_ok;
+      peer_probes_ok_->Inc();
       peer_last_ok_[peer.value()] = host_.loop().now();
     }
     co_await sim::Delay(host_.loop(), config_.peer_probe_interval);
@@ -473,7 +414,7 @@ sim::Task<std::vector<DeviceStatus>> Agent::ProbeDevices() {
       auto probe = co_await entry.device->MmioRead(probe_reg);
       if (!probe.ok() &&
           probe.status().code() == StatusCode::kDeadlineExceeded) {
-        ++stats_.watchdog_misses;
+        watchdog_misses_->Inc();
         ++entry.mmio_misses;
         s.healthy = false;
         FlightNote("watchdog", "probe miss dev=%u consecutive=%d", id.value(),
@@ -483,7 +424,7 @@ sim::Task<std::vector<DeviceStatus>> Agent::ProbeDevices() {
           // BAR state, clears the wedge. The episode is reported to the
           // orchestrator through fault_episodes below.
           entry.device->Reset();
-          ++stats_.flr_resets;
+          flr_resets_->Inc();
           ++entry.fault_episodes;
           entry.mmio_misses = 0;
           FlightNote("watchdog", "FLR reset dev=%u episode=%u", id.value(),
@@ -525,7 +466,7 @@ sim::Task<> Agent::ReportLoop(msg::Endpoint& to_orchestrator, sim::StopToken& st
         kMethodReport, report_wire::Encode(host_.id(), peer_mask(), statuses),
         host_.loop().now() + config_.rpc_timeout, {}, msg::kPriorityControl);
     if (resp.ok()) {
-      ++stats_.reports_sent;
+      reports_sent_->Inc();
       // Lease renewal: ONLY a full report round-trip renews the TTL.
       // Receiving control traffic must not — an asymmetric link can
       // deliver orchestrator→agent while agent→orchestrator drops, and

@@ -102,8 +102,8 @@ class Agent {
     // under pure overload.
     msg::AdmissionController::Options admission;
     // Shared observability bundle (null = disabled): device_bar spans on
-    // forwarded ops, flight-recorder notes on anomalies (stale epoch,
-    // dedup, FLR), and stats exported as registry probes.
+    // forwarded ops and flight-recorder notes on anomalies (stale epoch,
+    // dedup, FLR, serve-loop aborts).
     obs::Observability* obs = nullptr;
     // Split-brain-safe lease clock (ISSUE 9). When > 0 and reporting has
     // started, the agent treats its lease authority as a TTL renewed ONLY
@@ -125,13 +125,15 @@ class Agent {
     Nanos peer_unreachable_after = 0;
   };
 
+  // Counts under the host's scope ({"host": id}): the agent.* series
+  // declared with its members, agent.rpc_* for every serve loop it spawns
+  // (agent.rpc_shed, agent.rpc_expired, ...; see RpcServer), and the
+  // admission controller's series.
   Agent(cxl::HostAdapter& host, Config config)
       : host_(host),
         config_(config),
         obs_(config.obs),
-        admission_(config.admission) {
-    RegisterMetrics();
-  }
+        admission_(host.metrics(), config.admission) {}
   Agent(const Agent&) = delete;
   Agent& operator=(const Agent&) = delete;
 
@@ -173,39 +175,6 @@ class Agent {
   void SetMigrationHandler(MigrationHandler handler) {
     migration_handler_ = std::move(handler);
   }
-
-  struct Stats {
-    uint64_t forwarded_writes = 0;
-    uint64_t forwarded_reads = 0;
-    uint64_t reports_sent = 0;
-    uint64_t migrations_executed = 0;
-    uint64_t stale_epoch_rejects = 0;  // forwarded ops refused with kAborted
-    uint64_t epoch_updates = 0;
-    // Exactly-once forwarding: duplicate writes (timeout-triggered retries
-    // of an already-applied op) acknowledged without re-applying.
-    uint64_t dedup_hits = 0;
-    // Watchdog: individual probe deadline misses, and FLR resets issued
-    // once misses crossed wedge_miss_threshold.
-    uint64_t watchdog_misses = 0;
-    uint64_t flr_resets = 0;
-    // Deadline propagation: forwarded ops whose budget expired after
-    // dequeue but before the device BAR access (the pre-BAR re-check —
-    // the RPC layer's dequeue check catches the rest).
-    uint64_t expired_at_device = 0;
-    // Split-brain safety: forwarded ops refused because this agent's
-    // lease TTL expired without a report round-trip (self-fence), and
-    // peer-probe traffic for the quorum mesh.
-    uint64_t self_fence_rejects = 0;
-    uint64_t peer_probes_sent = 0;
-    uint64_t peer_probes_ok = 0;
-  };
-  const Stats& stats() const { return stats_; }
-  // The shared admission controller the forwarding serve loops run under.
-  const msg::AdmissionController& admission() const { return admission_; }
-  // Sums of per-server RPC refusal stats across every serve loop this
-  // agent spawned (forwarding + control).
-  uint64_t rpc_shed() const;
-  uint64_t rpc_expired() const;
 
   // Chaos hook: every forwarded op stalls `delay` inside the handler
   // before its pre-BAR deadline re-check — a slow-draining home agent
@@ -254,7 +223,10 @@ class Agent {
   sim::Task<> PeerProbeLoop(HostId peer, msg::Endpoint& endpoint,
                             sim::StopToken& stop);
   sim::Task<std::vector<DeviceStatus>> ProbeDevices();
-  void RegisterMetrics();
+  // Spawns a supervised serve loop counting as agent.rpc_*, under
+  // `admission` when non-null.
+  void Serve(msg::Endpoint& endpoint, msg::RpcServer::ContextHandler handler,
+             msg::AdmissionController* admission, sim::StopToken& stop);
   obs::Tracer* tracer() { return obs_ != nullptr ? obs_->tracer() : nullptr; }
   void FlightNote(const char* category, const char* fmt, ...)
       __attribute__((format(printf, 3, 4)));
@@ -267,7 +239,6 @@ class Agent {
   std::map<PcieDeviceId, LocalDevice> devices_;
   MigrationHandler migration_handler_;
   std::vector<std::unique_ptr<msg::RpcServer>> servers_;
-  Stats stats_;
   ApplyHook apply_hook_;
   // Lease clock: renewed only by a successful report round-trip.
   bool reporting_started_ = false;
@@ -278,6 +249,32 @@ class Agent {
   int inflight_forwarded_ = 0;
   // Peer probe view: last successful round-trip per probed peer.
   std::map<uint32_t, Nanos> peer_last_ok_;
+  const obs::Scope& metrics_ = host_.metrics();
+  // Forwarded ops applied to a local BAR.
+  obs::Counter* forwarded_writes_ = metrics_.GetCounter("agent.forwarded_writes");
+  obs::Counter* forwarded_reads_ = metrics_.GetCounter("agent.forwarded_reads");
+  obs::Counter* reports_sent_ = metrics_.GetCounter("agent.reports_sent");
+  obs::Counter* migrations_executed_ = metrics_.GetCounter("agent.migrations_executed");
+  // Forwarded ops refused with kAborted.
+  obs::Counter* stale_epoch_rejects_ = metrics_.GetCounter("agent.stale_epoch_rejects");
+  obs::Counter* epoch_updates_ = metrics_.GetCounter("agent.epoch_updates");
+  // Exactly-once forwarding: duplicate writes (timeout-triggered retries of
+  // an already-applied op) acknowledged without re-applying.
+  obs::Counter* dedup_hits_ = metrics_.GetCounter("agent.dedup_hits");
+  // Watchdog: individual probe deadline misses, and FLR resets issued once
+  // misses crossed wedge_miss_threshold.
+  obs::Counter* watchdog_misses_ = metrics_.GetCounter("agent.watchdog_misses");
+  obs::Counter* flr_resets_ = metrics_.GetCounter("agent.flr_resets");
+  // Deadline propagation: forwarded ops whose budget expired after dequeue
+  // but before the device BAR access (the pre-BAR re-check — the RPC
+  // layer's dequeue check catches the rest).
+  obs::Counter* expired_at_device_ = metrics_.GetCounter("agent.expired_at_device");
+  // Split-brain safety: forwarded ops refused because this agent's lease
+  // TTL expired without a report round-trip (self-fence), and peer-probe
+  // traffic for the quorum mesh.
+  obs::Counter* self_fence_rejects_ = metrics_.GetCounter("agent.self_fence_rejects");
+  obs::Counter* peer_probes_sent_ = metrics_.GetCounter("agent.peer_probes_sent");
+  obs::Counter* peer_probes_ok_ = metrics_.GetCounter("agent.peer_probes_ok");
 };
 
 }  // namespace cxlpool::core

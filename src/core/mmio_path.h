@@ -10,6 +10,7 @@
 #define SRC_CORE_MMIO_PATH_H_
 
 #include <memory>
+#include <string>
 
 #include "src/common/status.h"
 #include "src/msg/retry.h"
@@ -94,6 +95,8 @@ class ForwardedMmioPath : public MmioPath {
   // `timeout` bounds the first attempt of each forwarded operation;
   // `retry` governs further attempts (escalate timeout_multiplier > 1 to
   // outwait slow-but-alive peers).
+  // The retry policy counts retry.* under the client host's scope plus
+  // {"device": device}.
   ForwardedMmioPath(std::shared_ptr<msg::RpcClient> client, PcieDeviceId device,
                     uint64_t epoch, Nanos timeout, sim::EventLoop& loop,
                     uint64_t client_id = 0,
@@ -104,7 +107,9 @@ class ForwardedMmioPath : public MmioPath {
         timeout_(timeout),
         loop_(loop),
         client_id_(client_id),
-        retry_(retry) {}
+        retry_(client_->endpoint().host().metrics().With(
+                   {{"device", std::to_string(device.value())}}),
+               retry) {}
 
   // Enables root mmio.write/mmio.read spans on this path. `host` labels
   // the spans with the client host issuing the ops.
@@ -127,7 +132,6 @@ class ForwardedMmioPath : public MmioPath {
   bool is_remote() const override { return true; }
   uint64_t epoch() const { return epoch_; }
   uint64_t client_id() const { return client_id_; }
-  const msg::RetryPolicy::Stats& retry_stats() const { return retry_.stats(); }
   // The underlying RPC client (benches drive control-priority probes over
   // the same channel as the data storm to prove they never starve).
   msg::RpcClient& rpc_client() { return *client_; }

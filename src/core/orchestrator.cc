@@ -8,60 +8,6 @@
 
 namespace cxlpool::core {
 
-Orchestrator::Orchestrator(cxl::CxlPod& pod, HostId home, Config config)
-    : pod_(pod), home_(home), config_(config), retry_policy_(config.retry) {
-  RegisterMetrics();
-}
-
-void Orchestrator::RegisterMetrics() {
-  obs::Registry& reg = metrics();
-  // Quarantine accounting lives directly in the registry (the bespoke
-  // Stats fields are gone); the rest of Stats exports through probes.
-  quarantines_ = reg.GetCounter("orch.quarantines");
-  quarantine_releases_ = reg.GetCounter("orch.quarantine_releases");
-  quarantined_skips_ = reg.GetCounter("orch.quarantined_skips");
-  breaker_opens_ = reg.GetCounter("orch.breaker_opens");
-  reg.RegisterProbe("orch.acquires", {},
-                    [this] { return static_cast<int64_t>(stats_.acquires); });
-  reg.RegisterProbe("orch.local_hits", {},
-                    [this] { return static_cast<int64_t>(stats_.local_hits); });
-  reg.RegisterProbe("orch.failovers", {},
-                    [this] { return static_cast<int64_t>(stats_.failovers); });
-  reg.RegisterProbe("orch.rebalances", {},
-                    [this] { return static_cast<int64_t>(stats_.rebalances); });
-  reg.RegisterProbe("orch.reports_received", {}, [this] {
-    return static_cast<int64_t>(stats_.reports_received);
-  });
-  reg.RegisterProbe("orch.host_deaths", {},
-                    [this] { return static_cast<int64_t>(stats_.host_deaths); });
-  reg.RegisterProbe("orch.host_reregistrations", {}, [this] {
-    return static_cast<int64_t>(stats_.host_reregistrations);
-  });
-  reg.RegisterProbe("orch.leases_revoked", {}, [this] {
-    return static_cast<int64_t>(stats_.leases_revoked);
-  });
-  reg.RegisterProbe("orch.abandoned_migrations", {}, [this] {
-    return static_cast<int64_t>(stats_.abandoned_migrations);
-  });
-  reg.RegisterProbe("orch.suspects", {},
-                    [this] { return static_cast<int64_t>(stats_.suspects); });
-  reg.RegisterProbe("orch.suspect_recoveries", {}, [this] {
-    return static_cast<int64_t>(stats_.suspect_recoveries);
-  });
-  reg.RegisterProbe("orch.condemned_by_quorum", {}, [this] {
-    return static_cast<int64_t>(stats_.condemned_by_quorum);
-  });
-  reg.RegisterProbe("orch.condemned_by_ttl", {}, [this] {
-    return static_cast<int64_t>(stats_.condemned_by_ttl);
-  });
-  reg.RegisterProbe("orch.fences_acked", {}, [this] {
-    return static_cast<int64_t>(stats_.fences_acked);
-  });
-  reg.RegisterProbe("orch.fences_ttl_expired", {}, [this] {
-    return static_cast<int64_t>(stats_.fences_ttl_expired);
-  });
-}
-
 void Orchestrator::FlightNote(const char* category, const char* fmt, ...) {
   if (config_.obs == nullptr) {
     return;
@@ -121,18 +67,15 @@ void Orchestrator::RegisterDevice(HostId home, pcie::PcieDevice* device,
   // One breaker per device, shared across every forwarded path to it. An
   // open trip is a flap: it rides the same quarantine/probation machinery
   // as watchdog FLR episodes instead of duplicating it.
-  rec.breaker = std::make_unique<msg::CircuitBreaker>(config_.breaker);
   PcieDeviceId id = device->id();
+  rec.breaker = std::make_unique<msg::CircuitBreaker>(
+      obs::Scope(pod_.metrics(), {{"device", std::to_string(id.value())}}),
+      config_.breaker);
   rec.breaker->OnOpen([this, id] {
     breaker_opens_->Inc();
     FlightNote("breaker", "dev=%u circuit breaker opened", id.value());
     NoteFlaps(id, 1);
   });
-  metrics().RegisterProbe(
-      "breaker.state", {{"device", std::to_string(id.value())}},
-      [this, b = rec.breaker.get()] {
-        return static_cast<int64_t>(b->state(pod_.loop().now()));
-      });
   devices_.emplace(device->id(), std::move(rec));
 }
 
@@ -167,6 +110,7 @@ void Orchestrator::Start(sim::StopToken& stop) {
         [this](uint16_t m, std::span<const std::byte> p) {
           return HandleReport(m, p);
         });
+    entry.report_server->BindObservability(config_.obs);
     sim::Spawn(entry.report_server->ServeSupervised(stop));
     // Agent-side services.
     entry.agent->ServeControl(entry.control_channel->end_b(), stop);
@@ -191,7 +135,7 @@ sim::Task<Result<std::vector<std::byte>>> Orchestrator::HandleReport(
   if (!decoded.ok()) {
     co_return decoded.status();
   }
-  ++stats_.reports_received;
+  reports_received_->Inc();
   Nanos now = pod_.loop().now();
   auto agent_it = agents_.find(decoded->reporter);
   if (agent_it != agents_.end()) {
@@ -206,7 +150,7 @@ sim::Task<Result<std::vector<std::byte>>> Orchestrator::HandleReport(
         // leases and its epochs, so no resync is needed — just lift the
         // fence on new grants.
         entry.liveness = AgentEntry::Liveness::kAlive;
-        ++stats_.suspect_recoveries;
+        suspect_recoveries_->Inc();
         FlightNote("liveness", "host=%u suspect recovered",
                    decoded->reporter.value());
         CXLPOOL_LOG(Info) << "host " << decoded->reporter
@@ -217,7 +161,7 @@ sim::Task<Result<std::vector<std::byte>>> Orchestrator::HandleReport(
         // become eligible again as healthy statuses arrive below; resync
         // the lease epochs its agent missed while dead.
         entry.liveness = AgentEntry::Liveness::kAlive;
-        ++stats_.host_reregistrations;
+        host_reregistrations_->Inc();
         CXLPOOL_LOG(Info) << "host " << decoded->reporter
                           << " re-registered after crash";
         sim::Spawn(ResyncEpochs(decoded->reporter));
@@ -379,7 +323,7 @@ bool Orchestrator::agent_alive(HostId host) const {
 }
 
 Result<Orchestrator::Assignment> Orchestrator::Acquire(HostId user, DeviceType type) {
-  ++stats_.acquires;
+  acquires_->Inc();
   auto agent_it = agents_.find(user);
   if (agent_it != agents_.end() &&
       agent_it->second.liveness != AgentEntry::Liveness::kAlive) {
@@ -409,7 +353,7 @@ Result<Orchestrator::Assignment> Orchestrator::Acquire(HostId user, DeviceType t
   }
   if (local_best != nullptr) {
     local_best->lessees.push_back(user);
-    ++stats_.local_hits;
+    local_hits_->Inc();
     return Assignment{local_id, user, /*local=*/true};
   }
   // "If not, the orchestrator selects the least-utilized device in the pod."
@@ -460,8 +404,9 @@ Result<std::unique_ptr<MmioPath>> Orchestrator::MakeMmioPath(
   ASSIGN_OR_RETURN(auto channel, msg::Channel::Create(pod_.pool(), pod_.host(user),
                                                       pod_.host(rec.home)));
   home_agent->ServeForwarding(channel->end_b(), *stop_);
-  auto client = std::make_shared<msg::RpcClient>(channel->end_a(),
-                                                 client_options);
+  auto client = std::make_shared<msg::RpcClient>(
+      channel->end_a(), client_options,
+      obs::Labels{{"device", std::to_string(device.value())}});
   client->BindTracer(tracer());
   // Each path gets a unique nonzero client_id: the home agent's dedup
   // window is keyed on it, so a timed-out-then-retried posted write is
@@ -516,7 +461,7 @@ sim::Task<> Orchestrator::MigrateLeases(PcieDeviceId from, bool failover) {
         agent_it->second.liveness == AgentEntry::Liveness::kDead) {
       // The holder is dead: revoke instead of moving the lease with it.
       rec.lessees.erase(pos);
-      ++stats_.leases_revoked;
+      leases_revoked_->Inc();
       continue;
     }
     DeviceRecord* target = PickDevice(rec.type, from);
@@ -561,15 +506,15 @@ sim::Task<> Orchestrator::MigrateLeases(PcieDeviceId from, bool failover) {
     // never resume past Orchestrator teardown (frames parked at
     // Shutdown are dropped with the loop, not resumed).
     if (!resp.ok()) {
-      ++stats_.abandoned_migrations;  // simlint: allow(member-read-after-await)
+      abandoned_migrations_->Inc();  // simlint: allow(member-read-after-await)
       CXLPOOL_LOG(Warning) << "migrate RPC to host " << user
                            << " abandoned after retries: " << resp.status();
       continue;
     }
     if (failover) {
-      ++stats_.failovers;  // simlint: allow(member-read-after-await)
+      failovers_->Inc();  // simlint: allow(member-read-after-await)
     } else {
-      ++stats_.rebalances;  // simlint: allow(member-read-after-await)
+      rebalances_->Inc();  // simlint: allow(member-read-after-await)
     }
   }
 }
@@ -617,7 +562,7 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
       }
       if (entry.liveness == AgentEntry::Liveness::kAlive) {
         entry.liveness = AgentEntry::Liveness::kSuspect;
-        ++stats_.suspects;
+        suspects_->Inc();
         FlightNote("liveness", "host=%u suspect (stale for %lld ns)",
                    host_id.value(), static_cast<long long>(staleness));
         CXLPOOL_LOG(Warning) << "host " << host_id << " suspect (" << staleness
@@ -631,7 +576,7 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
       uint32_t needed = config_.condemn_quorum > 0 ? config_.condemn_quorum
                                                    : fresh / 2 + 1;
       if (fresh > 0 && votes >= needed) {
-        ++stats_.condemned_by_quorum;
+        condemned_by_quorum_->Inc();
         DeclareAgentDead(host_id, entry);
         continue;
       }
@@ -641,7 +586,7 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
       // condemning it cannot create a second writer.
       Nanos ttl = entry.lease_ttl > 0 ? entry.lease_ttl : config_.lease_ttl;
       if (ttl > 0 && staleness > ttl + config_.fence_margin) {
-        ++stats_.condemned_by_ttl;
+        condemned_by_ttl_->Inc();
         DeclareAgentDead(host_id, entry);
       }
     }
@@ -650,7 +595,7 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
 
 void Orchestrator::DeclareAgentDead(HostId host, AgentEntry& entry) {
   entry.liveness = AgentEntry::Liveness::kDead;
-  ++stats_.host_deaths;
+  host_deaths_->Inc();
   FlightNote("liveness", "host=%u declared dead (stale for %lld ns)",
              host.value(),
              static_cast<long long>(pod_.loop().now() - entry.last_report));
@@ -667,7 +612,7 @@ void Orchestrator::DeclareAgentDead(HostId host, AgentEntry& entry) {
     std::erase(rec.lessees, host);
     size_t revoked = before - rec.lessees.size();
     if (revoked > 0) {
-      stats_.leases_revoked += revoked;
+      leases_revoked_->Add(revoked);
       FenceDevice(dev_id, rec);
     }
   }
@@ -738,7 +683,7 @@ sim::Task<> Orchestrator::FenceLoop(PcieDeviceId device, uint64_t epoch,
       // before installing the new epoch: no old-epoch op can ever apply.
       if (rec.fence_pending) {
         rec.fence_pending = false;
-        ++stats_.fences_acked;
+        fences_acked_->Inc();
         FlightNote("fence", "dev=%u epoch=%llu fence acked", device.value(),
                    static_cast<unsigned long long>(epoch));
       }
@@ -747,7 +692,7 @@ sim::Task<> Orchestrator::FenceLoop(PcieDeviceId device, uint64_t epoch,
     if (now >= ttl_deadline) {
       if (rec.fence_pending) {
         rec.fence_pending = false;
-        ++stats_.fences_ttl_expired;
+        fences_ttl_expired_->Inc();
         FlightNote("fence", "dev=%u epoch=%llu fence resolved by TTL expiry",
                    device.value(), static_cast<unsigned long long>(epoch));
         CXLPOOL_LOG(Warning)

@@ -89,8 +89,9 @@ class Orchestrator {
     Nanos quarantine_probation = 2 * kMillisecond;
     // Shared observability bundle (null = standalone). When set, it is also
     // handed to every agent this orchestrator creates (unless the agent
-    // config pins its own), forwarded MMIO paths get tracers, and all
-    // orchestrator counters land in the shared registry.
+    // config pins its own), forwarded MMIO paths get tracers, and anomalies
+    // leave flight-recorder notes. Counters live in the pod's registry
+    // either way.
     obs::Observability* obs = nullptr;
     Agent::Config agent;
   };
@@ -135,8 +136,16 @@ class Orchestrator {
     std::unique_ptr<msg::CircuitBreaker> breaker;
   };
 
-  // `home` is the host running the orchestrator container.
-  Orchestrator(cxl::CxlPod& pod, HostId home, Config config);
+  // `home` is the host running the orchestrator container. Counts the orch.*
+  // series declared with its members into the pod's registry, unlabeled. Its
+  // control-plane retries count retry.* under the home host; each device's
+  // breaker counts breaker.* under {"device": id}; each forwarded path's
+  // client and retries count under the user host plus {"device": id}.
+  Orchestrator(cxl::CxlPod& pod, HostId home, Config config)
+      : pod_(pod),
+        home_(home),
+        config_(config),
+        retry_policy_(pod.host(home).metrics(), config.retry) {}
   Orchestrator(const Orchestrator&) = delete;
   Orchestrator& operator=(const Orchestrator&) = delete;
 
@@ -168,7 +177,7 @@ class Orchestrator {
   const DeviceRecord* record(PcieDeviceId device) const;
   const std::map<PcieDeviceId, DeviceRecord>& devices() const { return devices_; }
   // The device's circuit breaker (null for unknown devices). Tests and
-  // benches assert on its state/stats.
+  // benches assert on its state.
   msg::CircuitBreaker* breaker(PcieDeviceId device) {
     auto it = devices_.find(device);
     return it == devices_.end() ? nullptr : it->second.breaker.get();
@@ -188,37 +197,6 @@ class Orchestrator {
   // True while the device is serving a quarantine probation (expires it
   // lazily if the probation is over).
   bool InQuarantine(PcieDeviceId device);
-
-  struct Stats {
-    uint64_t acquires = 0;
-    uint64_t local_hits = 0;  // acquisitions satisfied by a local device
-    uint64_t failovers = 0;
-    uint64_t rebalances = 0;
-    uint64_t reports_received = 0;
-    uint64_t host_deaths = 0;            // liveness sweep declared an agent dead
-    uint64_t host_reregistrations = 0;   // dead agent reported again
-    uint64_t leases_revoked = 0;         // leases torn down (holder dead)
-    uint64_t abandoned_migrations = 0;   // migrate RPC failed after retries
-    // --- Quorum liveness + fencing (ISSUE 9) ---
-    uint64_t suspects = 0;               // alive -> suspect transitions
-    uint64_t suspect_recoveries = 0;     // suspect -> alive (report arrived)
-    uint64_t condemned_by_quorum = 0;    // deaths confirmed by peer votes
-    uint64_t condemned_by_ttl = 0;       // deaths confirmed by TTL expiry
-    uint64_t fences_acked = 0;           // fences resolved by an epoch ack
-    uint64_t fences_ttl_expired = 0;     // fences resolved by TTL expiry
-  };
-  const Stats& stats() const { return stats_; }
-  const msg::RetryPolicy::Stats& retry_stats() const {
-    return retry_policy_.stats();
-  }
-
-  // Registry this orchestrator reports into: the shared one from
-  // Config::obs, or a private fallback so standalone construction (tests)
-  // still has a home for every counter. Quarantine accounting lives here as
-  // orch.quarantines / orch.quarantine_releases / orch.quarantined_skips.
-  obs::Registry& metrics() {
-    return config_.obs != nullptr ? config_.obs->metrics() : fallback_metrics_;
-  }
 
   // Test hook: process one rebalance scan immediately.
   sim::Task<> RebalanceOnce();
@@ -282,7 +260,6 @@ class Orchestrator {
   sim::Task<> PushEpoch(HostId home, PcieDeviceId device, uint64_t epoch);
   // After a host re-registers, re-sends current epochs for its devices.
   sim::Task<> ResyncEpochs(HostId host);
-  void RegisterMetrics();
   obs::Tracer* tracer() {
     return config_.obs != nullptr ? config_.obs->tracer() : nullptr;
   }
@@ -292,12 +269,6 @@ class Orchestrator {
   cxl::CxlPod& pod_;
   HostId home_;
   Config config_;
-  obs::Registry fallback_metrics_;
-  // Registry-backed quarantine counters (cached handles; see metrics()).
-  obs::Counter* quarantines_ = nullptr;
-  obs::Counter* quarantine_releases_ = nullptr;
-  obs::Counter* quarantined_skips_ = nullptr;
-  obs::Counter* breaker_opens_ = nullptr;
   std::map<HostId, AgentEntry> agents_;
   std::map<PcieDeviceId, DeviceRecord> devices_;
   // Agent-to-agent probe channels (quorum liveness mesh), one per ordered
@@ -310,7 +281,32 @@ class Orchestrator {
   // Unique nonzero client_id per forwarded path, so the home agents'
   // dedup windows never alias two paths.
   uint64_t next_path_client_id_ = 0;
-  Stats stats_;
+  obs::Registry& metrics_ = pod_.metrics();
+  obs::Counter* acquires_ = metrics_.GetCounter("orch.acquires");
+  // Acquisitions satisfied by a local device.
+  obs::Counter* local_hits_ = metrics_.GetCounter("orch.local_hits");
+  obs::Counter* failovers_ = metrics_.GetCounter("orch.failovers");
+  obs::Counter* rebalances_ = metrics_.GetCounter("orch.rebalances");
+  obs::Counter* reports_received_ = metrics_.GetCounter("orch.reports_received");
+  // The liveness sweep declared an agent dead; a dead agent reported again.
+  obs::Counter* host_deaths_ = metrics_.GetCounter("orch.host_deaths");
+  obs::Counter* host_reregistrations_ = metrics_.GetCounter("orch.host_reregistrations");
+  // Leases torn down (holder dead); migrate RPCs that failed after retries.
+  obs::Counter* leases_revoked_ = metrics_.GetCounter("orch.leases_revoked");
+  obs::Counter* abandoned_migrations_ = metrics_.GetCounter("orch.abandoned_migrations");
+  // Quorum liveness + fencing: alive -> suspect -> alive transitions, deaths
+  // confirmed by peer votes or by TTL expiry, and fences resolved by an
+  // epoch ack or by TTL expiry.
+  obs::Counter* suspects_ = metrics_.GetCounter("orch.suspects");
+  obs::Counter* suspect_recoveries_ = metrics_.GetCounter("orch.suspect_recoveries");
+  obs::Counter* condemned_by_quorum_ = metrics_.GetCounter("orch.condemned_by_quorum");
+  obs::Counter* condemned_by_ttl_ = metrics_.GetCounter("orch.condemned_by_ttl");
+  obs::Counter* fences_acked_ = metrics_.GetCounter("orch.fences_acked");
+  obs::Counter* fences_ttl_expired_ = metrics_.GetCounter("orch.fences_ttl_expired");
+  obs::Counter* quarantines_ = metrics_.GetCounter("orch.quarantines");
+  obs::Counter* quarantine_releases_ = metrics_.GetCounter("orch.quarantine_releases");
+  obs::Counter* quarantined_skips_ = metrics_.GetCounter("orch.quarantined_skips");
+  obs::Counter* breaker_opens_ = metrics_.GetCounter("orch.breaker_opens");
 };
 
 }  // namespace cxlpool::core

@@ -10,7 +10,7 @@ Rack::Rack(sim::EventLoop& loop, const RackConfig& config)
     : loop_(loop), config_(config) {
   if (config_.obs != nullptr) {
     if (config_.orch.obs == nullptr) config_.orch.obs = config_.obs;
-    if (config_.nic.obs == nullptr) config_.nic.obs = config_.obs;
+    if (config_.pod.metrics == nullptr) config_.pod.metrics = &config_.obs->metrics();
   }
   pod_ = std::make_unique<cxl::CxlPod>(loop, config_.pod);
   network_ = std::make_unique<netsim::Network>(loop, config_.net);

@@ -33,8 +33,9 @@ struct RackConfig {
   Orchestrator::Config orch;
   int orchestrator_home = 0;  // §4.2: runs on one of the pod's hosts
   // Shared observability bundle for the whole rack. When set it is
-  // propagated into the orchestrator, every agent, and every device
-  // config that has not already been given its own bundle.
+  // propagated into the orchestrator and every agent, and its registry is
+  // the pod's (unless pod.metrics already names one): every component of
+  // the rack counts there.
   obs::Observability* obs = nullptr;
 };
 

@@ -31,7 +31,8 @@ VirtualNic::VirtualNic(cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio,
       rx_shadow_(config.rx_entries, 0),
       rx_doorbell_(host.loop(),
                    [this](uint64_t value) { return RxDoorbellWrite(value); },
-                   {.watermark = config.rx_doorbell_batch}) {}
+                   {.watermark = config.rx_doorbell_batch},
+                   host.metrics().With({{"doorbell", "vnic_rx"}})) {}
 
 VirtualNic::~VirtualNic() {
   if (owns_segment_) {
@@ -97,7 +98,7 @@ sim::Task<Status> VirtualNic::ProgramDevice() {
   CO_RETURN_IF_ERROR(
       co_await mmio_->Write(devices::kNicRegRxRingSize, config_.rx_entries));
   CO_RETURN_IF_ERROR(co_await mmio_->Write(devices::kNicRegRxCplBase, rx_cpl_));
-  stats_.doorbell_writes += 7;
+  doorbell_writes_->Add(7);
   co_return OkStatus();
 }
 
@@ -106,7 +107,7 @@ sim::Task<Status> VirtualNic::SendFrame(netsim::MacAddr dst, uint64_t buf_addr,
   // Flow control against the TX ring (counting reserved-but-unpublished
   // slots so concurrent senders cannot oversubscribe it).
   while (tx_posted_ - tx_completed_cache_ >= config_.tx_entries) {
-    ++stats_.tx_stalls;
+    tx_stalls_->Inc();
     auto done = co_await TxCompleted();
     if (!done.ok()) {
       co_return done.status();
@@ -122,7 +123,7 @@ sim::Task<Status> VirtualNic::SendFrame(netsim::MacAddr dst, uint64_t buf_addr,
   // SendFrame calls (multi-core stacks) each get a distinct descriptor.
   uint64_t slot = tx_posted_++;
   uint64_t generation = rebind_generation_;
-  ++stats_.tx_posted;
+  tx_posted_count_->Inc();
 
   std::array<std::byte, devices::kNicTxDescSize> desc{};
   PutU64(desc.data(), buf_addr);
@@ -146,7 +147,7 @@ sim::Task<Status> VirtualNic::SendFrame(netsim::MacAddr dst, uint64_t buf_addr,
   if (tx_ready_ > tx_doorbell_sent_) {
     uint64_t value = tx_ready_;
     CO_RETURN_IF_ERROR(co_await mmio_->Write(devices::kNicRegTxDoorbell, value));
-    ++stats_.doorbell_writes;
+    doorbell_writes_->Inc();
     if (generation == rebind_generation_ && value > tx_doorbell_sent_) {
       tx_doorbell_sent_ = value;
     }
@@ -176,7 +177,7 @@ sim::Task<Status> VirtualNic::PostRxBuffer(uint64_t buf_addr, uint32_t buf_len) 
   CO_RETURN_IF_ERROR(co_await mem_.Publish(addr, desc));
   rx_shadow_[idx] = buf_addr;
   ++rx_posted_;
-  ++stats_.rx_posted;
+  rx_posted_count_->Inc();
   co_return co_await rx_doorbell_.Offer(rx_posted_);
 }
 
@@ -186,7 +187,7 @@ sim::Task<Status> VirtualNic::FlushRxDoorbell() {
 
 sim::Task<Status> VirtualNic::RxDoorbellWrite(uint64_t value) {
   CO_RETURN_IF_ERROR(co_await mmio_->Write(devices::kNicRegRxDoorbell, value));
-  ++stats_.doorbell_writes;
+  doorbell_writes_->Inc();
   co_return OkStatus();
 }
 
@@ -207,7 +208,7 @@ sim::Task<Result<VirtualNic::RxEvent>> VirtualNic::PollRx(Nanos deadline) {
       ev.len = GetU32(entry.data() + 12);
       ev.buf_addr = rx_shadow_[ev.desc_idx % config_.rx_entries];
       ++rx_cpl_next_;
-      ++stats_.rx_events;
+      rx_events_->Inc();
       co_return ev;
     }
     Nanos now = host_.loop().now();

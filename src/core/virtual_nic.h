@@ -49,17 +49,11 @@ class VirtualNic {
     uint64_t buf_addr = 0;
   };
 
-  struct Stats {
-    uint64_t tx_posted = 0;
-    uint64_t rx_posted = 0;
-    uint64_t rx_events = 0;
-    uint64_t doorbell_writes = 0;
-    uint64_t tx_stalls = 0;  // times SendFrame waited on a full ring
-  };
-
   // Allocates ring memory per `config` and programs the NIC through
   // `mmio`. `host` is the host running the I/O stack, not necessarily the
-  // NIC's home host.
+  // NIC's home host. Counts the vnic.* series declared with its members
+  // under that host's scope; the RX doorbell's coalesce.* series carry
+  // {"doorbell": "vnic_rx"}.
   static sim::Task<Result<std::unique_ptr<VirtualNic>>> Create(
       cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config);
 
@@ -78,10 +72,6 @@ class VirtualNic {
   // forces the pending value out.
   sim::Task<Status> PostRxBuffer(uint64_t buf_addr, uint32_t buf_len);
   sim::Task<Status> FlushRxDoorbell();
-  // Batching/fold stats for the RX doorbell (rings, coalesced, ...).
-  const msg::DoorbellCoalescer::Stats& rx_doorbell_stats() const {
-    return rx_doorbell_.stats();
-  }
 
   // Waits for the next received frame until `deadline` (absolute).
   sim::Task<Result<RxEvent>> PollRx(Nanos deadline);
@@ -93,7 +83,6 @@ class VirtualNic {
 
   PlacedMemory& memory() { return mem_; }
   const Config& config() const { return config_; }
-  const Stats& stats() const { return stats_; }
   bool remote() const { return mmio_->is_remote(); }
 
   ~VirtualNic();
@@ -138,8 +127,13 @@ class VirtualNic {
   // FlushRxDoorbell frames, so the `this` capture in the ring fn is safe.
   msg::DoorbellCoalescer rx_doorbell_;
 
-  Stats stats_;
   bool owns_segment_ = false;
+  obs::Counter* tx_posted_count_ = host_.metrics().GetCounter("vnic.tx_posted");
+  obs::Counter* rx_posted_count_ = host_.metrics().GetCounter("vnic.rx_posted");
+  obs::Counter* rx_events_ = host_.metrics().GetCounter("vnic.rx_events");
+  obs::Counter* doorbell_writes_ = host_.metrics().GetCounter("vnic.doorbell_writes");
+  // Times SendFrame waited on a full ring.
+  obs::Counter* tx_stalls_ = host_.metrics().GetCounter("vnic.tx_stalls");
 };
 
 }  // namespace cxlpool::core

@@ -21,13 +21,14 @@ Nanos PipelinedLatency(Nanos first, Nanos per_line, uint64_t lines) {
 }  // namespace
 
 HostAdapter::HostAdapter(HostId id, sim::EventLoop& loop, mem::AddressMap& map,
-                         CxlPool& pool, Config config)
+                         CxlPool& pool, obs::Registry& metrics, Config config)
     : id_(id),
       loop_(loop),
       map_(map),
       pool_(pool),
       config_(config),
-      cache_(config.cache_lines),
+      metrics_(metrics, {{"host", std::to_string(id.value())}}),
+      cache_(config.cache_lines, metrics_),
       dram_bw_(config.timing.dram_bytes_per_ns),
       jitter_rng_(static_cast<uint64_t>(id.value()) * 7919 + 13) {}
 
@@ -130,7 +131,7 @@ void HostAdapter::WritebackEvicted(const mem::WriteBackCache::EvictedLine& ev) {
   }
   auto link = RouteCxl(ev.line_addr);
   if (!link.ok()) {
-    ++stats_.lost_dirty_lines;
+    lost_dirty_lines_->Inc();
     EmitCoherence(CoherenceOp::kDirtyLost, ev.line_addr);
     return;
   }
@@ -152,8 +153,8 @@ sim::Task<Status> HostAdapter::WaitForWriteHorizon(uint64_t addr, uint64_t len) 
 }
 
 sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
-  ++stats_.loads;
-  stats_.load_bytes += out.size();
+  loads_->Inc();
+  load_bytes_->Add(out.size());
   auto region_or = ResolveAccess(addr, out.size());
   if (!region_or.ok()) {
     co_return region_or.status();
@@ -165,7 +166,7 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
   if (region->kind == mem::MemoryKind::kLocalDram) {
     // Coherent local memory: no staleness modeling, latency + channel bw.
     if (Status p = map_.CheckPoison(addr, out.size()); !p.ok()) {
-      ++stats_.poisoned_reads;
+      poisoned_reads_->Inc();
       co_return p;
     }
     map_.ReadBytes(addr, out);
@@ -206,7 +207,7 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
     // copies (hits above) legitimately still serve — the CPU has its own
     // good copy of the line.
     if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
-      ++stats_.poisoned_reads;
+      poisoned_reads_->Inc();
       co_return p;
     }
     ++misses;
@@ -244,8 +245,8 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
 }
 
 sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> in) {
-  ++stats_.stores;
-  stats_.store_bytes += in.size();
+  stores_->Inc();
+  store_bytes_->Add(in.size());
   auto region_or = ResolveAccess(addr, in.size());
   if (!region_or.ok()) {
     co_return region_or.status();
@@ -293,7 +294,7 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
     // poisoned line fails the cached store too (a full-line StoreNt is the
     // way to overwrite — and thereby heal — poison).
     if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
-      ++stats_.poisoned_reads;
+      poisoned_reads_->Inc();
       co_return p;
     }
     ++misses;
@@ -331,8 +332,8 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
 }
 
 sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte> in) {
-  ++stats_.nt_stores;
-  stats_.nt_store_bytes += in.size();
+  nt_stores_->Inc();
+  nt_store_bytes_->Add(in.size());
   auto region_or = ResolveAccess(addr, in.size());
   if (!region_or.ok()) {
     co_return region_or.status();
@@ -368,7 +369,7 @@ sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte>
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
     if (auto ev = cache_.Remove(laddr); ev && ev->dirty) {
-      ++stats_.lost_dirty_lines;
+      lost_dirty_lines_->Inc();
       EmitCoherence(CoherenceOp::kDirtyLost, laddr);
     }
   }
@@ -399,12 +400,12 @@ sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte>
 }
 
 sim::Task<Status> HostAdapter::Flush(uint64_t addr, uint64_t len) {
-  ++stats_.flushes;
+  flushes_->Inc();
   return FlushImpl(addr, len, /*invalidate=*/false);
 }
 
 sim::Task<Status> HostAdapter::Invalidate(uint64_t addr, uint64_t len) {
-  ++stats_.invalidates;
+  invalidates_->Inc();
   return FlushImpl(addr, len, /*invalidate=*/true);
 }
 
@@ -434,15 +435,15 @@ sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool inval
       EmitCoherence(CoherenceOp::kInvalidateDrop, laddr);
       continue;
     }
-    ++stats_.flushed_dirty_lines;
+    flushed_dirty_lines_->Inc();
     auto link_or = RouteCxl(laddr);
     if (!link_or.ok()) {
       // This line — and every dirty line already pulled out of the cache
       // for this flush — has lost its only copy: nothing writes it back.
-      ++stats_.lost_dirty_lines;
+      lost_dirty_lines_->Inc();
       EmitCoherence(CoherenceOp::kDirtyLost, laddr);
       for (const auto& dropped : writebacks) {
-        ++stats_.lost_dirty_lines;
+        lost_dirty_lines_->Inc();
         EmitCoherence(CoherenceOp::kDirtyLost, dropped.line_addr);
       }
       co_return link_or.status();
@@ -470,7 +471,7 @@ sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool inval
 }
 
 sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) {
-  ++stats_.dma_reads;
+  dma_reads_->Inc();
   auto region_or = ResolveAccess(addr, out.size());
   if (!region_or.ok()) {
     co_return region_or.status();
@@ -481,7 +482,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
 
   if (region->kind == mem::MemoryKind::kLocalDram) {
     if (Status p = map_.CheckPoison(addr, out.size()); !p.ok()) {
-      ++stats_.poisoned_reads;
+      poisoned_reads_->Inc();
       co_return p;
     }
     map_.ReadBytes(addr, out);
@@ -516,7 +517,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
     } else {
       // Poison travels to the device as a DMA completion error.
       if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
-        ++stats_.poisoned_reads;
+        poisoned_reads_->Inc();
         co_return p;
       }
       EmitCoherence(CoherenceOp::kDmaReadMiss, laddr);
@@ -540,7 +541,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
 }
 
 sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte> in) {
-  ++stats_.dma_writes;
+  dma_writes_->Inc();
   auto region_or = ResolveAccess(addr, in.size());
   if (!region_or.ok()) {
     co_return region_or.status();

@@ -30,6 +30,7 @@
 #include "src/cxl/pool.h"
 #include "src/mem/address_map.h"
 #include "src/mem/cache.h"
+#include "src/obs/registry.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/random.h"
 #include "src/sim/task.h"
@@ -48,29 +49,10 @@ class HostAdapter {
     size_t cache_lines = 128 * 1024;  // 8 MiB
   };
 
-  struct Stats {
-    uint64_t loads = 0;
-    uint64_t load_bytes = 0;
-    uint64_t stores = 0;
-    uint64_t store_bytes = 0;
-    uint64_t nt_stores = 0;
-    uint64_t nt_store_bytes = 0;
-    uint64_t flushes = 0;
-    uint64_t flushed_dirty_lines = 0;
-    uint64_t invalidates = 0;
-    uint64_t dma_reads = 0;
-    uint64_t dma_writes = 0;
-    // Dirty lines dropped because an nt-store overwrote them, or because a
-    // writeback target was unreachable. Nonzero values indicate a protocol
-    // bug in the code under test.
-    uint64_t lost_dirty_lines = 0;
-    // Loads / DMA reads that hit a poisoned media line and returned
-    // kDataLoss instead of bytes (media RAS, paper §5 gray failures).
-    uint64_t poisoned_reads = 0;
-  };
-
+  // Counts the host.* series declared with its members into `metrics` under
+  // {"host": id}; the cache counts cache.* under the same scope.
   HostAdapter(HostId id, sim::EventLoop& loop, mem::AddressMap& map, CxlPool& pool,
-              Config config);
+              obs::Registry& metrics, Config config);
   HostAdapter(const HostAdapter&) = delete;
   HostAdapter& operator=(const HostAdapter&) = delete;
 
@@ -125,7 +107,10 @@ class HostAdapter {
   void PokeBackend(uint64_t addr, std::span<const std::byte> in);
 
   mem::WriteBackCache& cache() { return cache_; }
-  const Stats& stats() const { return stats_; }
+  // This host's metrics scope ({"host": id} in the pod's registry).
+  // Components running on the host (rings, RPC, stacks, devices attached
+  // here) take their handles from it.
+  const obs::Scope& metrics() const { return metrics_; }
   mem::AddressMap& address_map() { return map_; }
   CxlPool& cxl_pool() { return pool_; }
 
@@ -187,6 +172,7 @@ class HostAdapter {
   mem::AddressMap& map_;
   CxlPool& pool_;
   Config config_;
+  obs::Scope metrics_;
   mem::WriteBackCache cache_;
 
   std::vector<CxlLink*> links_;  // indexed by MHD id; may contain nullptr
@@ -205,7 +191,24 @@ class HostAdapter {
   sim::BandwidthQueue dram_bw_;
   sim::Rng jitter_rng_;
 
-  Stats stats_;
+  obs::Counter* loads_ = metrics_.GetCounter("host.loads");
+  obs::Counter* load_bytes_ = metrics_.GetCounter("host.load_bytes");
+  obs::Counter* stores_ = metrics_.GetCounter("host.stores");
+  obs::Counter* store_bytes_ = metrics_.GetCounter("host.store_bytes");
+  obs::Counter* nt_stores_ = metrics_.GetCounter("host.nt_stores");
+  obs::Counter* nt_store_bytes_ = metrics_.GetCounter("host.nt_store_bytes");
+  obs::Counter* flushes_ = metrics_.GetCounter("host.flushes");
+  obs::Counter* flushed_dirty_lines_ = metrics_.GetCounter("host.flushed_dirty_lines");
+  obs::Counter* invalidates_ = metrics_.GetCounter("host.invalidates");
+  obs::Counter* dma_reads_ = metrics_.GetCounter("host.dma_reads");
+  obs::Counter* dma_writes_ = metrics_.GetCounter("host.dma_writes");
+  // Dirty lines dropped because an nt-store overwrote them or a writeback
+  // target was unreachable. Nonzero values indicate a protocol bug in the
+  // code under test.
+  obs::Counter* lost_dirty_lines_ = metrics_.GetCounter("host.lost_dirty_lines");
+  // Loads / DMA reads that hit a poisoned media line and returned kDataLoss
+  // instead of bytes (media RAS, paper §5 gray failures).
+  obs::Counter* poisoned_reads_ = metrics_.GetCounter("host.poisoned_reads");
 };
 
 }  // namespace cxlpool::cxl

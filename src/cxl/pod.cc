@@ -7,7 +7,10 @@
 namespace cxlpool::cxl {
 
 CxlPod::CxlPod(sim::EventLoop& loop, const CxlPodConfig& config)
-    : loop_(loop), config_(config), fault_plane_(config.fault_plane_seed) {
+    : loop_(loop),
+      config_(config),
+      metrics_(config.metrics != nullptr ? config.metrics : &own_metrics_),
+      fault_plane_(config.fault_plane_seed, obs::Scope(*metrics_)) {
   CXLPOOL_CHECK(config.num_hosts > 0);
   CXLPOOL_CHECK(config.num_mhds > 0);
   CXLPOOL_CHECK(config.num_hosts <= MultiHeadedDevice::kMaxPorts);
@@ -24,7 +27,8 @@ CxlPod::CxlPod(sim::EventLoop& loop, const CxlPodConfig& config)
     HostAdapter::Config hc;
     hc.timing = config.timing;
     hc.cache_lines = config.cache_lines_per_host;
-    auto adapter = std::make_unique<HostAdapter>(host_id, loop_, map_, *pool_, hc);
+    auto adapter = std::make_unique<HostAdapter>(host_id, loop_, map_, *pool_,
+                                                 *metrics_, hc);
 
     // Local DRAM window.
     auto dram = std::make_unique<mem::MemoryBackend>(
@@ -116,7 +120,8 @@ void CxlPod::SetCoherenceObserver(CoherenceObserver* obs) {
 uint64_t CxlPod::TotalLostDirtyLines() const {
   uint64_t total = 0;
   for (const auto& host : hosts_) {
-    total += host->stats().lost_dirty_lines;
+    total += metrics_->FindCounter("host.lost_dirty_lines", host->metrics().labels())
+                 ->value();
   }
   return total;
 }

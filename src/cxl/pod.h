@@ -16,6 +16,7 @@
 #include "src/mem/address_map.h"
 #include "src/mem/backend.h"
 #include "src/netsim/fault_plane.h"
+#include "src/obs/registry.h"
 #include "src/sim/event_loop.h"
 
 namespace cxlpool::cxl {
@@ -30,6 +31,9 @@ struct CxlPodConfig {
   size_t cache_lines_per_host = 128 * 1024;  // 8 MiB of cached CXL lines
   // Seed for the message-fabric fault plane's per-frame loss draws.
   uint64_t fault_plane_seed = 0x9E3779B97F4A7C15ULL;
+  // Registry every component of the pod counts into. Null: the pod owns
+  // one. A rack built with an obs::Observability passes its registry here.
+  obs::Registry* metrics = nullptr;
 };
 
 class CxlPod {
@@ -42,6 +46,8 @@ class CxlPod {
   mem::AddressMap& address_map() { return map_; }
   CxlPool& pool() { return *pool_; }
   const CxlPodConfig& config() const { return config_; }
+  // The pod's metrics registry (its own, or CxlPodConfig::metrics).
+  obs::Registry& metrics() { return *metrics_; }
 
   int host_count() const { return static_cast<int>(hosts_.size()); }
   HostAdapter& host(int i) { return *hosts_.at(i); }
@@ -103,6 +109,8 @@ class CxlPod {
  private:
   sim::EventLoop& loop_;
   CxlPodConfig config_;
+  obs::Registry own_metrics_;
+  obs::Registry* metrics_;
   mem::AddressMap map_;
   std::unique_ptr<CxlPool> pool_;
   std::vector<std::unique_ptr<mem::MemoryBackend>> dram_;

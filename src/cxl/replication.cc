@@ -24,7 +24,8 @@ uint64_t HashLine(std::span<const std::byte> bytes) {
 }  // namespace
 
 Result<ReplicatedRegion> ReplicatedRegion::Create(CxlPool& pool, uint64_t size,
-                                                  int replicas) {
+                                                  int replicas,
+                                                  const obs::Scope& scope) {
   if (replicas < 2) {
     return InvalidArgument("replication needs >= 2 replicas");
   }
@@ -55,6 +56,13 @@ Result<ReplicatedRegion> ReplicatedRegion::Create(CxlPool& pool, uint64_t size,
   CXLPOOL_CHECK(placed == replicas);
   region.line_checksums_.assign(region.LineCount(), 0);
   region.checksum_known_.assign(region.LineCount(), 0);
+  region.publishes_ = scope.GetCounter("replication.publishes");
+  region.degraded_writes_ = scope.GetCounter("replication.degraded_writes");
+  region.failover_reads_ = scope.GetCounter("replication.failover_reads");
+  region.lines_scrubbed_ = scope.GetCounter("scrub.lines_scrubbed");
+  region.scrub_repairs_ = scope.GetCounter("scrub.repairs");
+  region.scrub_unrecoverable_ = scope.GetCounter("scrub.unrecoverable");
+  region.scrub_conflicts_ = scope.GetCounter("scrub.conflicts");
   return region;
 }
 
@@ -67,7 +75,7 @@ sim::Task<Status> ReplicatedRegion::Publish(HostAdapter& host, uint64_t offset,
   if (offset + in.size() > size_) {
     co_return OutOfRange("write beyond replicated region");
   }
-  ++stats_.publishes;
+  publishes_->Inc();
   // Record per-line checksums of the intended content BEFORE the writes:
   // the checksum describes what every replica should hold, so the scrubber
   // can repair a replica the write missed. Lines only partially covered by
@@ -99,7 +107,7 @@ sim::Task<Status> ReplicatedRegion::Publish(HostAdapter& host, uint64_t offset,
     co_return last_error;
   }
   if (ok < static_cast<int>(segments_.size())) {
-    ++stats_.degraded_writes;
+    degraded_writes_->Inc();
   }
   co_return OkStatus();
 }
@@ -118,7 +126,7 @@ sim::Task<Status> ReplicatedRegion::ReadFresh(HostAdapter& host, uint64_t offset
     }
     if (st.ok()) {
       if (i > 0) {
-        ++stats_.failover_reads;
+        failover_reads_->Inc();
       }
       co_return OkStatus();
     }
@@ -133,7 +141,7 @@ sim::Task<Status> ReplicatedRegion::ScrubOnce(HostAdapter& host) {
   std::vector<Status> read_status(n, OkStatus());
 
   for (uint64_t line = 0; line < LineCount(); ++line) {
-    ++stats_.lines_scrubbed;
+    lines_scrubbed_->Inc();
     bool any_poison = false;
     for (size_t i = 0; i < n; ++i) {
       // The allocator rounds segments to 4 KiB, so a full-line access past
@@ -199,7 +207,7 @@ sim::Task<Status> ReplicatedRegion::ScrubOnce(HostAdapter& host) {
       }
     }
     if (conflict) {
-      ++stats_.scrub_conflicts;
+      scrub_conflicts_->Inc();
     }
     if (ref < 0) {
       // No usable copy this sweep. Only media loss makes that
@@ -213,7 +221,7 @@ sim::Task<Status> ReplicatedRegion::ScrubOnce(HostAdapter& host) {
           }
         }
         if (!all_unavailable) {
-          ++stats_.scrub_unrecoverable;
+          scrub_unrecoverable_->Inc();
         }
       }
       continue;
@@ -236,7 +244,7 @@ sim::Task<Status> ReplicatedRegion::ScrubOnce(HostAdapter& host) {
       Status st = co_await host.StoreNt(
           addr, std::span<const std::byte>(data[ref].data(), kCachelineSize));
       if (st.ok()) {
-        ++stats_.scrub_repairs;
+        scrub_repairs_->Inc();
       }
       // A failed repair (path just went down) is retried next sweep.
     }
@@ -252,37 +260,8 @@ sim::Task<> ReplicatedRegion::ScrubLoop(HostAdapter& host, Nanos interval,
       break;
     }
     Status st = co_await ScrubOnce(host);
-    (void)st;  // per-line outcomes are in stats_; a sweep itself cannot fail
+    (void)st;  // per-line outcomes are counted; a sweep itself cannot fail
   }
-}
-
-void ReplicatedRegion::BindMetrics(obs::Registry* registry,
-                                   const std::string& name) {
-  if (registry == nullptr) {
-    return;
-  }
-  obs::Labels labels = {{"region", name}};
-  registry->RegisterProbe("scrub.lines_scrubbed", labels, [this] {
-    return static_cast<int64_t>(stats_.lines_scrubbed);
-  });
-  registry->RegisterProbe("scrub.repairs", labels, [this] {
-    return static_cast<int64_t>(stats_.scrub_repairs);
-  });
-  registry->RegisterProbe("scrub.unrecoverable", labels, [this] {
-    return static_cast<int64_t>(stats_.scrub_unrecoverable);
-  });
-  registry->RegisterProbe("scrub.conflicts", labels, [this] {
-    return static_cast<int64_t>(stats_.scrub_conflicts);
-  });
-  registry->RegisterProbe("replication.publishes", labels, [this] {
-    return static_cast<int64_t>(stats_.publishes);
-  });
-  registry->RegisterProbe("replication.degraded_writes", labels, [this] {
-    return static_cast<int64_t>(stats_.degraded_writes);
-  });
-  registry->RegisterProbe("replication.failover_reads", labels, [this] {
-    return static_cast<int64_t>(stats_.failover_reads);
-  });
 }
 
 }  // namespace cxlpool::cxl

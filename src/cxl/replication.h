@@ -33,14 +33,32 @@ class ReplicatedRegion {
  public:
   // Allocates `size` bytes on `replicas` DISTINCT healthy MHDs. Fails if
   // the pool has fewer healthy MHDs than requested (λ cannot exceed the
-  // pod's path redundancy).
+  // pod's path redundancy). Counts under `scope` (callers name the region
+  // there, e.g. {"region": "control-plane"}):
+  //   replication.publishes
+  //   replication.degraded_writes  >= 1 replica was unreachable
+  //   replication.failover_reads   primary unreachable, a replica served
+  //   scrub.lines_scrubbed         lines swept (once per line per sweep)
+  //   scrub.repairs                bad replica copies repaired from a
+  //                                healthy one
+  //   scrub.unrecoverable          poison seen but no healthy copy matched
+  //                                (transient unavailability is not: the
+  //                                next sweep retries)
+  //   scrub.conflicts              no healthy replica matched the published
+  //                                checksum (or, with none on record,
+  //                                healthy replicas disagreed): every copy
+  //                                diverged, e.g. both sides of a partition
+  //                                scribbled. The scrubber converges them on
+  //                                a DETERMINISTIC winner — the lowest
+  //                                healthy replica index — and flags the
+  //                                line here; it never byte-merges.
   static Result<ReplicatedRegion> Create(CxlPool& pool, uint64_t size,
-                                         int replicas);
+                                         int replicas, const obs::Scope& scope);
 
   // Writes `in` at offset to EVERY replica. Posted writes overlap, so the
   // latency cost over a single write is one extra link serialization, not
   // λ× the commit latency. Fails only if ALL replicas are unreachable;
-  // partially-failed writes count in stats().degraded_writes.
+  // partially-failed writes count in replication.degraded_writes.
   sim::Task<Status> Publish(HostAdapter& host, uint64_t offset,
                             std::span<const std::byte> in);
 
@@ -63,37 +81,9 @@ class ReplicatedRegion {
   sim::Task<> ScrubLoop(HostAdapter& host, Nanos interval,
                         sim::StopToken& stop);
 
-  struct Stats {
-    uint64_t publishes = 0;
-    uint64_t degraded_writes = 0;  // >=1 replica was unreachable
-    uint64_t failover_reads = 0;   // primary unreachable, replica served
-    // Scrubber: lines swept (once per line per sweep), bad replica copies
-    // repaired from a healthy one, and lines whose data was genuinely
-    // unrecoverable (poison seen but no healthy copy matched). Transient
-    // unavailability (link/MHD down, no poison) is not unrecoverable —
-    // the next sweep retries.
-    uint64_t lines_scrubbed = 0;
-    uint64_t scrub_repairs = 0;
-    uint64_t scrub_unrecoverable = 0;
-    // Lines where no healthy replica matched the published checksum (or,
-    // with no checksum on record, healthy replicas disagreed): every copy
-    // diverged, e.g. both sides of a partition scribbled. The scrubber
-    // converges them on a DETERMINISTIC winner — the lowest healthy
-    // replica index — and flags the line here; it never byte-merges and
-    // never resolves silently.
-    uint64_t scrub_conflicts = 0;
-  };
-
-  // Exports the replication/scrubber stats as registry probes under
-  // {"region": name} labels. Call once the region has reached its final
-  // home: probes capture `this`, so the region must not move (nor be
-  // destroyed) while the registry can still be snapshotted.
-  void BindMetrics(obs::Registry* registry, const std::string& name);
-
   uint64_t size() const { return size_; }
   int replicas() const { return static_cast<int>(segments_.size()); }
   const PoolSegment& segment(int i) const { return segments_.at(i); }
-  const Stats& stats() const { return stats_; }
 
  private:
   ReplicatedRegion() = default;
@@ -110,7 +100,13 @@ class ReplicatedRegion {
   // partial publish invalidates the line's checksum).
   std::vector<uint64_t> line_checksums_;
   std::vector<uint8_t> checksum_known_;
-  Stats stats_;
+  obs::Counter* publishes_ = nullptr;
+  obs::Counter* degraded_writes_ = nullptr;
+  obs::Counter* failover_reads_ = nullptr;
+  obs::Counter* lines_scrubbed_ = nullptr;
+  obs::Counter* scrub_repairs_ = nullptr;
+  obs::Counter* scrub_unrecoverable_ = nullptr;
+  obs::Counter* scrub_conflicts_ = nullptr;
 };
 
 }  // namespace cxlpool::cxl

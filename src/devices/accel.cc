@@ -85,7 +85,12 @@ uint64_t Accelerator::OnMmioRead(uint64_t reg) {
   }
 }
 
-void Accelerator::OnAttach() { sim::Spawn(Engine(generation())); }
+void Accelerator::OnAttach() {
+  jobs_ = metrics().GetCounter("accel.jobs");
+  bytes_in_ = metrics().GetCounter("accel.bytes_in");
+  errors_ = metrics().GetCounter("accel.errors");
+  sim::Spawn(Engine(generation()));
+}
 void Accelerator::OnDetach() { kick_.Set(); }
 void Accelerator::OnFailure() { kick_.Set(); }
 
@@ -129,7 +134,7 @@ sim::Task<> Accelerator::ExecuteJob(int qp, std::array<std::byte, kAccelJobSize>
   uint64_t cookie = GetU64(job.data() + 32);
 
   if (opcode != kAccelOpXorStream || in_len == 0) {
-    ++accel_stats_.errors;
+    errors_->Inc();
     co_await WriteCompletion(qp, cookie, 1);
     co_return;
   }
@@ -154,8 +159,8 @@ sim::Task<> Accelerator::ExecuteJob(int qp, std::array<std::byte, kAccelJobSize>
   if (!st.ok()) {
     co_return;
   }
-  ++accel_stats_.jobs;
-  accel_stats_.bytes_in += in_len;
+  jobs_->Inc();
+  bytes_in_->Add(in_len);
   co_await WriteCompletion(qp, cookie, 0);
 }
 

@@ -43,17 +43,12 @@ struct AccelConfig {
   pcie::PcieTiming pcie_timing;
 };
 
+// Counts under its device scope: accel.jobs, accel.bytes_in and
+// accel.errors (malformed jobs).
 class Accelerator : public pcie::PcieDevice {
  public:
   Accelerator(PcieDeviceId id, std::string name, sim::EventLoop& loop,
               AccelConfig config);
-
-  struct AccelStats {
-    uint64_t jobs = 0;
-    uint64_t bytes_in = 0;
-    uint64_t errors = 0;
-  };
-  const AccelStats& accel_stats() const { return accel_stats_; }
 
   // Recent-window engine utilization (orchestrator policy input).
   double EngineUtilization() const;
@@ -95,7 +90,9 @@ class Accelerator : public pcie::PcieDevice {
   sim::Event kick_;
   Nanos busy_ns_ = 0;
   mutable sim::WindowedUtilization windowed_util_;
-  AccelStats accel_stats_;
+  obs::Counter* jobs_ = nullptr;
+  obs::Counter* bytes_in_ = nullptr;
+  obs::Counter* errors_ = nullptr;
 };
 
 }  // namespace cxlpool::devices

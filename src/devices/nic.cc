@@ -20,11 +20,7 @@ Nic::Nic(PcieDeviceId id, std::string name, sim::EventLoop& loop, NicConfig conf
       tx_kick_(loop),
       rx_kick_(loop),
       tx_pipe_(std::make_unique<sim::Semaphore>(loop, config.pipeline_depth)),
-      rx_pipe_(std::make_unique<sim::Semaphore>(loop, config.pipeline_depth)) {
-  obs::Labels labels = {{"device", std::to_string(id.value())}};
-  link_down_episodes_ = metrics().GetCounter("nic.link_down_episodes", labels);
-  wedge_episodes_ = metrics().GetCounter("nic.wedge_episodes", labels);
-}
+      rx_pipe_(std::make_unique<sim::Semaphore>(loop, config.pipeline_depth)) {}
 
 Nic::~Nic() { DisconnectNetwork(); }
 
@@ -45,7 +41,7 @@ void Nic::DisconnectNetwork() {
 
 void Nic::DeliverFrame(netsim::Frame frame) {
   if (!link_up_ || failed()) {
-    ++nic_stats_.dropped_link_down;
+    dropped_link_down_->Inc();
     return;
   }
   rx_pending_.push_back(std::move(frame));
@@ -106,7 +102,7 @@ uint64_t Nic::OnMmioRead(uint64_t reg) {
     case kNicRegLinkStatus:
       return link_up_ ? 1 : 0;
     case kNicRegRxDropped:
-      return nic_stats_.rx_dropped_no_buffer;
+      return rx_dropped_;
     case kNicRegTxDoorbell:
       return tx_tail_;
     case kNicRegRxDoorbell:
@@ -117,6 +113,14 @@ uint64_t Nic::OnMmioRead(uint64_t reg) {
 }
 
 void Nic::OnAttach() {
+  tx_frames_ = metrics().GetCounter("nic.tx_frames");
+  tx_bytes_ = metrics().GetCounter("nic.tx_bytes");
+  rx_frames_ = metrics().GetCounter("nic.rx_frames");
+  rx_bytes_ = metrics().GetCounter("nic.rx_bytes");
+  rx_dropped_no_buffer_ = metrics().GetCounter("nic.rx_dropped_no_buffer");
+  dropped_link_down_ = metrics().GetCounter("nic.dropped_link_down");
+  link_down_episodes_ = metrics().GetCounter("nic.link_down_episodes");
+  wedge_episodes_ = metrics().GetCounter("nic.wedge_episodes");
   sim::Spawn(TxEngine(generation()));
   sim::Spawn(RxEngine(generation()));
 }
@@ -135,8 +139,7 @@ void Nic::OnFailure() {
 void Nic::OnReset() {
   // Attribute the episode: each Wedge() since the last reset was one
   // device-wedge episode (vs nic.link_down_episodes for wire faults).
-  wedge_episodes_->Add(gray_stats().wedges - wedges_seen_);
-  wedges_seen_ = gray_stats().wedges;
+  wedge_episodes_->Add(TakeWedges());
   // Wake the old engines so they observe the generation bump and exit.
   tx_kick_.Set();
   rx_kick_.Set();
@@ -199,11 +202,11 @@ sim::Task<> Nic::TxOne(uint64_t my_generation, uint64_t idx) {
       // Serialize onto our wire, then hand to the fabric.
       Nanos done = wire_tx_.Acquire(loop().now(), frame.wire_size());
       co_await sim::WaitUntil(loop(), done);
-      ++nic_stats_.tx_frames;
-      nic_stats_.tx_bytes += len;
+      tx_frames_->Inc();
+      tx_bytes_->Add(len);
       network_->Transmit(std::move(frame));
     } else {
-      ++nic_stats_.dropped_link_down;
+      dropped_link_down_->Inc();
     }
   }
   ++tx_done_;
@@ -229,7 +232,8 @@ sim::Task<> Nic::RxEngine(uint64_t my_generation) {
     rx_pending_.pop_front();
 
     if (rx_head_ >= rx_tail_ || rx_ring_size_ == 0) {
-      ++nic_stats_.rx_dropped_no_buffer;
+      ++rx_dropped_;
+      rx_dropped_no_buffer_->Inc();
       continue;
     }
     co_await rx_pipe_->Acquire();
@@ -259,7 +263,8 @@ sim::Task<> Nic::RxOne(uint64_t my_generation, uint64_t idx, uint64_t seq,
     // Oversized frame for the posted buffer: drop, but still publish a
     // zero-length completion — the sequence number was claimed and the
     // driver must be able to recycle the buffer.
-    ++nic_stats_.rx_dropped_no_buffer;
+    ++rx_dropped_;
+    rx_dropped_no_buffer_->Inc();
     std::array<std::byte, kNicRxCplSize> cpl{};
     PutU64(cpl.data(), seq);
     PutU32(cpl.data() + 8, static_cast<uint32_t>(idx));
@@ -282,8 +287,8 @@ sim::Task<> Nic::RxOne(uint64_t my_generation, uint64_t idx, uint64_t seq,
     uint64_t cpl_addr = rx_cpl_base_ + ((seq - 1) % rx_ring_size_) * kNicRxCplSize;
     st = co_await DmaWrite(cpl_addr, cpl);
     if (st.ok()) {
-      ++nic_stats_.rx_frames;
-      nic_stats_.rx_bytes += len;
+      rx_frames_->Inc();
+      rx_bytes_->Add(len);
     }
   }
   rx_pipe_->Release();

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/netsim/network.h"
-#include "src/obs/obs.h"
 #include "src/pcie/device.h"
 #include "src/sim/sync.h"
 #include "src/sim/windowed.h"
@@ -56,11 +55,14 @@ struct NicConfig {
   int pipeline_depth = 16;
   cxl::LinkSpec pcie_link;    // default x8 gen5 (ample for 100 Gb/s)
   pcie::PcieTiming pcie_timing;
-  // Shared observability bundle (null = standalone): fault-episode
-  // counters land in its registry under a {"device": id} label.
-  obs::Observability* obs = nullptr;
 };
 
+// Counts under its device scope (see PcieDevice::AttachTo): nic.tx_frames /
+// tx_bytes, nic.rx_frames / rx_bytes, nic.rx_dropped_no_buffer,
+// nic.dropped_link_down, and the two fault classes failover benches
+// attribute separately, which have distinct recovery paths:
+// nic.link_down_episodes (InjectLinkFailure transitions: the wire) and
+// nic.wedge_episodes (watchdog FLRs of this NIC: the device).
 class Nic : public pcie::PcieDevice, public netsim::Endpoint {
  public:
   Nic(PcieDeviceId id, std::string name, sim::EventLoop& loop, NicConfig config);
@@ -84,26 +86,6 @@ class Nic : public pcie::PcieDevice, public netsim::Endpoint {
   }
   void RepairLink() { link_up_ = true; }
   bool link_up() const { return link_up_; }
-
-  struct NicStats {
-    uint64_t tx_frames = 0;
-    uint64_t tx_bytes = 0;
-    uint64_t rx_frames = 0;
-    uint64_t rx_bytes = 0;
-    uint64_t rx_dropped_no_buffer = 0;
-    uint64_t dropped_link_down = 0;
-  };
-  const NicStats& nic_stats() const { return nic_stats_; }
-
-  // Fault attribution for failover benches: wire-down (InjectLinkFailure
-  // transitions) vs device-wedge (watchdog FLRs of this NIC) are distinct
-  // fault classes with distinct recovery paths. Both live in the metrics
-  // registry (nic.link_down_episodes / nic.wedge_episodes, labeled with
-  // this device's id) — the shared one when NicConfig::obs is set, else a
-  // private fallback readable through metrics().
-  obs::Registry& metrics() {
-    return config_.obs != nullptr ? config_.obs->metrics() : fallback_metrics_;
-  }
 
   // Offered-load utilization of the wire, for the orchestrator's monitor.
   double WireUtilization() const;
@@ -150,11 +132,16 @@ class Nic : public pcie::PcieDevice, public netsim::Endpoint {
   std::unique_ptr<sim::Semaphore> rx_pipe_;
   uint64_t tx_done_ = 0;         // completed TX frames (may finish out of order)
   uint64_t rx_completions_ = 0;  // claimed RX completion sequence numbers
-  uint64_t wedges_seen_ = 0;     // gray_stats().wedges consumed into episodes
+  // Frames dropped for want of a posted buffer: the kNicRegRxDropped
+  // register (device state; nic.rx_dropped_no_buffer counts the same).
+  uint64_t rx_dropped_ = 0;
 
-  NicStats nic_stats_;
-  obs::Registry fallback_metrics_;
-  // Registry-backed episode counters (handles cached at construction).
+  obs::Counter* tx_frames_ = nullptr;
+  obs::Counter* tx_bytes_ = nullptr;
+  obs::Counter* rx_frames_ = nullptr;
+  obs::Counter* rx_bytes_ = nullptr;
+  obs::Counter* rx_dropped_no_buffer_ = nullptr;
+  obs::Counter* dropped_link_down_ = nullptr;
   obs::Counter* link_down_episodes_ = nullptr;
   obs::Counter* wedge_episodes_ = nullptr;
 };

@@ -65,7 +65,14 @@ uint64_t Ssd::OnMmioRead(uint64_t reg) {
   }
 }
 
-void Ssd::OnAttach() { sim::Spawn(Engine(generation())); }
+void Ssd::OnAttach() {
+  reads_ = metrics().GetCounter("ssd.reads");
+  writes_ = metrics().GetCounter("ssd.writes");
+  read_bytes_ = metrics().GetCounter("ssd.read_bytes");
+  write_bytes_ = metrics().GetCounter("ssd.write_bytes");
+  errors_ = metrics().GetCounter("ssd.errors");
+  sim::Spawn(Engine(generation()));
+}
 void Ssd::OnDetach() { kick_.Set(); }
 void Ssd::OnFailure() { kick_.Set(); }
 
@@ -114,12 +121,12 @@ sim::Task<> Ssd::ExecuteCommand(std::array<std::byte, kSsdCmdSize> cmd) {
   uint64_t offset = lba * kSsdSectorSize;
   uint64_t bytes = static_cast<uint64_t>(nsectors) * kSsdSectorSize;
   if (offset + bytes > media_.size() || bytes == 0) {
-    ++ssd_stats_.errors;
+    errors_->Inc();
     co_await WriteCompletion(cookie, kSsdStatusLbaOutOfRange);
     co_return;
   }
   if (opcode != kSsdOpRead && opcode != kSsdOpWrite) {
-    ++ssd_stats_.errors;
+    errors_->Inc();
     co_await WriteCompletion(cookie, kSsdStatusBadOpcode);
     co_return;
   }
@@ -136,16 +143,16 @@ sim::Task<> Ssd::ExecuteCommand(std::array<std::byte, kSsdCmdSize> cmd) {
   if (opcode == kSsdOpRead) {
     st = co_await DmaWrite(buf_addr,
                            std::span<const std::byte>(media_.data() + offset, bytes));
-    ++ssd_stats_.reads;
-    ssd_stats_.read_bytes += bytes;
+    reads_->Inc();
+    read_bytes_->Add(bytes);
   } else {
     std::vector<std::byte> buf(bytes);
     st = co_await DmaRead(buf_addr, buf);
     if (st.ok()) {
       std::memcpy(media_.data() + offset, buf.data(), bytes);
     }
-    ++ssd_stats_.writes;
-    ssd_stats_.write_bytes += bytes;
+    writes_->Inc();
+    write_bytes_->Add(bytes);
   }
   busy_ns_ += loop().now() - start;
   channels_->Release();

@@ -48,18 +48,12 @@ struct SsdConfig {
   pcie::PcieTiming pcie_timing;
 };
 
+// Counts under its device scope: ssd.reads / read_bytes, ssd.writes /
+// write_bytes and ssd.errors (commands completed with an error status).
 class Ssd : public pcie::PcieDevice {
  public:
   Ssd(PcieDeviceId id, std::string name, sim::EventLoop& loop, SsdConfig config);
 
-  struct SsdStats {
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-    uint64_t read_bytes = 0;
-    uint64_t write_bytes = 0;
-    uint64_t errors = 0;
-  };
-  const SsdStats& ssd_stats() const { return ssd_stats_; }
   uint64_t capacity() const { return media_.size(); }
 
   // Utilization proxy for the orchestrator: fraction of recent time the
@@ -94,7 +88,11 @@ class Ssd : public pcie::PcieDevice {
   sim::Event kick_;
   Nanos busy_ns_ = 0;
   mutable sim::WindowedUtilization windowed_util_;
-  SsdStats ssd_stats_;
+  obs::Counter* reads_ = nullptr;
+  obs::Counter* writes_ = nullptr;
+  obs::Counter* read_bytes_ = nullptr;
+  obs::Counter* write_bytes_ = nullptr;
+  obs::Counter* errors_ = nullptr;
 };
 
 }  // namespace cxlpool::devices

@@ -43,16 +43,17 @@ LoadGen::LoadGen(stack::UdpStack* stack, netsim::MacAddr server_mac,
   CXLPOOL_CHECK(config_.value_bytes_max >= config_.value_bytes_min);
   CXLPOOL_CHECK(config_.value_bytes_max + kRequestHeaderSize + kMaxKeyLen <=
                 stack::kMaxUdpPayload);
-  if (registry != nullptr) {
-    sent_ = registry->GetCounter("kvload.sent", labels);
-    ok_ = registry->GetCounter("kvload.ok", labels);
-    overloaded_rsp_ = registry->GetCounter("kvload.overloaded_rsp", labels);
-    expired_rsp_ = registry->GetCounter("kvload.expired_rsp", labels);
-    timeouts_ = registry->GetCounter("kvload.timeouts", labels);
-    skipped_ = registry->GetCounter("kvload.skipped", labels);
-    late_responses_ = registry->GetCounter("kvload.late_responses", labels);
-    rtt_ns_ = registry->GetHistogram("kvload.rtt_ns", labels);
-  }
+  obs::Scope scope =
+      registry != nullptr ? obs::Scope(*registry, std::move(labels))
+                          : stack->host().metrics().With(std::move(labels));
+  sent_ = scope.GetCounter("kvload.sent");
+  ok_ = scope.GetCounter("kvload.ok");
+  overloaded_rsp_ = scope.GetCounter("kvload.overloaded_rsp");
+  expired_rsp_ = scope.GetCounter("kvload.expired_rsp");
+  timeouts_ = scope.GetCounter("kvload.timeouts");
+  skipped_ = scope.GetCounter("kvload.skipped");
+  late_responses_ = scope.GetCounter("kvload.late_responses");
+  rtt_ns_ = scope.GetHistogram("kvload.rtt_ns");
 }
 
 Status LoadGen::Start(sim::StopToken& stop) {
@@ -135,9 +136,7 @@ sim::Task<Status> LoadGen::SendRequest(int sender, Opcode op,
   if (sender >= 0) {
     ++conn_outstanding_[static_cast<size_t>(sender)];
   }
-  if (sent_ != nullptr) {
-    sent_->Inc();
-  }
+  sent_->Inc();
   if (phase_ != nullptr && p.sent_at >= phase_measure_from_ &&
       p.sent_at <= phase_measure_until_) {
     ++phase_->sent;
@@ -162,9 +161,7 @@ sim::Task<> LoadGen::Sender(int index, double offered_ops, Nanos until) {
     // Open-loop overload bounds: skip, never queue.
     if (outstanding_.size() >= config_.max_outstanding ||
         conn_outstanding_[static_cast<size_t>(index)] >= config_.pipeline_depth) {
-      if (skipped_ != nullptr) {
-        skipped_->Inc();
-      }
+      skipped_->Inc();
       if (phase_ != nullptr && loop.now() >= phase_measure_from_ &&
           loop.now() <= phase_measure_until_) {
         ++phase_->skipped;
@@ -231,9 +228,7 @@ sim::Task<> LoadGen::Sender(int index, double offered_ops, Nanos until) {
         ks.next_version = version;
       } else {
         ks.inflight = false;
-        if (skipped_ != nullptr) {
-          skipped_->Inc();
-        }
+        skipped_->Inc();
       }
     }
   }
@@ -254,9 +249,7 @@ sim::Task<> LoadGen::Receiver(sim::StopToken& stop) {
     auto it = outstanding_.find(rsp->seq);
     if (it == outstanding_.end()) {
       // Duplicate (lossy-link dup) or post-timeout straggler.
-      if (late_responses_ != nullptr) {
-        late_responses_->Inc();
-      }
+      late_responses_->Inc();
       continue;
     }
     Pending p = it->second;
@@ -285,10 +278,8 @@ sim::Task<> LoadGen::Receiver(sim::StopToken& stop) {
     switch (rsp->status) {
       case WireStatus::kOk: {
         last_ok_at_ = now;
-        if (ok_ != nullptr) {
-          ok_->Inc();
-        }
-        if (rtt_ns_ != nullptr && in_window) {
+        ok_->Inc();
+        if (in_window) {
           rtt_ns_->Add(rtt);
         }
         if (!p.audit_exempt) {
@@ -317,17 +308,13 @@ sim::Task<> LoadGen::Receiver(sim::StopToken& stop) {
       }
       case WireStatus::kOverloaded:
       case WireStatus::kStoreFull:
-        if (overloaded_rsp_ != nullptr) {
-          overloaded_rsp_->Inc();
-        }
+        overloaded_rsp_->Inc();
         if (in_window) {
           ++phase_->overloaded;
         }
         break;
       case WireStatus::kDeadlineExceeded:
-        if (expired_rsp_ != nullptr) {
-          expired_rsp_->Inc();
-        }
+        expired_rsp_->Inc();
         if (in_window) {
           ++phase_->expired;
         }
@@ -341,7 +328,7 @@ sim::Task<> LoadGen::Receiver(sim::StopToken& stop) {
           ++phase_->not_found;
           phase_->rtt.Add(rtt);
         }
-        if (rtt_ns_ != nullptr && in_window) {
+        if (in_window) {
           rtt_ns_->Add(rtt);
         }
         break;
@@ -386,9 +373,7 @@ sim::Task<> LoadGen::Sweeper(sim::StopToken& stop) {
         // consumed, acked_version does not advance.
         keys_[p.rank].inflight = false;
       }
-      if (timeouts_ != nullptr) {
-        timeouts_->Inc();
-      }
+      timeouts_->Inc();
       if (phase_ != nullptr && p.sent_at >= phase_measure_from_ &&
           p.sent_at <= phase_measure_until_) {
         ++phase_->timeouts;

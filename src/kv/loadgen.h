@@ -69,6 +69,8 @@ class LoadGen {
  public:
   // Drives the node at (server_mac, server_port) from `stack`. `client_id`
   // namespaces keys ("c<id>-k<rank>") so several clients never collide.
+  // Counts kvload.* under `labels` in `registry`, or under the host's scope
+  // plus `labels` when it is null.
   LoadGen(stack::UdpStack* stack, netsim::MacAddr server_mac,
           uint16_t server_port, uint32_t client_id, LoadGenConfig config,
           obs::Registry* registry, obs::Labels labels = {});
@@ -159,14 +161,14 @@ class LoadGen {
   uint64_t integrity_failures_ = 0;
   Nanos last_ok_at_ = 0;
 
-  obs::Counter* sent_ = nullptr;
-  obs::Counter* ok_ = nullptr;
-  obs::Counter* overloaded_rsp_ = nullptr;
-  obs::Counter* expired_rsp_ = nullptr;
-  obs::Counter* timeouts_ = nullptr;
-  obs::Counter* skipped_ = nullptr;
-  obs::Counter* late_responses_ = nullptr;
-  sim::Histogram* rtt_ns_ = nullptr;
+  obs::Counter* sent_;
+  obs::Counter* ok_;
+  obs::Counter* overloaded_rsp_;
+  obs::Counter* expired_rsp_;
+  obs::Counter* timeouts_;
+  obs::Counter* skipped_;
+  obs::Counter* late_responses_;
+  sim::Histogram* rtt_ns_;
 };
 
 }  // namespace cxlpool::kv

@@ -9,16 +9,16 @@ namespace cxlpool::kv {
 KvNode::KvNode(stack::UdpStack* stack, Store* store, NodeConfig config,
                obs::Registry* registry, obs::Labels labels)
     : stack_(stack), store_(store), config_(config) {
-  if (registry != nullptr) {
-    rx_requests_ = registry->GetCounter("kv.rx_requests", labels);
-    decode_errors_ = registry->GetCounter("kv.decode_errors", labels);
-    shed_front_ = registry->GetCounter("kv.shed_front", labels);
-    expired_front_ = registry->GetCounter("kv.expired_front", labels);
-    replies_sent_ = registry->GetCounter("kv.replies_sent", labels);
-    reply_send_failures_ =
-        registry->GetCounter("kv.reply_send_failures", labels);
-    service_ns_ = registry->GetHistogram("kv.service_ns", labels);
-  }
+  obs::Scope scope =
+      registry != nullptr ? obs::Scope(*registry, std::move(labels))
+                          : stack->host().metrics().With(std::move(labels));
+  rx_requests_ = scope.GetCounter("kv.rx_requests");
+  decode_errors_ = scope.GetCounter("kv.decode_errors");
+  shed_front_ = scope.GetCounter("kv.shed_front");
+  expired_front_ = scope.GetCounter("kv.expired_front");
+  replies_sent_ = scope.GetCounter("kv.replies_sent");
+  reply_send_failures_ = scope.GetCounter("kv.reply_send_failures");
+  service_ns_ = scope.GetHistogram("kv.service_ns");
 }
 
 Status KvNode::Start(sim::StopToken& stop) {
@@ -73,14 +73,10 @@ sim::Task<> KvNode::Serve(stack::Datagram d) {
   if (!req.ok()) {
     // Hostile/truncated frame: typed error, counted and dropped (there is
     // no trustworthy client identity to answer to).
-    if (decode_errors_ != nullptr) {
-      decode_errors_->Inc();
-    }
+    decode_errors_->Inc();
     co_return;
   }
-  if (rx_requests_ != nullptr) {
-    rx_requests_->Inc();
-  }
+  rx_requests_->Inc();
   sim::EventLoop& loop = sock_->Loop();
   Response rsp;
   rsp.opcode = req->opcode;
@@ -89,14 +85,10 @@ sim::Task<> KvNode::Serve(stack::Datagram d) {
 
   if (inflight_ >= config_.max_inflight) {
     // Shed at the front: no store work, no SSD work, a cheap typed reply.
-    if (shed_front_ != nullptr) {
-      shed_front_->Inc();
-    }
+    shed_front_->Inc();
     rsp.status = WireStatus::kOverloaded;
   } else if (req->deadline > 0 && loop.now() >= req->deadline) {
-    if (expired_front_ != nullptr) {
-      expired_front_->Inc();
-    }
+    expired_front_->Inc();
     rsp.status = WireStatus::kDeadlineExceeded;
   } else {
     ++inflight_;
@@ -125,9 +117,7 @@ sim::Task<> KvNode::Serve(stack::Datagram d) {
       }
     }
     --inflight_;
-    if (service_ns_ != nullptr) {
-      service_ns_->Add(loop.now() - t0);
-    }
+    service_ns_->Add(loop.now() - t0);
     if (rsp.status == WireStatus::kOk) {
       last_served_at_ = loop.now();
     }
@@ -136,10 +126,8 @@ sim::Task<> KvNode::Serve(stack::Datagram d) {
   Status sent = co_await sock_->SendTo(d.src_mac, d.src_port,
                                        EncodeResponse(rsp));
   if (sent.ok()) {
-    if (replies_sent_ != nullptr) {
-      replies_sent_->Inc();
-    }
-  } else if (reply_send_failures_ != nullptr) {
+    replies_sent_->Inc();
+  } else {
     reply_send_failures_->Inc();
   }
 }

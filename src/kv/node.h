@@ -30,6 +30,10 @@ struct NodeConfig {
 class KvNode {
  public:
   // `stack` must be Start()ed and outlive the node; `store` likewise.
+  // Counts under `labels` in `registry`, or under the host's scope plus
+  // `labels` when it is null: kv.rx_requests, kv.decode_errors,
+  // kv.shed_front, kv.expired_front, kv.replies_sent,
+  // kv.reply_send_failures and the kv.service_ns histogram.
   KvNode(stack::UdpStack* stack, Store* store, NodeConfig config,
          obs::Registry* registry, obs::Labels labels = {});
 
@@ -55,13 +59,13 @@ class KvNode {
   uint64_t inflight_ = 0;
   Nanos last_served_at_ = 0;
 
-  obs::Counter* rx_requests_ = nullptr;
-  obs::Counter* decode_errors_ = nullptr;
-  obs::Counter* shed_front_ = nullptr;
-  obs::Counter* expired_front_ = nullptr;
-  obs::Counter* replies_sent_ = nullptr;
-  obs::Counter* reply_send_failures_ = nullptr;
-  sim::Histogram* service_ns_ = nullptr;
+  obs::Counter* rx_requests_;
+  obs::Counter* decode_errors_;
+  obs::Counter* shed_front_;
+  obs::Counter* expired_front_;
+  obs::Counter* replies_sent_;
+  obs::Counter* reply_send_failures_;
+  sim::Histogram* service_ns_;
 };
 
 }  // namespace cxlpool::kv

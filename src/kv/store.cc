@@ -29,12 +29,6 @@ struct GateGuard {
   sim::Semaphore* gate;
 };
 
-void Bump(obs::Counter* c) {
-  if (c != nullptr) {
-    c->Inc();
-  }
-}
-
 }  // namespace
 
 Store::Store(stack::BufferPool* pool, core::VirtualSsd* ssd,
@@ -57,26 +51,25 @@ Store::Store(stack::BufferPool* pool, core::VirtualSsd* ssd,
       free_slots_.push_back(i);
     }
   }
-  if (registry != nullptr) {
-    gets_ = registry->GetCounter("kv.gets", labels);
-    get_hits_pool_ = registry->GetCounter("kv.get_hits_pool", labels);
-    get_hits_ssd_ = registry->GetCounter("kv.get_hits_ssd", labels);
-    get_misses_ = registry->GetCounter("kv.get_misses", labels);
-    sets_ = registry->GetCounter("kv.sets", labels);
-    deletes_ = registry->GetCounter("kv.deletes", labels);
-    evictions_ = registry->GetCounter("kv.evictions", labels);
-    hydrations_ = registry->GetCounter("kv.hydrations", labels);
-    poison_drops_ = registry->GetCounter("kv.poison_drops", labels);
-    overloaded_ = registry->GetCounter("kv.overloaded", labels);
-    expired_ = registry->GetCounter("kv.expired", labels);
-    ssd_errors_ = registry->GetCounter("kv.ssd_errors", labels);
-    registry->RegisterProbe("kv.resident_entries", labels, [this]() {
-      return static_cast<int64_t>(resident_entries_);
-    });
-    registry->RegisterProbe("kv.spilled_entries", labels, [this]() {
-      return static_cast<int64_t>(spilled_entries_);
-    });
-  }
+  obs::Scope scope =
+      registry != nullptr ? obs::Scope(*registry, std::move(labels))
+                          : pool_->memory().host().metrics().With(std::move(labels));
+  resident_entries_ = scope.GetGauge("kv.resident_entries");
+  spilled_entries_ = scope.GetGauge("kv.spilled_entries");
+  resident_entries_->Set(0);
+  spilled_entries_->Set(0);
+  gets_ = scope.GetCounter("kv.gets");
+  get_hits_pool_ = scope.GetCounter("kv.get_hits_pool");
+  get_hits_ssd_ = scope.GetCounter("kv.get_hits_ssd");
+  get_misses_ = scope.GetCounter("kv.get_misses");
+  sets_ = scope.GetCounter("kv.sets");
+  deletes_ = scope.GetCounter("kv.deletes");
+  evictions_ = scope.GetCounter("kv.evictions");
+  hydrations_ = scope.GetCounter("kv.hydrations");
+  poison_drops_ = scope.GetCounter("kv.poison_drops");
+  overloaded_ = scope.GetCounter("kv.overloaded");
+  expired_ = scope.GetCounter("kv.expired");
+  ssd_errors_ = scope.GetCounter("kv.ssd_errors");
 }
 
 size_t Store::ShardOf(const std::string& key) const {
@@ -92,10 +85,10 @@ void Store::DropEntry(Shard& shard, const std::string& key, Entry& entry) {
   if (entry.in_pool) {
     pool_->Free(entry.buf_addr);
     shard.lru.erase(entry.lru_it);
-    --resident_entries_;
+    resident_entries_->Sub(1);
   } else {
     free_slots_.push_back(entry.ssd_slot);
-    --spilled_entries_;
+    spilled_entries_->Sub(1);
   }
   shard.index.erase(key);
 }
@@ -117,7 +110,7 @@ sim::Task<Result<std::vector<std::byte>>> Store::ReadResident(
     // op re-allocate it mid-scrub), then drop the entry and account the
     // key against the soak's documented carve-out budget.
     co_await ScrubBuffer(entry.buf_addr);
-    Bump(poison_drops_);
+    poison_drops_->Inc();
     ++poison_dropped_keys_;
     DropEntry(shard, key, entry);
     co_return DataLoss("kv: value lost to poisoned media");
@@ -153,7 +146,7 @@ sim::Task<Status> Store::EvictOne(Shard& shard, Nanos deadline) {
   Status pst = co_await pool_->memory().ReadFresh(entry.buf_addr, probe);
   if (pst.code() == StatusCode::kDataLoss) {
     co_await ScrubBuffer(entry.buf_addr);
-    Bump(poison_drops_);
+    poison_drops_->Inc();
     ++poison_dropped_keys_;
     DropEntry(shard, key, entry);
     co_return OkStatus();  // a buffer was freed; eviction goal met
@@ -175,19 +168,19 @@ sim::Task<Status> Store::EvictOne(Shard& shard, Nanos deadline) {
       if (dev.status().code() == StatusCode::kDeadlineExceeded) {
         co_return dev.status();
       }
-      Bump(ssd_errors_);
+      ssd_errors_->Inc();
       co_return dev.status();
     }
-    Bump(ssd_errors_);
+    ssd_errors_->Inc();
     co_return Internal("kv: SSD write-back rejected by device");
   }
   pool_->Free(entry.buf_addr);
   shard.lru.erase(entry.lru_it);
-  --resident_entries_;
+  resident_entries_->Sub(1);
   entry.in_pool = false;
   entry.ssd_slot = slot;
-  ++spilled_entries_;
-  Bump(evictions_);
+  spilled_entries_->Add(1);
+  evictions_->Inc();
   co_return OkStatus();
 }
 
@@ -207,10 +200,10 @@ sim::Task<Result<uint64_t>> Store::AllocBuffer(Shard& shard, Nanos deadline) {
 
 sim::Task<Result<Store::GetResult>> Store::Get(const std::string& key,
                                                Nanos deadline) {
-  Bump(gets_);
+  gets_->Inc();
   sim::EventLoop& loop = pool_->memory().host().loop();
   if (deadline > 0 && loop.now() >= deadline) {
-    Bump(expired_);
+    expired_->Inc();
     co_return DeadlineExceeded("kv: GET expired before service");
   }
   Shard& shard = *shards_[ShardOf(key)];
@@ -218,7 +211,7 @@ sim::Task<Result<Store::GetResult>> Store::Get(const std::string& key,
   GateGuard guard(&shard.gate);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    Bump(get_misses_);
+    get_misses_->Inc();
     co_return NotFound("kv: no such key");
   }
   if (it->second.in_pool) {
@@ -227,20 +220,20 @@ sim::Task<Result<Store::GetResult>> Store::Get(const std::string& key,
     if (!bytes.ok()) {
       co_return bytes.status();
     }
-    Bump(get_hits_pool_);
+    get_hits_pool_->Inc();
     co_return GetResult{std::move(*bytes), Origin::kPool};
   }
   // Spilled: hydrate from the cold tier back into a fresh pool buffer.
   if (deadline > 0 && loop.now() + config_.ssd_min_headroom > deadline) {
-    Bump(expired_);
+    expired_->Inc();
     co_return DeadlineExceeded("kv: no headroom for hydration read");
   }
   auto buf = co_await AllocBuffer(shard, deadline);
   if (!buf.ok()) {
     if (buf.status().code() == StatusCode::kDeadlineExceeded) {
-      Bump(expired_);
+      expired_->Inc();
     } else {
-      Bump(overloaded_);
+      overloaded_->Inc();
     }
     co_return buf.status();
   }
@@ -253,40 +246,40 @@ sim::Task<Result<Store::GetResult>> Store::Get(const std::string& key,
     pool_->Free(*buf);
     if (!dev.ok()) {
       if (dev.status().code() == StatusCode::kDeadlineExceeded) {
-        Bump(expired_);
+        expired_->Inc();
       } else {
-        Bump(ssd_errors_);
+        ssd_errors_->Inc();
       }
       co_return dev.status();
     }
-    Bump(ssd_errors_);
+    ssd_errors_->Inc();
     co_return Internal("kv: SSD hydration rejected by device");
   }
   free_slots_.push_back(entry.ssd_slot);
-  --spilled_entries_;
+  spilled_entries_->Sub(1);
   entry.in_pool = true;
   entry.buf_addr = *buf;
   shard.lru.push_front(key);
   entry.lru_it = shard.lru.begin();
-  ++resident_entries_;
-  Bump(hydrations_);
+  resident_entries_->Add(1);
+  hydrations_->Inc();
   auto bytes = co_await ReadResident(shard, key, entry);
   if (!bytes.ok()) {
     co_return bytes.status();
   }
-  Bump(get_hits_ssd_);
+  get_hits_ssd_->Inc();
   co_return GetResult{std::move(*bytes), Origin::kSsd};
 }
 
 sim::Task<Status> Store::Set(const std::string& key,
                              std::span<const std::byte> value, Nanos deadline) {
-  Bump(sets_);
+  sets_->Inc();
   if (value.size() > pool_->buffer_size()) {
     co_return InvalidArgument("kv: value exceeds one pool buffer");
   }
   sim::EventLoop& loop = pool_->memory().host().loop();
   if (deadline > 0 && loop.now() >= deadline) {
-    Bump(expired_);
+    expired_->Inc();
     co_return DeadlineExceeded("kv: SET expired before service");
   }
   Shard& shard = *shards_[ShardOf(key)];
@@ -299,9 +292,9 @@ sim::Task<Status> Store::Set(const std::string& key,
   auto buf = co_await AllocBuffer(shard, deadline);
   if (!buf.ok()) {
     if (buf.status().code() == StatusCode::kDeadlineExceeded) {
-      Bump(expired_);
+      expired_->Inc();
     } else {
-      Bump(overloaded_);
+      overloaded_->Inc();
     }
     co_return buf.status();
   }
@@ -330,7 +323,7 @@ sim::Task<Status> Store::Set(const std::string& key,
     shard.lru.push_front(key);
     entry.lru_it = shard.lru.begin();
     shard.index.emplace(key, entry);
-    ++resident_entries_;
+    resident_entries_->Add(1);
   } else if (it->second.in_pool) {
     pool_->Free(it->second.buf_addr);
     it->second.buf_addr = addr;
@@ -339,13 +332,13 @@ sim::Task<Status> Store::Set(const std::string& key,
   } else {
     // Was spilled: the SSD copy is superseded; slot returns to the pool.
     free_slots_.push_back(it->second.ssd_slot);
-    --spilled_entries_;
+    spilled_entries_->Sub(1);
     it->second.in_pool = true;
     it->second.buf_addr = addr;
     it->second.len = static_cast<uint32_t>(value.size());
     shard.lru.push_front(key);
     it->second.lru_it = shard.lru.begin();
-    ++resident_entries_;
+    resident_entries_->Add(1);
   }
 
   // Opportunistic headroom: keep free_low_water buffers available so RX
@@ -357,10 +350,10 @@ sim::Task<Status> Store::Set(const std::string& key,
 }
 
 sim::Task<Status> Store::Delete(const std::string& key, Nanos deadline) {
-  Bump(deletes_);
+  deletes_->Inc();
   sim::EventLoop& loop = pool_->memory().host().loop();
   if (deadline > 0 && loop.now() >= deadline) {
-    Bump(expired_);
+    expired_->Inc();
     co_return DeadlineExceeded("kv: DELETE expired before service");
   }
   Shard& shard = *shards_[ShardOf(key)];

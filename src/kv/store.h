@@ -54,7 +54,12 @@ class Store {
  public:
   // `pool` holds the values; `ssd` (nullable — overflow disabled) is the
   // cold tier, of which the first `ssd_capacity_bytes` are ours to slot.
-  // Metrics land in `registry` (nullable) under `labels` as kv.* series.
+  // Counts under `labels` in `registry`, or under the host's scope plus
+  // `labels` when it is null: kv.gets, kv.get_hits_pool, kv.get_hits_ssd,
+  // kv.get_misses, kv.sets, kv.deletes, kv.evictions, kv.hydrations,
+  // kv.poison_drops, kv.overloaded, kv.expired, kv.ssd_errors, and the
+  // levels kv.resident_entries / kv.spilled_entries (gauges; a new store
+  // starts them at zero).
   Store(stack::BufferPool* pool, core::VirtualSsd* ssd,
         uint64_t ssd_capacity_bytes, StoreConfig config,
         obs::Registry* registry, obs::Labels labels = {});
@@ -82,8 +87,6 @@ class Store {
   sim::Task<uint64_t> ScrubOnce();
   sim::Task<> ScrubLoop(sim::StopToken& stop);
 
-  size_t resident_entries() const { return resident_entries_; }
-  size_t spilled_entries() const { return spilled_entries_; }
   // Distinct keys dropped because their backing media failed (poison);
   // the soak's lost-SET audit budget.
   uint64_t poison_dropped_keys() const { return poison_dropped_keys_; }
@@ -129,23 +132,22 @@ class Store {
   // SSD slot allocator: fixed-size slots of one buffer each.
   std::vector<uint64_t> free_slots_;
 
-  size_t resident_entries_ = 0;
-  size_t spilled_entries_ = 0;
   uint64_t poison_dropped_keys_ = 0;
 
-  // Registry handles (null when no registry was given).
-  obs::Counter* gets_ = nullptr;
-  obs::Counter* get_hits_pool_ = nullptr;
-  obs::Counter* get_hits_ssd_ = nullptr;
-  obs::Counter* get_misses_ = nullptr;
-  obs::Counter* sets_ = nullptr;
-  obs::Counter* deletes_ = nullptr;
-  obs::Counter* evictions_ = nullptr;
-  obs::Counter* hydrations_ = nullptr;
-  obs::Counter* poison_drops_ = nullptr;
-  obs::Counter* overloaded_ = nullptr;
-  obs::Counter* expired_ = nullptr;
-  obs::Counter* ssd_errors_ = nullptr;
+  obs::Gauge* resident_entries_;
+  obs::Gauge* spilled_entries_;
+  obs::Counter* gets_;
+  obs::Counter* get_hits_pool_;
+  obs::Counter* get_hits_ssd_;
+  obs::Counter* get_misses_;
+  obs::Counter* sets_;
+  obs::Counter* deletes_;
+  obs::Counter* evictions_;
+  obs::Counter* hydrations_;
+  obs::Counter* poison_drops_;
+  obs::Counter* overloaded_;
+  obs::Counter* expired_;
+  obs::Counter* ssd_errors_;
 };
 
 }  // namespace cxlpool::kv

@@ -6,17 +6,21 @@
 
 namespace cxlpool::mem {
 
-WriteBackCache::WriteBackCache(size_t capacity_lines)
-    : capacity_lines_(capacity_lines) {}
+WriteBackCache::WriteBackCache(size_t capacity_lines, const obs::Scope& scope)
+    : capacity_lines_(capacity_lines),
+      hits_(scope.GetCounter("cache.hits")),
+      misses_(scope.GetCounter("cache.misses")),
+      writebacks_(scope.GetCounter("cache.writebacks")),
+      invalidations_(scope.GetCounter("cache.invalidations")) {}
 
 WriteBackCache::Line* WriteBackCache::Find(uint64_t line_addr) {
   CXLPOOL_DCHECK(line_addr % kCachelineSize == 0);
   auto it = lines_.find(line_addr);
   if (it == lines_.end()) {
-    ++stats_.misses;
+    misses_->Inc();
     return nullptr;
   }
-  ++stats_.hits;
+  hits_->Inc();
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   return &it->second.line;
 }
@@ -50,7 +54,7 @@ std::optional<WriteBackCache::EvictedLine> WriteBackCache::Install(
     ev.dirty = vit->second.line.dirty;
     ev.data = vit->second.line.data;
     if (ev.dirty) {
-      ++stats_.writebacks;
+      writebacks_->Inc();
     }
     lru_.pop_back();
     lines_.erase(vit);
@@ -76,9 +80,9 @@ std::optional<WriteBackCache::EvictedLine> WriteBackCache::Remove(uint64_t line_
   ev.dirty = it->second.line.dirty;
   ev.data = it->second.line.data;
   if (ev.dirty) {
-    ++stats_.writebacks;
+    writebacks_->Inc();
   }
-  ++stats_.invalidations;
+  invalidations_->Inc();
   lru_.erase(it->second.lru_it);
   lines_.erase(it);
   return ev;

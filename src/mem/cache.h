@@ -17,6 +17,7 @@
 #include <unordered_map>
 
 #include "src/common/units.h"
+#include "src/obs/registry.h"
 
 namespace cxlpool::mem {
 
@@ -33,22 +34,17 @@ class WriteBackCache {
     std::array<std::byte, kCachelineSize> data;
   };
 
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t writebacks = 0;   // dirty evictions + flush writebacks
-    uint64_t invalidations = 0;
-  };
-
   // capacity_lines == 0 means "no caching" (every access misses); useful
-  // for modeling uncached mappings.
-  explicit WriteBackCache(size_t capacity_lines);
+  // for modeling uncached mappings. Counts cache.hits / cache.misses /
+  // cache.writebacks (dirty evictions + flush writebacks) /
+  // cache.invalidations under `scope`.
+  WriteBackCache(size_t capacity_lines, const obs::Scope& scope);
 
   // Returns the cached line (bumping LRU) or nullptr on miss. `line_addr`
   // must be 64-byte aligned. The returned pointer is valid until the next
   // mutating call.
   Line* Find(uint64_t line_addr);
-  const Line* Peek(uint64_t line_addr) const;  // no LRU bump, no stats
+  const Line* Peek(uint64_t line_addr) const;  // no LRU bump, not counted
 
   // Installs a line copy; returns the evicted victim when the set is full.
   // Installing over an existing line replaces its content.
@@ -66,7 +62,6 @@ class WriteBackCache {
 
   size_t size() const { return lines_.size(); }
   size_t capacity() const { return capacity_lines_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -77,7 +72,10 @@ class WriteBackCache {
   size_t capacity_lines_;
   std::unordered_map<uint64_t, Entry> lines_;
   std::list<uint64_t> lru_;  // front = most recent
-  Stats stats_;
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* writebacks_;
+  obs::Counter* invalidations_;
 };
 
 }  // namespace cxlpool::mem

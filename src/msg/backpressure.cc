@@ -4,25 +4,20 @@
 
 namespace cxlpool::msg {
 
-AdmissionController::AdmissionController(Options options) : options_(options) {}
-
-void AdmissionController::BindMetrics(obs::Registry* registry,
-                                      const obs::Labels& labels) {
-  if (registry == nullptr) {
-    return;
-  }
-  obs::Labels control = labels;
-  control.emplace_back("priority", "control");
-  obs::Labels data = labels;
-  data.emplace_back("priority", "data");
-  control_hist_ = registry->GetHistogram("rpc.queue_delay_ns", control);
-  data_hist_ = registry->GetHistogram("rpc.queue_delay_ns", data);
-  inflight_gauge_ = registry->GetGauge("agent.inflight", labels);
+AdmissionController::AdmissionController(const obs::Scope& scope, Options options)
+    : options_(options),
+      control_hist_(scope.GetHistogram("rpc.queue_delay_ns", {{"priority", "control"}})),
+      data_hist_(scope.GetHistogram("rpc.queue_delay_ns", {{"priority", "data"}})),
+      inflight_gauge_(scope.GetGauge("agent.inflight")),
+      observed_(scope.GetCounter("admission.observed")),
+      shed_(scope.GetCounter("admission.shed")),
+      inflight_rejects_(scope.GetCounter("admission.inflight_rejects")) {
+  inflight_gauge_->Set(0);
 }
 
 bool AdmissionController::ShouldShed(Nanos sojourn, uint8_t priority,
                                      Nanos now) {
-  ++stats_.observed;
+  observed_->Inc();
   if (priority == kPriorityControl) {
     control_hist_->Add(sojourn);
     return false;  // control plane is never shed, never drives CoDel state
@@ -53,7 +48,7 @@ bool AdmissionController::ShouldShed(Nanos sojourn, uint8_t priority,
     drop_next_ =
         now + static_cast<Nanos>(static_cast<double>(options_.interval) /
                                  std::sqrt(static_cast<double>(drop_count_)));
-    ++stats_.shed;
+    shed_->Inc();
     return true;
   }
   return false;
@@ -61,13 +56,11 @@ bool AdmissionController::ShouldShed(Nanos sojourn, uint8_t priority,
 
 bool AdmissionController::TryEnterServe() {
   if (options_.max_inflight > 0 && inflight_ >= options_.max_inflight) {
-    ++stats_.inflight_rejects;
+    inflight_rejects_->Inc();
     return false;
   }
   ++inflight_;
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Set(inflight_);
-  }
+  inflight_gauge_->Set(inflight_);
   return true;
 }
 
@@ -75,9 +68,21 @@ void AdmissionController::ExitServe() {
   if (inflight_ > 0) {
     --inflight_;
   }
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Set(inflight_);
-  }
+  inflight_gauge_->Set(inflight_);
+}
+
+CircuitBreaker::CircuitBreaker(const obs::Scope& scope, Options options)
+    : options_(options),
+      state_gauge_(scope.GetGauge("breaker.state")),
+      opens_(scope.GetCounter("breaker.opens")),
+      fast_fails_(scope.GetCounter("breaker.fast_fails")),
+      probes_(scope.GetCounter("breaker.probes")) {
+  state_gauge_->Set(static_cast<int64_t>(state_));
+}
+
+void CircuitBreaker::SetState(State state) {
+  state_ = state;
+  state_gauge_->Set(static_cast<int64_t>(state));
 }
 
 bool CircuitBreaker::Allow(Nanos now) {
@@ -88,10 +93,10 @@ bool CircuitBreaker::Allow(Nanos now) {
     case State::kClosed:
       return true;
     case State::kHalfOpen:
-      ++stats_.probes;
+      probes_->Inc();
       return true;
     case State::kOpen:
-      ++stats_.fast_fails;
+      fast_fails_->Inc();
       return false;
   }
   return true;
@@ -99,18 +104,18 @@ bool CircuitBreaker::Allow(Nanos now) {
 
 CircuitBreaker::State CircuitBreaker::state(Nanos now) {
   if (state_ == State::kOpen && now >= opened_at_ + options_.open_duration) {
-    state_ = State::kHalfOpen;
+    SetState(State::kHalfOpen);
     half_open_streak_ = 0;
   }
   return state_;
 }
 
 void CircuitBreaker::Trip(Nanos now) {
-  state_ = State::kOpen;
+  SetState(State::kOpen);
   opened_at_ = now;
   consecutive_failures_ = 0;
   half_open_streak_ = 0;
-  ++stats_.opens;
+  opens_->Inc();
   if (on_open_) {
     on_open_();
   }
@@ -126,7 +131,7 @@ void CircuitBreaker::RecordSuccess(Nanos now) {
       break;
     case State::kHalfOpen:
       if (++half_open_streak_ >= options_.half_open_successes) {
-        state_ = State::kClosed;
+        SetState(State::kClosed);
         consecutive_failures_ = 0;
       }
       break;

@@ -72,12 +72,14 @@ class AdmissionController {
     uint32_t max_inflight = 0;
   };
 
-  AdmissionController() : AdmissionController(Options()) {}
-  explicit AdmissionController(Options options);
-
-  // Routes the per-priority sojourn histograms and the inflight gauge into
-  // a shared registry (rpc.queue_delay_ns{priority=...}, agent.inflight).
-  void BindMetrics(obs::Registry* registry, const obs::Labels& labels);
+  // Counts under `scope`: the per-priority sojourn histograms
+  // rpc.queue_delay_ns{priority=control|data}, the agent.inflight gauge,
+  // and the counters admission.observed (requests seen, all priorities),
+  // admission.shed (CoDel drops) and admission.inflight_rejects
+  // (max_inflight refusals).
+  explicit AdmissionController(const obs::Scope& scope)
+      : AdmissionController(scope, Options()) {}
+  AdmissionController(const obs::Scope& scope, Options options);
 
   // Records `sojourn` and decides whether to shed. Only data-priority
   // requests are ever shed (and only they drive the CoDel state).
@@ -88,33 +90,23 @@ class AdmissionController {
   bool TryEnterServe();
   void ExitServe();
 
-  struct Stats {
-    uint64_t observed = 0;          // requests seen (all priorities)
-    uint64_t shed = 0;              // CoDel drops
-    uint64_t inflight_rejects = 0;  // max_inflight refusals
-  };
-  const Stats& stats() const { return stats_; }
   uint32_t inflight() const { return inflight_; }
   const Options& options() const { return options_; }
-  const sim::Histogram& sojourn_hist(uint8_t priority) const {
-    return priority == kPriorityControl ? *control_hist_ : *data_hist_;
-  }
 
  private:
   Options options_;
-  Stats stats_;
   uint32_t inflight_ = 0;
   // CoDel state (data priority only).
   Nanos first_above_ = 0;  // 0 = sojourn currently below target
   bool dropping_ = false;
   Nanos drop_next_ = 0;
   uint32_t drop_count_ = 0;
-  // Default to internal histograms; BindMetrics repoints at registry-owned
-  // series so bench snapshots see them without extra plumbing.
-  sim::Histogram internal_control_, internal_data_;
-  sim::Histogram* control_hist_ = &internal_control_;
-  sim::Histogram* data_hist_ = &internal_data_;
-  obs::Gauge* inflight_gauge_ = nullptr;
+  sim::Histogram* control_hist_;
+  sim::Histogram* data_hist_;
+  obs::Gauge* inflight_gauge_;
+  obs::Counter* observed_;
+  obs::Counter* shed_;
+  obs::Counter* inflight_rejects_;
 };
 
 // Per-device circuit breaker. Consecutive transport-level failures
@@ -136,8 +128,11 @@ class CircuitBreaker {
     uint32_t half_open_successes = 2;
   };
 
-  CircuitBreaker() : CircuitBreaker(Options()) {}
-  explicit CircuitBreaker(Options options) : options_(options) {}
+  // Counts under `scope`: breaker.opens, breaker.fast_fails (calls refused
+  // while open), breaker.probes (half-open attempts allowed through), and
+  // the breaker.state gauge (the State value, updated on every transition).
+  explicit CircuitBreaker(const obs::Scope& scope) : CircuitBreaker(scope, Options()) {}
+  CircuitBreaker(const obs::Scope& scope, Options options);
 
   // Invoked (synchronously) each time the breaker transitions to kOpen.
   void OnOpen(std::function<void()> callback) { on_open_ = std::move(callback); }
@@ -156,15 +151,9 @@ class CircuitBreaker {
   State state(Nanos now);
   bool enabled() const { return options_.failure_threshold > 0; }
 
-  struct Stats {
-    uint64_t opens = 0;
-    uint64_t fast_fails = 0;  // calls refused while open
-    uint64_t probes = 0;      // half-open attempts allowed through
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
   void Trip(Nanos now);
+  void SetState(State state);
 
   Options options_;
   State state_ = State::kClosed;
@@ -172,7 +161,10 @@ class CircuitBreaker {
   uint32_t half_open_streak_ = 0;
   Nanos opened_at_ = 0;
   std::function<void()> on_open_;
-  Stats stats_;
+  obs::Gauge* state_gauge_;
+  obs::Counter* opens_;
+  obs::Counter* fast_fails_;
+  obs::Counter* probes_;
 };
 
 }  // namespace cxlpool::msg

@@ -15,7 +15,6 @@ Result<std::unique_ptr<Channel>> Channel::Create(cxl::CxlPool& pool,
   a_to_b.poll_min = options.poll_min;
   a_to_b.poll_max = options.poll_max;
   a_to_b.full_wait = options.full_wait;
-  a_to_b.recv_window = options.recv_window;
   // Wire the pod's message-fabric fault plane (if any) into both
   // directions so every channel — report, control, forwarding, peer
   // probe — is partitionable by directed (sender → receiver) host pair.

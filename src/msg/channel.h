@@ -23,7 +23,7 @@ namespace cxlpool::msg {
 // ring is fed by a single drainer that write-combines staged frames into
 // batched nt-stores). A lone producer drains itself immediately, so the
 // single-producer cost is unchanged. Code outside src/msg must use this
-// path, never RingSender::Send directly (enforced by lint_tasks.py's
+// path, never RingSender::Send directly (enforced by simlint's
 // direct-ring-send rule) — concurrent direct sends corrupt the shared
 // head across suspension points.
 class Endpoint {
@@ -68,8 +68,6 @@ class Channel {
     // Bounded-send policy for both rings: how long a Send may wait on a
     // full ring before failing with kOverloaded. 0 = wait forever.
     Nanos full_wait = 0;
-    // Receiver burst window (slots per fresh invalidate+load round).
-    uint32_t recv_window = 8;
     // Submission-front batching for both endpoints (watermark, Nagle
     // max_delay, staging bound). Defaults: opportunistic batching only.
     MpscSubmitter::Options submit;

@@ -5,9 +5,19 @@
 
 namespace cxlpool::msg {
 
+DoorbellCoalescer::State::State(sim::EventLoop& l, const obs::Scope& scope)
+    : loop(l),
+      offered(scope.GetCounter("coalesce.offered")),
+      rings(scope.GetCounter("coalesce.rings")),
+      coalesced(scope.GetCounter("coalesce.coalesced")),
+      watermark_flushes(scope.GetCounter("coalesce.watermark_flushes")),
+      deadline_flushes(scope.GetCounter("coalesce.deadline_flushes")),
+      forced_flushes(scope.GetCounter("coalesce.forced_flushes")),
+      skipped_stale(scope.GetCounter("coalesce.skipped_stale")) {}
+
 DoorbellCoalescer::DoorbellCoalescer(sim::EventLoop& loop, RingFn ring,
-                                     Options options)
-    : options_(options), state_(std::make_shared<State>(loop)) {
+                                     Options options, const obs::Scope& scope)
+    : options_(options), state_(std::make_shared<State>(loop, scope)) {
   if (options_.watermark == 0) {
     options_.watermark = 1;
   }
@@ -28,12 +38,12 @@ sim::Task<Status> DoorbellCoalescer::FlushNow(std::shared_ptr<State> s) {
     // Nothing beyond what the consumer already saw — e.g. a forced flush
     // racing a watermark flush. Ringing a non-advancing value would break
     // the monotone contract, so drop it.
-    s->stats.skipped_stale += 1;
-    s->stats.coalesced += folded;
+    s->skipped_stale->Inc();
+    s->coalesced->Add(folded);
     co_return OkStatus();
   }
-  s->stats.rings += 1;
-  s->stats.coalesced += folded > 0 ? folded - 1 : 0;
+  s->rings->Inc();
+  s->coalesced->Add(folded > 0 ? folded - 1 : 0);
   s->last_rung = value;
   // The ring fn is copied into this frame: `s` keeps the State alive, and
   // a coalescer destroyed mid-ring only flips `closed` (checked by the
@@ -49,7 +59,7 @@ sim::Task<> DoorbellCoalescer::DeadlineFlush(std::shared_ptr<State> s,
   if (s->closed || !s->dirty) {
     co_return;
   }
-  s->stats.deadline_flushes += 1;
+  s->deadline_flushes->Inc();
   // A dying CXL/MMIO path cannot be reported to anyone from a detached
   // timer; the next explicit Offer/Flush on the same path surfaces it.
   Status st = co_await FlushNow(s);
@@ -58,12 +68,12 @@ sim::Task<> DoorbellCoalescer::DeadlineFlush(std::shared_ptr<State> s,
 
 sim::Task<Status> DoorbellCoalescer::Offer(uint64_t value) {
   State& s = *state_;
-  s.stats.offered += 1;
+  s.offered->Inc();
   s.pending = std::max(s.pending, value);
   s.since_flush += 1;
   s.dirty = true;
   if (s.since_flush >= options_.watermark) {
-    s.stats.watermark_flushes += 1;
+    s.watermark_flushes->Inc();
     co_return co_await FlushNow(state_);
   }
   if (options_.max_delay > 0 && !s.timer_armed) {
@@ -75,7 +85,7 @@ sim::Task<Status> DoorbellCoalescer::Offer(uint64_t value) {
 
 sim::Task<Status> DoorbellCoalescer::Flush() {
   if (state_->dirty) {
-    state_->stats.forced_flushes += 1;
+    state_->forced_flushes->Inc();
   }
   co_return co_await FlushNow(state_);
 }

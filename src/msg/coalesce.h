@@ -13,7 +13,7 @@
 //                  it lapses, so a trickle of offers is never deferred
 //                  longer than max_delay (the hard latency bound).
 //
-// The ring action is injected as a function so the same policy + stats
+// The ring action is injected as a function so the same policy + counters
 // cover both flavors of doorbell in the tree: a msg::DoorbellSender CXL
 // line and a forwarded MMIO register write (VirtualNic's RX doorbell).
 //
@@ -29,6 +29,7 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
+#include "src/obs/registry.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/task.h"
 
@@ -50,17 +51,13 @@ class DoorbellCoalescer {
     Nanos max_delay = 0;
   };
 
-  struct Stats {
-    uint64_t offered = 0;
-    uint64_t rings = 0;             // ring actions actually issued
-    uint64_t coalesced = 0;         // offers folded into another ring
-    uint64_t watermark_flushes = 0;
-    uint64_t deadline_flushes = 0;
-    uint64_t forced_flushes = 0;    // explicit Flush() with pending state
-    uint64_t skipped_stale = 0;     // flushes dropped: value not beyond last rung
-  };
-
-  DoorbellCoalescer(sim::EventLoop& loop, RingFn ring, Options options);
+  // Counts under `scope`: coalesce.offered, coalesce.rings (ring actions
+  // actually issued), coalesce.coalesced (offers folded into another ring),
+  // coalesce.watermark_flushes, coalesce.deadline_flushes,
+  // coalesce.forced_flushes (explicit Flush() with pending state) and
+  // coalesce.skipped_stale (flushes dropped: value not beyond last rung).
+  DoorbellCoalescer(sim::EventLoop& loop, RingFn ring, Options options,
+                    const obs::Scope& scope);
   ~DoorbellCoalescer();
   DoorbellCoalescer(const DoorbellCoalescer&) = delete;
   DoorbellCoalescer& operator=(const DoorbellCoalescer&) = delete;
@@ -79,7 +76,6 @@ class DoorbellCoalescer {
   // for rebind/reprogram, where the device's doorbell state restarted.
   void Reset();
 
-  const Stats& stats() const { return state_->stats; }
   bool dirty() const { return state_->dirty; }
   uint64_t pending_value() const { return state_->pending; }
   uint64_t last_rung() const { return state_->last_rung; }
@@ -89,7 +85,7 @@ class DoorbellCoalescer {
   // shared_ptr: the timer outlasting the coalescer observes `closed` and
   // exits instead of dangling.
   struct State {
-    explicit State(sim::EventLoop& l) : loop(l) {}
+    State(sim::EventLoop& l, const obs::Scope& scope);
     sim::EventLoop& loop;
     RingFn ring;
     uint64_t pending = 0;
@@ -98,7 +94,13 @@ class DoorbellCoalescer {
     bool dirty = false;
     bool timer_armed = false;
     bool closed = false;
-    Stats stats;
+    obs::Counter* offered;
+    obs::Counter* rings;
+    obs::Counter* coalesced;
+    obs::Counter* watermark_flushes;
+    obs::Counter* deadline_flushes;
+    obs::Counter* forced_flushes;
+    obs::Counter* skipped_stale;
   };
 
   static sim::Task<Status> FlushNow(std::shared_ptr<State> s);

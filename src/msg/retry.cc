@@ -4,6 +4,15 @@
 
 namespace cxlpool::msg {
 
+RetryPolicy::RetryPolicy(const obs::Scope& scope, Options options)
+    : options_(options),
+      rng_(options.seed),
+      budget_tokens_(options.budget_burst),
+      calls_(scope.GetCounter("retry.calls")),
+      retries_(scope.GetCounter("retry.retries")),
+      exhausted_(scope.GetCounter("retry.exhausted")),
+      budget_denied_(scope.GetCounter("retry.budget_denied")) {}
+
 Nanos RetryPolicy::BackoffFor(int retry) {
   double base = static_cast<double>(options_.initial_backoff);
   for (int i = 1; i < retry; ++i) {
@@ -19,7 +28,7 @@ bool RetryPolicy::SpendRetryToken() {
     return true;  // budget disabled
   }
   if (budget_tokens_ < 1.0) {
-    ++stats_.budget_denied;
+    budget_denied_->Inc();
     return false;
   }
   budget_tokens_ -= 1.0;
@@ -30,7 +39,7 @@ sim::Task<Result<std::vector<std::byte>>> RetryPolicy::Call(
     RpcClient& client, uint16_t method, std::span<const std::byte> request,
     Nanos attempt_timeout, sim::EventLoop& loop, obs::TraceContext ctx,
     Nanos op_deadline, uint8_t priority) {
-  ++stats_.calls;
+  calls_->Inc();
   // Every fresh call earns budget_ratio retry tokens: sustained retries are
   // bounded to that fraction of fresh load plus the burst.
   budget_tokens_ =
@@ -39,7 +48,7 @@ sim::Task<Result<std::vector<std::byte>>> RetryPolicy::Call(
   Nanos timeout = attempt_timeout;
   for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
     if (attempt > 1) {
-      ++stats_.retries;
+      retries_->Inc();
       co_await sim::Delay(loop, BackoffFor(attempt - 1));
       if (options_.timeout_multiplier > 1.0) {
         timeout = std::max<Nanos>(
@@ -72,7 +81,7 @@ sim::Task<Result<std::vector<std::byte>>> RetryPolicy::Call(
       co_return result;  // budget empty: surface the last failure as-is
     }
   }
-  ++stats_.exhausted;
+  exhausted_->Inc();
   co_return result;
 }
 

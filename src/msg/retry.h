@@ -42,11 +42,11 @@ class RetryPolicy {
     uint64_t seed = 0x9e3779b97f4a7c15ULL;
   };
 
-  RetryPolicy() : RetryPolicy(Options()) {}
-  explicit RetryPolicy(Options options)
-      : options_(options),
-        rng_(options.seed),
-        budget_tokens_(options.budget_burst) {}
+  // Counts under `scope`: retry.calls, retry.retries (attempts beyond the
+  // first), retry.exhausted (calls that failed after max_attempts) and
+  // retry.budget_denied (retries the token bucket refused).
+  explicit RetryPolicy(const obs::Scope& scope) : RetryPolicy(scope, Options()) {}
+  RetryPolicy(const obs::Scope& scope, Options options);
 
   // Transient failures worth retrying: the peer may come back (timeout) or
   // the path may heal (unavailable). Application errors are terminal.
@@ -77,13 +77,6 @@ class RetryPolicy {
                                                  Nanos op_deadline = 0,
                                                  uint8_t priority = kPriorityData);
 
-  struct Stats {
-    uint64_t calls = 0;
-    uint64_t retries = 0;        // attempts beyond the first
-    uint64_t exhausted = 0;      // calls that failed after max_attempts
-    uint64_t budget_denied = 0;  // retries the token bucket refused
-  };
-  const Stats& stats() const { return stats_; }
   const Options& options() const { return options_; }
   double budget_tokens() const { return budget_tokens_; }
 
@@ -93,8 +86,11 @@ class RetryPolicy {
 
   Options options_;
   sim::Rng rng_;
-  Stats stats_;
   double budget_tokens_;
+  obs::Counter* calls_;
+  obs::Counter* retries_;
+  obs::Counter* exhausted_;
+  obs::Counter* budget_denied_;
 };
 
 }  // namespace cxlpool::msg

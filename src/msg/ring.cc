@@ -16,6 +16,18 @@ constexpr uint64_t kChunkLenOffset = 4;
 constexpr uint64_t kMsgLenOffset = 6;
 constexpr uint64_t kPayloadOffset = kSlotHeaderSize;
 
+// Receiver burst-window cap: the most consecutive slots one fresh poll
+// invalidates+loads at once. A published slot cannot be overwritten until
+// the consumer cursor passes it, so the valid prefix of a window is
+// immutable and safe to consume from cache without re-invalidating per
+// message — this is what makes burst drain cheap (the CXL read pipelines
+// extra lines at per_line_pipelined instead of paying the full first-line
+// latency per slot). The actual window adapts between 1 and this cap: it
+// widens while scans come back fully valid (burst) and collapses to 1 when
+// the receiver is caught up, so ping-pong traffic never pays for
+// speculative lines.
+constexpr uint32_t kRecvWindow = 8;
+
 bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
@@ -36,7 +48,7 @@ sim::Task<Status> RingSender::WaitForSpace(uint32_t chunks_needed) {
       config_.full_wait > 0 ? host_.loop().now() + config_.full_wait : 0;
   while (head_ + chunks_needed - cached_tail_ > config_.slots) {
     // Ring looks full: refresh the consumer cursor from the pool.
-    ++stats_.cursor_refreshes;
+    cursor_refreshes_->Inc();
     CO_RETURN_IF_ERROR(co_await host_.Invalidate(cursor_addr_, 8));
     std::array<std::byte, 8> buf;
     CO_RETURN_IF_ERROR(co_await host_.Load(cursor_addr_, buf));
@@ -46,7 +58,7 @@ sim::Task<Status> RingSender::WaitForSpace(uint32_t chunks_needed) {
       break;
     }
     if (give_up_at != 0 && host_.loop().now() >= give_up_at) {
-      ++full_rejects_;
+      full_rejects_->Inc();
       co_return Overloaded("ring full past full_wait");
     }
     co_await sim::Delay(host_.loop(), backoff_.NextDelay());
@@ -78,7 +90,7 @@ sim::Task<Status> RingSender::Send(std::span<const std::byte> payload) {
     // The whole line is published with one non-temporal store: payload and
     // the seq flag become visible atomically at cacheline granularity.
     CO_RETURN_IF_ERROR(co_await host_.StoreNt(slot_addr, line));
-    ++stats_.nt_store_runs;
+    nt_store_runs_->Inc();
     ++head_;
     offset += chunk_len;
   }
@@ -118,8 +130,8 @@ sim::Task<Status> RingSender::SendBatch(
   // One reservation for the whole batch: at most one cursor refresh
   // (amortized over every message) instead of one per Send.
   CO_RETURN_IF_ERROR(co_await WaitForSpace(total_chunks));
-  ++stats_.batch_sends;
-  stats_.batched_messages += payloads.size();
+  batch_sends_->Inc();
+  batched_messages_->Add(payloads.size());
 
   // Materialize every slot line up front, in publish order.
   std::vector<std::byte> lines(static_cast<size_t>(total_chunks) * kSlotSize,
@@ -158,7 +170,7 @@ sim::Task<Status> RingSender::SendBatch(
         lines.data() + static_cast<size_t>(published) * kSlotSize,
         static_cast<size_t>(run) * kSlotSize);
     CO_RETURN_IF_ERROR(co_await host_.StoreNt(run_addr, run_bytes));
-    ++stats_.nt_store_runs;
+    nt_store_runs_->Inc();
     published += run;
     head_ += run;
   }
@@ -179,16 +191,14 @@ sim::Task<Result<uint32_t>> RingReceiver::LoadSlot(
   // Every cached slot was observed published, and a published slot is
   // immutable until our cursor passes it, so no re-invalidation is needed.
   if (win_valid_ > 0 && index >= win_start_ && index - win_start_ < win_valid_) {
-    ++stats_.window_hits;
+    window_hits_->Inc();
     std::memcpy(line->data(),
                 window_.data() + (index - win_start_) * kSlotSize, kSlotSize);
     co_return wire::GetU32(line->data() + kSeqOffset);
   }
   win_valid_ = 0;
   uint64_t slot = index % config_.slots;
-  uint32_t window =
-      std::min(std::max<uint32_t>(1, cur_window_),
-               std::max<uint32_t>(1, config_.recv_window));
+  uint32_t window = std::min(std::max<uint32_t>(1, cur_window_), kRecvWindow);
   window = static_cast<uint32_t>(
       std::min<uint64_t>(window, config_.slots - slot));  // clamp at wrap
   uint64_t slot_addr = config_.base + slot * kSlotSize;
@@ -209,7 +219,7 @@ sim::Task<Result<uint32_t>> RingReceiver::LoadSlot(
   if (!st.ok()) {
     co_return st;
   }
-  ++stats_.window_loads;
+  window_loads_->Inc();
   // Cache only the published prefix; an unpublished slot may be written
   // at any moment and must be re-read fresh next time.
   uint32_t valid = 0;
@@ -224,8 +234,7 @@ sim::Task<Result<uint32_t>> RingReceiver::LoadSlot(
   // the next load. A (near-)empty scan means we are caught up and paying
   // for unpublished lines — fall back to single-slot loads.
   if (valid == window) {
-    cur_window_ = std::min<uint32_t>(std::max<uint32_t>(1, cur_window_) * 2,
-                                     std::max<uint32_t>(1, config_.recv_window));
+    cur_window_ = std::min<uint32_t>(std::max<uint32_t>(1, cur_window_) * 2, kRecvWindow);
   } else if (valid <= 1) {
     cur_window_ = 1;
   }
@@ -325,15 +334,15 @@ bool RingReceiver::JudgeConsumed(std::vector<std::byte>* out) {
       out->insert(out->end(), scratch_.begin(), scratch_.end());
       return true;
     case netsim::FaultPlane::Verdict::kDrop:
-      ++stats_.faults_dropped;
+      faults_dropped_->Inc();
       return false;
     case netsim::FaultPlane::Verdict::kDuplicate:
-      ++stats_.faults_duplicated;
+      faults_duplicated_->Inc();
       out->insert(out->end(), scratch_.begin(), scratch_.end());
       dup_pending_.push_back(scratch_);
       return true;
     case netsim::FaultPlane::Verdict::kDelay:
-      ++stats_.faults_delayed;
+      faults_delayed_->Inc();
       delayed_.emplace_back(host_.loop().now() + fate.delay, scratch_);
       return false;
   }

@@ -66,17 +66,6 @@ struct RingConfig {
   // kOverloaded after that much simulated time — the innermost
   // backpressure point of the whole forwarding path.
   Nanos full_wait = 0;
-  // Receiver burst-window CAP: the most consecutive slots one fresh poll
-  // invalidates+loads at once. A published slot cannot be overwritten
-  // until the consumer cursor passes it, so the valid prefix of a window
-  // is immutable and safe to consume from cache without re-invalidating
-  // per message — this is what makes burst drain cheap (the CXL read
-  // pipelines extra lines at per_line_pipelined instead of paying the
-  // full first-line latency per slot). The actual window adapts between 1
-  // and this cap: it widens while scans come back fully valid (burst) and
-  // collapses to 1 when the receiver is caught up, so ping-pong traffic
-  // never pays for speculative lines. 1 = legacy slot-at-a-time.
-  uint32_t recv_window = 8;
   // Directed fault injection (partitions / asymmetric / lossy links).
   // When set, every message the RECEIVER consumes is judged against the
   // plane's (src_host → dst_host) state AFTER its slots are reclaimed:
@@ -92,6 +81,7 @@ struct RingConfig {
 
 // Producer endpoint. Exactly one sender and one receiver per ring (SPSC);
 // the bidirectional Channel in channel.h pairs two rings.
+// Counts the ring.* series declared with its members under the host's scope.
 class RingSender {
  public:
   RingSender(cxl::HostAdapter& host, const RingConfig& config);
@@ -112,18 +102,7 @@ class RingSender {
   // never observes message k+1 before message k.
   sim::Task<Status> SendBatch(std::span<const std::span<const std::byte>> payloads);
 
-  struct Stats {
-    uint64_t batch_sends = 0;      // SendBatch calls with >= 2 messages
-    uint64_t batched_messages = 0; // messages published via SendBatch
-    uint64_t nt_store_runs = 0;    // write-combined StoreNt issues
-    uint64_t cursor_refreshes = 0; // consumer-cursor invalidate+loads
-  };
-  const Stats& stats() const { return stats_; }
-
   uint64_t messages_sent() const { return head_; }
-  // Sends refused with kOverloaded because the ring stayed full past
-  // full_wait.
-  uint64_t full_rejects() const { return full_rejects_; }
   cxl::HostAdapter& host() { return host_; }
 
  private:
@@ -134,12 +113,20 @@ class RingSender {
   uint64_t cursor_addr_;
   uint64_t head_ = 0;         // next slot index to write
   uint64_t cached_tail_ = 0;  // last observed consumer cursor
-  uint64_t full_rejects_ = 0;
-  Stats stats_;
   sim::PollBackoff backoff_;
+  // SendBatch calls with >= 2 messages, and the messages they published.
+  obs::Counter* batch_sends_ = host_.metrics().GetCounter("ring.batch_sends");
+  obs::Counter* batched_messages_ = host_.metrics().GetCounter("ring.batched_messages");
+  // Write-combined StoreNt issues.
+  obs::Counter* nt_store_runs_ = host_.metrics().GetCounter("ring.nt_store_runs");
+  // Consumer-cursor invalidate+loads.
+  obs::Counter* cursor_refreshes_ = host_.metrics().GetCounter("ring.cursor_refreshes");
+  // Sends refused with kOverloaded: the ring stayed full past full_wait.
+  obs::Counter* full_rejects_ = host_.metrics().GetCounter("ring.full_rejects");
 };
 
-// Consumer endpoint.
+// Consumer endpoint. Counts the ring.* series declared with its members
+// under the host's scope.
 class RingReceiver {
  public:
   RingReceiver(cxl::HostAdapter& host, const RingConfig& config);
@@ -154,17 +141,6 @@ class RingReceiver {
   sim::Task<Status> TryRecv(std::vector<std::byte>* out);
 
   uint64_t messages_received() const { return messages_; }
-
-  struct Stats {
-    uint64_t window_loads = 0;  // fresh windowed invalidate+load rounds
-    uint64_t window_hits = 0;   // slots consumed from the cached window
-    // Fault-plane outcomes applied by this receiver (subset of the
-    // plane-wide counters, per ring direction).
-    uint64_t faults_dropped = 0;
-    uint64_t faults_duplicated = 0;
-    uint64_t faults_delayed = 0;
-  };
-  const Stats& stats() const { return stats_; }
   cxl::HostAdapter& host() { return host_; }
 
  private:
@@ -194,7 +170,6 @@ class RingReceiver {
   uint64_t tail_ = 0;  // next slot index to read
   uint64_t messages_ = 0;
   uint64_t last_published_cursor_ = 0;
-  Stats stats_;
   // Burst-drain cache: slots [win_start_, win_start_ + win_valid_) were
   // observed published (seq == index+1) by one windowed load. Published
   // slots are immutable until the consumer cursor passes them, so these
@@ -203,7 +178,7 @@ class RingReceiver {
   std::vector<std::byte> window_;
   uint64_t win_start_ = 0;
   uint32_t win_valid_ = 0;
-  // Adaptive window size in [1, recv_window]: doubles after a fully-valid
+  // Adaptive window size in [1, kRecvWindow]: doubles after a fully-valid
   // scan (a burst is in progress — wider loads amortize), shrinks back to
   // 1 after a scan that found at most one slot (ping-pong / idle, where
   // extra lines per load would only add pipelined-read latency).
@@ -216,6 +191,14 @@ class RingReceiver {
   std::vector<std::byte> scratch_;
   std::deque<std::vector<std::byte>> dup_pending_;
   std::vector<std::pair<Nanos, std::vector<std::byte>>> delayed_;
+  // Fresh windowed invalidate+load rounds, and slots consumed from the
+  // cached window.
+  obs::Counter* window_loads_ = host_.metrics().GetCounter("ring.window_loads");
+  obs::Counter* window_hits_ = host_.metrics().GetCounter("ring.window_hits");
+  // Fault-plane outcomes this receiver applied.
+  obs::Counter* faults_dropped_ = host_.metrics().GetCounter("ring.faults_dropped");
+  obs::Counter* faults_duplicated_ = host_.metrics().GetCounter("ring.faults_duplicated");
+  obs::Counter* faults_delayed_ = host_.metrics().GetCounter("ring.faults_delayed");
 };
 
 }  // namespace cxlpool::msg

@@ -1,10 +1,10 @@
 #include "src/msg/rpc.h"
 
 #include <algorithm>
+#include <cstdarg>
 
 #include "src/common/check.h"
 #include "src/msg/wire.h"
-#include "src/sim/logger.h"
 
 namespace cxlpool::msg {
 
@@ -39,7 +39,7 @@ sim::Task<Status> RpcClient::AcquireTurn(uint8_t priority) {
   if (priority != kPriorityControl && options_.max_pending > 0 &&
       DataWaiters() >= options_.max_pending) {
     if (options_.overflow == OverflowPolicy::kRejectNew) {
-      ++stats_.rejected;
+      rejected_->Inc();
       co_return Overloaded("client send queue full (reject-new)");
     }
     // kDropOldest: evict the oldest queued data-priority call. It wakes,
@@ -51,7 +51,7 @@ sim::Task<Status> RpcClient::AcquireTurn(uint8_t priority) {
         turn_queue_.erase(it);
         victim->dropped = true;
         victim->event.Set();
-        ++stats_.dropped_oldest;
+        dropped_oldest_->Inc();
         break;
       }
     }
@@ -114,7 +114,7 @@ sim::Task<Result<std::vector<std::byte>>> RpcClient::Call(
   // Waiting out the queue may have consumed the whole budget; sending a
   // dead request just loads the ring with work every hop will shed anyway.
   if (deadline > 0 && loop.now() >= deadline) {
-    ++stats_.expired_in_queue;
+    expired_in_queue_->Inc();
     co_return DeadlineExceeded("deadline expired waiting in client queue");
   }
   uint64_t id = next_call_id_++;
@@ -222,7 +222,7 @@ sim::Task<> RpcClient::PumpResponses() {
         PendingCall* pending = it->second;
         if (pending->deadline > 0 && now >= pending->deadline) {
           it = pending_calls_.erase(it);
-          ++stats_.expired_in_flight;
+          expired_in_flight_->Inc();
           Complete(pending, st);
         } else {
           ++it;
@@ -254,7 +254,7 @@ sim::Task<> RpcClient::PumpResponses() {
   auto it = pending_calls_.find(got_id);
   if (it == pending_calls_.end()) {
     // Response to a call that already expired or was abandoned.
-    ++stats_.stale_responses;
+    stale_responses_->Inc();
     co_return;
   }
   PendingCall* pending = it->second;
@@ -269,6 +269,28 @@ sim::Task<> RpcClient::PumpResponses() {
     pending->payload.assign(rest.begin(), rest.end());
     Complete(pending, OkStatus());
   }
+}
+
+RpcServer::RpcServer(Endpoint& endpoint, ContextHandler handler,
+                     const std::string& prefix)
+    : endpoint_(endpoint), handler_(std::move(handler)) {
+  const obs::Scope& scope = endpoint.host().metrics();
+  serve_aborts_ = scope.GetCounter(prefix + "serve_aborts");
+  restarts_ = scope.GetCounter(prefix + "restarts");
+  expired_ = scope.GetCounter(prefix + "expired");
+  shed_ = scope.GetCounter(prefix + "shed");
+  bad_version_ = scope.GetCounter(prefix + "bad_version");
+}
+
+void RpcServer::FlightNote(const char* fmt, ...) {
+  if (obs_ == nullptr) {
+    return;
+  }
+  va_list args;
+  va_start(args, fmt);
+  obs_->flight().NoteV(endpoint_.loop().now(), endpoint_.host().id().value(), "rpc",
+                       fmt, args);
+  va_end(args);
 }
 
 namespace {
@@ -301,10 +323,10 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
         continue;
       }
       // Channel path died (MHD/link down, host crashed). A silent exit
-      // here is an invisible dead control plane — count and log it so the
-      // outage shows up even without ServeSupervised.
-      ++stats_.serve_aborts;
-      CXLPOOL_LOG(Warning) << "RPC serve loop aborted on channel death: " << st;
+      // here is an invisible dead control plane — count it and leave a
+      // flight note so the outage shows up even without ServeSupervised.
+      serve_aborts_->Inc();
+      FlightNote("serve loop aborted on channel death: %s", st.ToString().c_str());
       co_return;
     }
     if (frame.size() < kReqHeaderSize) {
@@ -313,7 +335,7 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       // with the wrong one is the old format (or garbage) — typed reject.
       if (!frame.empty() &&
           static_cast<uint8_t>(frame[0]) != kRpcWireVersion) {
-        ++stats_.bad_version;
+        bad_version_->Inc();
       }
       continue;
     }
@@ -322,9 +344,9 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
     if (version != kRpcWireVersion) {
       // Old-format frame: there is no call_id we can trust to reply to, so
       // count and drop. The peer's call times out rather than misparses.
-      ++stats_.bad_version;
-      CXLPOOL_LOG(Warning) << "RPC frame with unsupported wire version "
-                           << static_cast<int>(version) << " dropped";
+      bad_version_->Inc();
+      FlightNote("frame with unsupported wire version %d dropped",
+                 static_cast<int>(version));
       continue;
     }
     uint8_t kind = r.U8();
@@ -350,12 +372,12 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
     Status refuse = OkStatus();
     const char* refuse_span = nullptr;
     if (sctx.deadline > 0 && now >= sctx.deadline) {
-      ++stats_.expired;
+      expired_->Inc();
       refuse = DeadlineExceeded("request expired before serve");
       refuse_span = "rpc.expired";
     } else if (admission_ != nullptr &&
                admission_->ShouldShed(sojourn, sctx.priority, now)) {
-      ++stats_.shed;
+      shed_->Inc();
       refuse = Overloaded("shed by admission control");
       refuse_span = "rpc.shed";
     }
@@ -367,16 +389,16 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       // into false wedge detections and dead heartbeats.
       entered = admission_->TryEnterServe();
       if (!entered) {
-        ++stats_.shed;
+        shed_->Inc();
         refuse = Overloaded("home agent at max inflight");
         refuse_span = "rpc.shed";
       }
     }
     if (!refuse.ok()) {
-      if (tracer_ != nullptr && wire_ctx.traced()) {
+      if (tracer() != nullptr && wire_ctx.traced()) {
         // The whole story of this request is its queue wait; record it as
         // one retroactive span so sheds are visible in traces.
-        tracer_->RecordSpan(refuse_span, host, wire_ctx, sent_at, now);
+        tracer()->RecordSpan(refuse_span, host, wire_ctx, sent_at, now);
       }
       std::vector<std::byte> resp;
       wire::Writer w(&resp);
@@ -386,7 +408,9 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       w.U16(static_cast<uint16_t>(refuse.code()));
       Status send_st = co_await endpoint_.Send(resp);
       if (!send_st.ok()) {
-        ++stats_.serve_aborts;
+        serve_aborts_->Inc();
+        FlightNote("serve loop aborted on send failure: %s",
+                   send_st.ToString().c_str());
         co_return;
       }
       continue;
@@ -396,11 +420,11 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
     // The flight span (sender's Send to our dequeue) is only knowable
     // here, after the fact — record it retroactively, then serve under it.
     obs::TraceContext serve_parent = wire_ctx;
-    if (tracer_ != nullptr && wire_ctx.traced()) {
-      serve_parent = tracer_->RecordSpan("rpc.flight", host, wire_ctx, sent_at,
+    if (tracer() != nullptr && wire_ctx.traced()) {
+      serve_parent = tracer()->RecordSpan("rpc.flight", host, wire_ctx, sent_at,
                                          loop.now());
     }
-    obs::Span serve = obs::MaybeStartSpan(tracer_, "rpc.serve", host,
+    obs::Span serve = obs::MaybeStartSpan(tracer(), "rpc.serve", host,
                                           serve_parent, loop.now());
     sctx.trace = serve.context();
     Result<std::vector<std::byte>> result =
@@ -420,14 +444,15 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       w.U64(id);
       w.U16(static_cast<uint16_t>(result.status().code()));
     }
-    ++stats_.calls_served;
-    obs::Span reply = obs::MaybeStartSpan(tracer_, "rpc.reply", host,
+    ++calls_served_;
+    obs::Span reply = obs::MaybeStartSpan(tracer(), "rpc.reply", host,
                                           serve_parent, loop.now());
     Status send_st = co_await endpoint_.Send(resp);
     reply.End(loop.now());
     if (!send_st.ok()) {
-      ++stats_.serve_aborts;
-      CXLPOOL_LOG(Warning) << "RPC serve loop aborted on send failure: " << send_st;
+      serve_aborts_->Inc();
+      FlightNote("serve loop aborted on send failure: %s",
+                 send_st.ToString().c_str());
       co_return;
     }
   }
@@ -437,15 +462,15 @@ sim::Task<> RpcServer::ServeSupervised(sim::StopToken& stop,
                                        Nanos initial_backoff, Nanos max_backoff) {
   sim::PollBackoff backoff(initial_backoff, max_backoff);
   while (!stop.stopped()) {
-    uint64_t served_before = stats_.calls_served;
+    uint64_t served_before = calls_served_;
     co_await Serve(stop);
     if (stop.stopped()) {
       co_return;
     }
-    if (stats_.calls_served > served_before) {
+    if (calls_served_ > served_before) {
       backoff.Reset();  // the last incarnation made progress
     }
-    ++stats_.restarts;
+    restarts_->Inc();
     co_await sim::Delay(endpoint_.loop(), backoff.NextDelay());
   }
 }

@@ -38,7 +38,7 @@
 #include "src/common/status.h"
 #include "src/msg/backpressure.h"
 #include "src/msg/channel.h"
-#include "src/obs/trace.h"
+#include "src/obs/obs.h"
 #include "src/sim/poll.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -73,9 +73,14 @@ class RpcClient {
     uint32_t max_inflight = 1;
   };
 
+  // Counts the rpc_client.* series declared with its members under the
+  // endpoint host's scope plus `labels` (an owner with several clients on
+  // one host tells them apart there).
   explicit RpcClient(Endpoint& endpoint) : RpcClient(endpoint, Options()) {}
-  RpcClient(Endpoint& endpoint, Options options)
-      : endpoint_(endpoint), options_(options) {}
+  RpcClient(Endpoint& endpoint, Options options, obs::Labels labels = {})
+      : endpoint_(endpoint),
+        options_(options),
+        metrics_(endpoint.host().metrics().With(std::move(labels))) {}
 
   // Enables client-side spans (rpc.enqueue) and on-wire propagation of
   // `ctx`. Null (the default) keeps every hook one branch.
@@ -105,14 +110,7 @@ class RpcClient {
                                                  uint8_t priority = kPriorityData,
                                                  Nanos op_deadline = kInheritCallDeadline);
 
-  struct Stats {
-    uint64_t rejected = 0;           // kRejectNew refusals at the bound
-    uint64_t dropped_oldest = 0;     // queued calls evicted by kDropOldest
-    uint64_t expired_in_queue = 0;   // deadline passed while waiting to send
-    uint64_t expired_in_flight = 0;  // timed out awaiting a response
-    uint64_t stale_responses = 0;    // responses matching no pending call
-  };
-  const Stats& stats() const { return stats_; }
+  Endpoint& endpoint() { return endpoint_; }
   // Calls currently waiting behind the in-flight window.
   size_t pending() const { return turn_queue_.size(); }
   // Calls currently holding an inflight slot (sending or awaiting reply).
@@ -161,8 +159,16 @@ class RpcClient {
   std::deque<TurnWaiter*> turn_queue_;
   std::map<uint64_t, PendingCall*> pending_calls_;
   bool reader_active_ = false;
-  Stats stats_;
   obs::Tracer* tracer_ = nullptr;
+  obs::Scope metrics_;
+  // kRejectNew refusals at the bound; queued calls evicted by kDropOldest.
+  obs::Counter* rejected_ = metrics_.GetCounter("rpc_client.rejected");
+  obs::Counter* dropped_oldest_ = metrics_.GetCounter("rpc_client.dropped_oldest");
+  // Deadline passed while waiting to send; timed out awaiting a response.
+  obs::Counter* expired_in_queue_ = metrics_.GetCounter("rpc_client.expired_in_queue");
+  obs::Counter* expired_in_flight_ = metrics_.GetCounter("rpc_client.expired_in_flight");
+  // Responses matching no pending call.
+  obs::Counter* stale_responses_ = metrics_.GetCounter("rpc_client.stale_responses");
 };
 
 // Everything a handler may want to know about the request beyond its
@@ -188,21 +194,33 @@ class RpcServer {
       uint16_t method, std::span<const std::byte> request,
       const ServerContext& ctx)>;
 
-  RpcServer(Endpoint& endpoint, Handler handler)
-      : endpoint_(endpoint),
-        handler_([h = std::move(handler)](uint16_t method,
-                                          std::span<const std::byte> request,
-                                          const ServerContext&) {
-          return h(method, request);
-        }) {}
-  RpcServer(Endpoint& endpoint, ContextHandler handler)
-      : endpoint_(endpoint), handler_(std::move(handler)) {}
+  // Counts under the endpoint host's scope, as <prefix>serve_aborts (Serve
+  // exited: channel death or a failed reply), <prefix>restarts
+  // (ServeSupervised re-entered Serve), <prefix>expired (refused: deadline
+  // already passed on dequeue), <prefix>shed (refused: CoDel shed or
+  // inflight bound) and <prefix>bad_version (dropped: wire version
+  // mismatch). An owner that accounts for its servers under its own name
+  // passes its prefix: the home agent's servers count as agent.rpc_*.
+  RpcServer(Endpoint& endpoint, Handler handler,
+            const std::string& prefix = "rpc_server.")
+      : RpcServer(
+            endpoint,
+            ContextHandler([h = std::move(handler)](uint16_t method,
+                                                    std::span<const std::byte> request,
+                                                    const ServerContext&) {
+              return h(method, request);
+            }),
+            prefix) {}
+  RpcServer(Endpoint& endpoint, ContextHandler handler,
+            const std::string& prefix = "rpc_server.");
 
-  // Enables server-side spans: rpc.flight (recorded retroactively from the
+  // The owner's observability bundle (null = none). Enables server-side
+  // spans when it traces: rpc.flight (recorded retroactively from the
   // request's sent_at), rpc.serve around the handler, rpc.reply around the
   // response send, plus rpc.shed / rpc.expired when admission control or
-  // deadline checks refuse a request.
-  void BindTracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  // deadline checks refuse a request. Serve aborts and dropped frames leave
+  // a flight-recorder note (the counters above count them either way).
+  void BindObservability(obs::Observability* obs) { obs_ = obs; }
 
   // Shares a per-home-agent admission controller across this server's
   // serve loop: expired requests are refused with kDeadlineExceeded and
@@ -212,7 +230,7 @@ class RpcServer {
   void BindAdmission(AdmissionController* admission) { admission_ = admission; }
 
   // Serve loop; runs until `stop` fires. Spawn as a detached task. Exits
-  // (and counts a serve_abort) when the channel path dies — e.g. the
+  // (and counts a serve abort) when the channel path dies — e.g. the
   // backing MHD failed or this host crashed. Use ServeSupervised when the
   // server must come back after transient faults.
   sim::Task<> Serve(sim::StopToken& stop);
@@ -224,23 +242,24 @@ class RpcServer {
                               Nanos initial_backoff = 10 * kMicrosecond,
                               Nanos max_backoff = 200 * kMicrosecond);
 
-  struct Stats {
-    uint64_t calls_served = 0;
-    uint64_t serve_aborts = 0;  // Serve exited on channel death
-    uint64_t restarts = 0;      // ServeSupervised re-entered Serve
-    uint64_t expired = 0;       // refused: deadline already passed on dequeue
-    uint64_t shed = 0;          // refused: CoDel shed or inflight bound
-    uint64_t bad_version = 0;   // dropped: wire version mismatch
-  };
-  const Stats& stats() const { return stats_; }
-  uint64_t calls_served() const { return stats_.calls_served; }
+  // Requests answered by the handler. ServeSupervised resets its restart
+  // backoff on progress here, so it is state, not a metric.
+  uint64_t calls_served() const { return calls_served_; }
 
  private:
+  obs::Tracer* tracer() { return obs_ != nullptr ? obs_->tracer() : nullptr; }
+  void FlightNote(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
   Endpoint& endpoint_;
   ContextHandler handler_;
-  Stats stats_;
-  obs::Tracer* tracer_ = nullptr;
+  uint64_t calls_served_ = 0;
+  obs::Observability* obs_ = nullptr;
   AdmissionController* admission_ = nullptr;
+  obs::Counter* serve_aborts_;
+  obs::Counter* restarts_;
+  obs::Counter* expired_;
+  obs::Counter* shed_;
+  obs::Counter* bad_version_;
 };
 
 }  // namespace cxlpool::msg

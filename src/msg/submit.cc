@@ -31,10 +31,10 @@ sim::Task<Status> MpscSubmitter::Submit(std::span<const std::byte> payload,
                                         uint8_t priority) {
   if (priority != kPriorityControl && options_.max_staged > 0 &&
       StagedData() >= options_.max_staged) {
-    ++stats_.rejected;
+    rejected_->Inc();
     co_return Overloaded("submission front staging bound");
   }
-  ++stats_.submitted;
+  submitted_->Inc();
   Ticket ticket(sender_.host().loop());
   ticket.payload = payload;
   ticket.priority = priority;
@@ -77,7 +77,7 @@ sim::Task<> MpscSubmitter::Drain(Ticket* self, bool fresh) {
     // Nagle: bounded wait for the batch to fill, cut short the moment the
     // watermark is reached. max_delay IS the hard latency bound — we
     // flush whatever is staged when it elapses.
-    ++stats_.nagle_waits;
+    nagle_waits_->Inc();
     auto filled = std::make_shared<sim::Event>(loop);
     fill_wake_ = filled.get();
     sim::Spawn(NagleTimer(loop, options_.max_delay, filled));
@@ -95,9 +95,7 @@ sim::Task<> MpscSubmitter::Drain(Ticket* self, bool fresh) {
       frames.push_back(t->payload);
     }
     Status st = co_await sender_.SendBatch(frames);
-    ++stats_.batches;
-    stats_.batched_frames += n;
-    stats_.max_batch = std::max<uint64_t>(stats_.max_batch, n);
+    batch_frames_->Add(static_cast<int64_t>(n));
     bool self_done = false;
     for (Ticket* t : batch) {
       t->result = st;
@@ -116,7 +114,7 @@ sim::Task<> MpscSubmitter::Drain(Ticket* self, bool fresh) {
     if (staged_.empty()) {
       draining_ = false;
     } else {
-      ++stats_.handoffs;
+      handoffs_->Inc();
       staged_.front()->drainer = true;
       staged_.front()->wake.Set();
     }

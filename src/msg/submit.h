@@ -58,6 +58,8 @@ class MpscSubmitter {
     uint32_t max_staged = 0;
   };
 
+  // Counts the submit.* series declared with its members under the sender
+  // host's scope.
   MpscSubmitter(RingSender& sender, Options options)
       : sender_(sender), options_(options) {
     if (options_.watermark == 0) {
@@ -74,16 +76,6 @@ class MpscSubmitter {
   sim::Task<Status> Submit(std::span<const std::byte> payload,
                            uint8_t priority = kPriorityData);
 
-  struct Stats {
-    uint64_t submitted = 0;
-    uint64_t batches = 0;          // drain rounds pushed to the ring
-    uint64_t batched_frames = 0;   // frames across those rounds
-    uint64_t max_batch = 0;        // largest single drain round
-    uint64_t handoffs = 0;         // drainer role passed to a follower
-    uint64_t rejected = 0;         // staging-bound refusals
-    uint64_t nagle_waits = 0;      // bounded fills awaited
-  };
-  const Stats& stats() const { return stats_; }
   size_t staged() const { return staged_.size(); }
   RingSender& sender() { return sender_; }
 
@@ -108,7 +100,17 @@ class MpscSubmitter {
   // Set while a fresh drainer sits in its Nagle fill wait; staging the
   // watermark-th frame fires it to flush early.
   sim::Event* fill_wake_ = nullptr;
-  Stats stats_;
+  const obs::Scope& metrics_ = sender_.host().metrics();
+  obs::Counter* submitted_ = metrics_.GetCounter("submit.submitted");
+  // Drainer role passed to a follower.
+  obs::Counter* handoffs_ = metrics_.GetCounter("submit.handoffs");
+  // Staging-bound refusals.
+  obs::Counter* rejected_ = metrics_.GetCounter("submit.rejected");
+  // Bounded fills awaited.
+  obs::Counter* nagle_waits_ = metrics_.GetCounter("submit.nagle_waits");
+  // Frames per drain round pushed to the ring: its count is the rounds,
+  // its max the largest round.
+  sim::Histogram* batch_frames_ = metrics_.GetHistogram("submit.batch_frames");
 };
 
 }  // namespace cxlpool::msg

@@ -2,10 +2,18 @@
 
 namespace cxlpool::netsim {
 
+FaultPlane::FaultPlane(uint64_t seed, const obs::Scope& scope)
+    : rng_(seed),
+      frames_dropped_(scope.GetCounter("fault_plane.frames_dropped")),
+      frames_duplicated_(scope.GetCounter("fault_plane.frames_duplicated")),
+      frames_delayed_(scope.GetCounter("fault_plane.frames_delayed")),
+      cuts_(scope.GetCounter("fault_plane.cuts")),
+      heals_(scope.GetCounter("fault_plane.heals")) {}
+
 void FaultPlane::Cut(HostId src, HostId dst) {
   LinkState& s = links_[MakeEdge(src, dst)];
   if (!s.cut) {
-    ++stats_.cuts;
+    cuts_->Inc();
   }
   s.cut = true;
 }
@@ -15,7 +23,7 @@ void FaultPlane::Heal(HostId src, HostId dst) {
   if (it == links_.end()) {
     return;
   }
-  ++stats_.heals;
+  heals_->Inc();
   links_.erase(it);
 }
 
@@ -54,7 +62,7 @@ void FaultPlane::SetLossy(HostId src, HostId dst, const LinkState& state) {
 }
 
 void FaultPlane::HealAll() {
-  stats_.heals += links_.size();
+  heals_->Add(links_.size());
   links_.clear();
 }
 
@@ -70,7 +78,7 @@ FaultPlane::FrameFate FaultPlane::Judge(HostId src, HostId dst) {
   }
   const LinkState& s = it->second;
   if (s.cut) {
-    ++stats_.frames_dropped;
+    frames_dropped_->Inc();
     return {Verdict::kDrop, 0};
   }
   // One uniform draw decides the frame's fate: the [0, drop_p) band drops,
@@ -79,17 +87,17 @@ FaultPlane::FrameFate FaultPlane::Judge(HostId src, HostId dst) {
   // constant regardless of which probabilities are nonzero.
   double u = rng_.Uniform();
   if (u < s.drop_p) {
-    ++stats_.frames_dropped;
+    frames_dropped_->Inc();
     return {Verdict::kDrop, 0};
   }
   u -= s.drop_p;
   if (u < s.dup_p) {
-    ++stats_.frames_duplicated;
+    frames_duplicated_->Inc();
     return {Verdict::kDuplicate, 0};
   }
   u -= s.dup_p;
   if (u < s.delay_p) {
-    ++stats_.frames_delayed;
+    frames_delayed_->Inc();
     Nanos d = s.delay_min;
     if (s.delay_max > s.delay_min) {
       d += static_cast<Nanos>(

@@ -26,6 +26,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/units.h"
+#include "src/obs/registry.h"
 #include "src/sim/random.h"
 
 namespace cxlpool::netsim {
@@ -53,15 +54,11 @@ class FaultPlane {
     Nanos delay = 0;  // set iff verdict == kDelay
   };
 
-  struct Stats {
-    uint64_t frames_dropped = 0;     // cut + lossy drops
-    uint64_t frames_duplicated = 0;
-    uint64_t frames_delayed = 0;
-    uint64_t cuts = 0;               // directed cut edges installed
-    uint64_t heals = 0;              // directed edges healed
-  };
-
-  explicit FaultPlane(uint64_t seed = 1) : rng_(seed) {}
+  // Counts fault_plane.frames_dropped (cut + lossy drops),
+  // fault_plane.frames_duplicated, fault_plane.frames_delayed,
+  // fault_plane.cuts (directed cut edges installed) and fault_plane.heals
+  // (directed edges healed) under `scope`.
+  FaultPlane(uint64_t seed, const obs::Scope& scope);
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
 
@@ -89,8 +86,6 @@ class FaultPlane {
   // edge has loss probabilities configured.
   FrameFate Judge(HostId src, HostId dst);
 
-  const Stats& stats() const { return stats_; }
-
  private:
   using Edge = std::pair<uint32_t, uint32_t>;
   static Edge MakeEdge(HostId src, HostId dst) {
@@ -99,7 +94,11 @@ class FaultPlane {
 
   std::map<Edge, LinkState> links_;
   sim::Rng rng_;
-  Stats stats_;
+  obs::Counter* frames_dropped_;
+  obs::Counter* frames_duplicated_;
+  obs::Counter* frames_delayed_;
+  obs::Counter* cuts_;
+  obs::Counter* heals_;
 };
 
 }  // namespace cxlpool::netsim

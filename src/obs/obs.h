@@ -7,11 +7,11 @@
 // plus the CHECK-failure integration that dumps the flight recorder when an
 // invariant trips.
 //
-// Components accept `obs::Observability*` in their Config (null = fully
-// disabled) and must behave identically either way: observability is pure
-// observation. Components that can run standalone (tests constructing an
-// Orchestrator or Nic directly) keep a private fallback Registry so their
-// metrics calls always have a home.
+// Components accept `obs::Observability*` in their Config (null = tracing
+// and flight notes disabled) and must behave identically either way:
+// observability is pure observation. Metrics do not depend on it: every
+// component counts into its pod's registry (cxl::CxlPod::metrics()), which
+// is this bundle's metrics() when the rack was built with one.
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_
 

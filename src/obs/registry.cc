@@ -22,13 +22,13 @@ Registry::Series* Registry::GetSeries(const std::string& name, Labels labels,
     s.kind = kind;
     switch (kind) {
       case Kind::kCounter:
-        s.counter = std::make_unique<Counter>();
+        s.counter = &counters_.emplace_back();
         break;
       case Kind::kGauge:
-        s.gauge = std::make_unique<Gauge>();
+        s.gauge = &gauges_.emplace_back();
         break;
       case Kind::kHistogram:
-        s.histogram = std::make_unique<sim::Histogram>();
+        s.histogram = &histograms_.emplace_back();
         break;
     }
     it = series_.emplace(std::move(key), std::move(s)).first;
@@ -40,20 +40,15 @@ Registry::Series* Registry::GetSeries(const std::string& name, Labels labels,
 }
 
 Counter* Registry::GetCounter(const std::string& name, Labels labels) {
-  return GetSeries(name, std::move(labels), Kind::kCounter)->counter.get();
+  return GetSeries(name, std::move(labels), Kind::kCounter)->counter;
 }
 
 Gauge* Registry::GetGauge(const std::string& name, Labels labels) {
-  return GetSeries(name, std::move(labels), Kind::kGauge)->gauge.get();
+  return GetSeries(name, std::move(labels), Kind::kGauge)->gauge;
 }
 
 sim::Histogram* Registry::GetHistogram(const std::string& name, Labels labels) {
-  return GetSeries(name, std::move(labels), Kind::kHistogram)->histogram.get();
-}
-
-void Registry::RegisterProbe(const std::string& name, Labels labels,
-                             std::function<int64_t()> fn) {
-  probes_[MakeKey(name, std::move(labels))] = std::move(fn);
+  return GetSeries(name, std::move(labels), Kind::kHistogram)->histogram;
 }
 
 const Counter* Registry::FindCounter(const std::string& name,
@@ -62,7 +57,16 @@ const Counter* Registry::FindCounter(const std::string& name,
   if (it == series_.end() || it->second.kind != Kind::kCounter) {
     return nullptr;
   }
-  return it->second.counter.get();
+  return it->second.counter;
+}
+
+const Gauge* Registry::FindGauge(const std::string& name,
+                                 const Labels& labels) const {
+  auto it = series_.find(MakeKey(name, labels));
+  if (it == series_.end() || it->second.kind != Kind::kGauge) {
+    return nullptr;
+  }
+  return it->second.gauge;
 }
 
 const sim::Histogram* Registry::FindHistogram(const std::string& name,
@@ -71,7 +75,7 @@ const sim::Histogram* Registry::FindHistogram(const std::string& name,
   if (it == series_.end() || it->second.kind != Kind::kHistogram) {
     return nullptr;
   }
-  return it->second.histogram.get();
+  return it->second.histogram;
 }
 
 namespace {
@@ -120,14 +124,6 @@ std::string Registry::ToJson() const {
         break;
       }
     }
-    out += "}";
-  }
-  for (const auto& [key, fn] : probes_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{";
-    AppendKey(&out, key.first, key.second);
-    out += ",\"kind\":\"gauge\",\"value\":" + std::to_string(fn());
     out += "}";
   }
   out += "]}";

@@ -1,23 +1,21 @@
-// obs::Registry: the single home for named metrics. Components ask for a
-// handle once (name + label set) and bump it on their hot path; the registry
-// owns storage, deduplicates by (name, labels), and exports everything as
-// one JSON snapshot. This replaces the per-component Stats structs and
-// accessor plumbing that PRs 1-4 accumulated — a soak run or bench ends with
-// one WriteJson() instead of N hand-rolled printf blocks.
+// obs::Registry: the single home for named metrics, and the only way a
+// component counts. A component asks for its handles once, at construction,
+// through an obs::Scope (registry + its base labels) and bumps the cached
+// pointers on its hot path; the registry owns storage, deduplicates by
+// (name, labels), and exports everything as one JSON snapshot. Tests and
+// benches read values back with FindCounter / FindHistogram.
 //
-// Handle pointers are stable for the life of the registry (values are
-// heap-allocated and never rehashed away), so callers cache the pointer at
-// construction time and pay one indirection per bump.
-//
-// Probes cover the migration path for stats that still live in legacy
-// structs: RegisterProbe(name, labels, fn) polls `fn` at snapshot time, so a
-// component exports through the registry without moving its counters yet.
+// Handle pointers are stable for the life of the registry (values live in
+// deques, which never move them), so callers cache the pointer at
+// construction time and pay one indirection per bump; a component's
+// handles, created back to back, share cache lines. Two instances that
+// ask for the same key share one handle: a component rebuilt in place
+// continues its predecessor's counters.
 #ifndef SRC_OBS_REGISTRY_H_
 #define SRC_OBS_REGISTRY_H_
 
-#include <functional>
+#include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,23 +43,18 @@ class Registry {
   Gauge* GetGauge(const std::string& name, Labels labels = {});
   sim::Histogram* GetHistogram(const std::string& name, Labels labels = {});
 
-  // Callback gauge, polled at snapshot time. Re-registering the same key
-  // replaces the callback (components rebind across restarts).
-  void RegisterProbe(const std::string& name, Labels labels,
-                     std::function<int64_t()> fn);
-
-  // Lookup without creation; nullptr / nullopt when absent. Histograms and
-  // counters are the ones tests assert on.
+  // Lookup without creation; nullptr when absent or of another kind.
   const Counter* FindCounter(const std::string& name,
                              const Labels& labels = {}) const;
+  const Gauge* FindGauge(const std::string& name,
+                         const Labels& labels = {}) const;
   const sim::Histogram* FindHistogram(const std::string& name,
                                       const Labels& labels = {}) const;
 
-  size_t series_count() const { return series_.size() + probes_.size(); }
+  size_t series_count() const { return series_.size(); }
 
   // One JSON object: {"metrics":[{"name","labels","kind",...value...}]}.
   // Counters/gauges export a value; histograms export count/mean/percentiles.
-  // Probes are polled here.
   std::string ToJson() const;
   Status WriteJson(const std::string& path) const;
 
@@ -69,9 +62,9 @@ class Registry {
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Series {
     Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<sim::Histogram> histogram;
+    Counter* counter = nullptr;
+    Gauge* gauge = nullptr;
+    sim::Histogram* histogram = nullptr;
   };
   using Key = std::pair<std::string, Labels>;
 
@@ -79,7 +72,46 @@ class Registry {
   Series* GetSeries(const std::string& name, Labels labels, Kind kind);
 
   std::map<Key, Series> series_;
-  std::map<Key, std::function<int64_t()>> probes_;
+  std::deque<Counter> counters_;
+  std::deque<Gauge> gauges_;
+  std::deque<sim::Histogram> histograms_;
+};
+
+// A registry plus the base labels of one component instance ({"host": "2"},
+// {"device": "7"}, ...). Components get their Scope from something they
+// already hold (HostAdapter::metrics(), their owner, a constructor argument)
+// and look every handle up once; the handles are never null. Per-series
+// labels merge with the base labels, and label order does not matter.
+class Scope {
+ public:
+  explicit Scope(Registry& registry, Labels labels = {})
+      : registry_(&registry), labels_(std::move(labels)) {}
+
+  // This scope with `extra` labels added: a sub-component's own scope, or
+  // an identifying label that keeps one of several live instances apart.
+  Scope With(Labels extra) const { return Scope(*registry_, Merge(std::move(extra))); }
+
+  Counter* GetCounter(const std::string& name, Labels extra = {}) const {
+    return registry_->GetCounter(name, Merge(std::move(extra)));
+  }
+  Gauge* GetGauge(const std::string& name, Labels extra = {}) const {
+    return registry_->GetGauge(name, Merge(std::move(extra)));
+  }
+  sim::Histogram* GetHistogram(const std::string& name, Labels extra = {}) const {
+    return registry_->GetHistogram(name, Merge(std::move(extra)));
+  }
+
+  Registry& registry() const { return *registry_; }
+  const Labels& labels() const { return labels_; }
+
+ private:
+  Labels Merge(Labels extra) const {
+    extra.insert(extra.end(), labels_.begin(), labels_.end());
+    return extra;
+  }
+
+  Registry* registry_;
+  Labels labels_;
 };
 
 // BENCH_<name>.json snapshot: the registry snapshot wrapped with bench

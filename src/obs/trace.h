@@ -17,8 +17,8 @@
 //
 // Span lifetime is explicit: End(now) publishes the span; dropping an active
 // Span without End() loses it (counted in dropped_spans()). This is
-// deliberate — an explicit End is what lets tools/lint_tasks.py flag leaked
-// spans statically.
+// deliberate — an explicit End is what lets simlint's leaked-span rule flag
+// leaked spans statically.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 

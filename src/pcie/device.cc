@@ -30,6 +30,16 @@ void PcieDevice::AttachTo(cxl::HostAdapter* host) {
   CXLPOOL_CHECK(host_ == nullptr);
   host_ = host;
   ++generation_;
+  metrics_.emplace(host->metrics().registry(),
+                   obs::Labels{{"device", std::to_string(id_.value())}});
+  wedges_ = metrics_->GetCounter("pcie.wedges");
+  dropped_mmio_writes_ = metrics_->GetCounter("pcie.dropped_mmio_writes");
+  stalled_ops_ = metrics_->GetCounter("pcie.stalled_ops");
+  resets_ = metrics_->GetCounter("pcie.resets");
+  dma_reads_ = metrics_->GetCounter("pcie.dma_reads");
+  dma_read_bytes_ = metrics_->GetCounter("pcie.dma_read_bytes");
+  dma_writes_ = metrics_->GetCounter("pcie.dma_writes");
+  dma_write_bytes_ = metrics_->GetCounter("pcie.dma_write_bytes");
   // A device dies with its host (the root complex is gone) and comes back
   // with it — unless it was already failed independently, in which case the
   // host reboot does not magically fix it.
@@ -83,11 +93,12 @@ void PcieDevice::Wedge() {
   // No generation bump: the device is hung, not re-bound. Engine coroutines
   // keep running and experience the stalls, exactly like real firmware hangs.
   wedged_ = true;
-  ++gray_stats_.wedges;
+  ++untaken_wedges_;
+  wedges_->Inc();
 }
 
 void PcieDevice::Reset() {
-  ++gray_stats_.resets;
+  resets_->Inc();
   wedged_ = false;
   // The generation bump is the drain: every in-flight engine coroutine
   // compares its captured generation and exits at its next loop head.
@@ -112,7 +123,7 @@ sim::Task<Status> PcieDevice::MmioWrite(uint64_t reg, uint64_t value) {
       return;
     }
     if (wedged_) {
-      ++gray_stats_.dropped_mmio_writes;
+      dropped_mmio_writes_->Inc();
       return;
     }
     OnMmioWrite(reg, value);
@@ -129,7 +140,7 @@ sim::Task<Result<uint64_t>> PcieDevice::MmioRead(uint64_t reg) {
     co_return Unavailable("device " + name_ + " failed");
   }
   if (wedged_) {
-    ++gray_stats_.stalled_ops;
+    stalled_ops_->Inc();
     co_await sim::Delay(loop_, timing_.wedge_stall);
     co_return DeadlineExceeded("MMIO read to wedged device " + name_);
   }
@@ -137,7 +148,7 @@ sim::Task<Result<uint64_t>> PcieDevice::MmioRead(uint64_t reg) {
   co_await sim::Delay(loop_, timing_.mmio_read + extra);
   if (wedged_) {
     // Wedged mid-flight: the completion never arrives.
-    ++gray_stats_.stalled_ops;
+    stalled_ops_->Inc();
     co_await sim::Delay(loop_, timing_.wedge_stall);
     co_return DeadlineExceeded("MMIO read lost in wedged device " + name_);
   }
@@ -152,12 +163,12 @@ sim::Task<Status> PcieDevice::DmaRead(uint64_t addr, std::span<std::byte> out) {
     co_return Unavailable("device " + name_ + " failed");
   }
   if (wedged_) {
-    ++gray_stats_.stalled_ops;
+    stalled_ops_->Inc();
     co_await sim::Delay(loop_, timing_.wedge_stall);
     co_return DeadlineExceeded("DMA read on wedged device " + name_);
   }
-  ++dma_stats_.reads;
-  dma_stats_.read_bytes += out.size();
+  dma_reads_->Inc();
+  dma_read_bytes_->Add(out.size());
   Nanos start = loop_.now();
   // Memory-side access (local DRAM or CXL pool; coherent with the attached
   // host's cache via root-complex snoop).
@@ -182,12 +193,12 @@ sim::Task<Status> PcieDevice::DmaWrite(uint64_t addr, std::span<const std::byte>
     co_return Unavailable("device " + name_ + " failed");
   }
   if (wedged_) {
-    ++gray_stats_.stalled_ops;
+    stalled_ops_->Inc();
     co_await sim::Delay(loop_, timing_.wedge_stall);
     co_return DeadlineExceeded("DMA write on wedged device " + name_);
   }
-  ++dma_stats_.writes;
-  dma_stats_.write_bytes += in.size();
+  dma_writes_->Inc();
+  dma_write_bytes_->Add(in.size());
   Nanos start = loop_.now();
   CO_RETURN_IF_ERROR(co_await host_->DmaWrite(addr, in));
   Nanos link_done = to_host_.Acquire(start, in.size());

@@ -15,13 +15,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "src/common/ids.h"
 #include "src/common/status.h"
 #include "src/cxl/host_adapter.h"
 #include "src/cxl/params.h"
+#include "src/obs/registry.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/task.h"
 
@@ -78,7 +81,13 @@ class PcieDevice {
 
   // --- Attachment ---
   // Binds the device to `host`'s root complex. Subclasses may spawn their
-  // engines from OnAttach.
+  // engines from OnAttach. Binding also gives the device its metrics scope:
+  // the host's registry under {"device": id}, where it counts pcie.wedges
+  // (Wedge() transitions), pcie.dropped_mmio_writes (posted writes absorbed
+  // while wedged), pcie.stalled_ops (reads/DMAs that hit wedge_stall),
+  // pcie.resets (FLR invocations), pcie.dma_reads / dma_read_bytes and
+  // pcie.dma_writes / dma_write_bytes. A device is attached before it can
+  // be wedged or reset.
   void AttachTo(cxl::HostAdapter* host);
   void Detach();
   cxl::HostAdapter* attached_host() { return host_; }
@@ -106,14 +115,6 @@ class PcieDevice {
   // and re-initializes BAR/queue state via the OnReset hook. Does NOT
   // revive a fail-stopped device (that is Repair's job).
   void Reset();
-
-  struct GrayStats {
-    uint64_t wedges = 0;               // Wedge() transitions
-    uint64_t dropped_mmio_writes = 0;  // posted writes absorbed while wedged
-    uint64_t stalled_ops = 0;          // reads/DMAs that hit wedge_stall
-    uint64_t resets = 0;               // FLR invocations
-  };
-  const GrayStats& gray_stats() const { return gray_stats_; }
 
   // --- MMIO (from the attached host's CPU) ---
   sim::Task<Status> MmioWrite(uint64_t reg, uint64_t value);
@@ -146,19 +147,18 @@ class PcieDevice {
   // Called with the wedge already cleared and the generation already bumped.
   virtual void OnReset() {}
 
+  // The device's metrics scope, valid from the first AttachTo (subclasses
+  // look up their handles in OnAttach).
+  const obs::Scope& metrics() const { return *metrics_; }
+  // Wedge() transitions since the last call (the NIC counts them as wedge
+  // episodes at the following reset).
+  uint64_t TakeWedges() { return std::exchange(untaken_wedges_, 0); }
+
   // --- DMA helpers for subclasses (timed) ---
   // Charge = device-link serialization + dma_overhead + memory-side cost
   // (local DRAM or CXL pool via the attached host's adapter).
   sim::Task<Status> DmaRead(uint64_t addr, std::span<std::byte> out);
   sim::Task<Status> DmaWrite(uint64_t addr, std::span<const std::byte> in);
-
-  struct DmaStats {
-    uint64_t reads = 0;
-    uint64_t read_bytes = 0;
-    uint64_t writes = 0;
-    uint64_t write_bytes = 0;
-  };
-  const DmaStats& dma_stats() const { return dma_stats_; }
 
  private:
   PcieDeviceId id_;
@@ -171,12 +171,20 @@ class PcieDevice {
   bool failed_ = false;
   bool wedged_ = false;
   bool failed_by_host_crash_ = false;  // host crash (not real fault) failed us
-  GrayStats gray_stats_;
+  uint64_t untaken_wedges_ = 0;        // see TakeWedges
   std::function<void(PcieDevice*)> destroy_listener_;
   uint64_t generation_ = 0;
   sim::BandwidthQueue to_host_;    // DMA writes / read completions
   sim::BandwidthQueue from_host_;  // DMA read data fetch direction
-  DmaStats dma_stats_;
+  std::optional<obs::Scope> metrics_;
+  obs::Counter* wedges_ = nullptr;
+  obs::Counter* dropped_mmio_writes_ = nullptr;
+  obs::Counter* stalled_ops_ = nullptr;
+  obs::Counter* resets_ = nullptr;
+  obs::Counter* dma_reads_ = nullptr;
+  obs::Counter* dma_read_bytes_ = nullptr;
+  obs::Counter* dma_writes_ = nullptr;
+  obs::Counter* dma_write_bytes_ = nullptr;
 };
 
 }  // namespace cxlpool::pcie

@@ -73,24 +73,6 @@ class Histogram {
   int64_t max_ = std::numeric_limits<int64_t>::min();
 };
 
-// Exact-rate counter over simulated time windows; tracks a total and lets
-// callers compute rates from (delta, window).
-class Counter {
- public:
-  void Add(uint64_t n = 1) { total_ += n; }
-  uint64_t total() const { return total_; }
-  // Returns total since the last call to TakeDelta.
-  uint64_t TakeDelta() {
-    uint64_t d = total_ - last_;
-    last_ = total_;
-    return d;
-  }
-
- private:
-  uint64_t total_ = 0;
-  uint64_t last_ = 0;
-};
-
 }  // namespace cxlpool::sim
 
 #endif  // SRC_SIM_STATS_H_

@@ -43,7 +43,7 @@ sim::Task<Status> UdpSocket::SendTo(netsim::MacAddr dst_mac, uint16_t dst_port,
     CO_RETURN_IF_ERROR(co_await stack.ReclaimTxBuffers(/*force_refresh=*/true));
     buf = stack.pool().Alloc();
     if (!buf.ok()) {
-      ++stack.stats_.tx_no_buffer;
+      stack.tx_no_buffer_->Inc();
       co_return buf.status();
     }
   }
@@ -64,7 +64,7 @@ sim::Task<Status> UdpSocket::SendTo(netsim::MacAddr dst_mac, uint16_t dst_port,
     co_return st;
   }
   stack.inflight_tx_.push_back(*buf);
-  ++stack.stats_.tx_datagrams;
+  stack.tx_datagrams_->Inc();
   co_return OkStatus();
 }
 
@@ -200,14 +200,14 @@ sim::Task<> UdpStack::ProcessFrame(core::VirtualNic::RxEvent ev) {
   uint16_t dst_port = GetU16(bytes.data());
   auto it = sockets_.find(dst_port);
   if (it == sockets_.end()) {
-    ++stats_.rx_no_socket;
+    rx_no_socket_->Inc();
     co_return;
   }
   Datagram d;
   d.src_port = GetU16(bytes.data() + 2);
   d.src_mac = GetU64(bytes.data() + 4);
   d.payload.assign(bytes.begin() + kUdpHeaderSize, bytes.end());
-  ++stats_.rx_datagrams;
+  rx_datagrams_->Inc();
   it->second->rx_queue_.Push(std::move(d));
 }
 

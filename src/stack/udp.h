@@ -72,7 +72,8 @@ class UdpStack {
   };
 
   // `vnic` and `pool` must outlive the stack. `mac` is this stack's
-  // address on the fabric (the physical NIC's connected MAC).
+  // address on the fabric (the physical NIC's connected MAC). Counts the
+  // stack.* series declared with its members under the host's scope.
   UdpStack(cxl::HostAdapter& host, core::VirtualNic* vnic, BufferPool* pool,
            netsim::MacAddr mac, Config config);
 
@@ -91,14 +92,6 @@ class UdpStack {
   // path, reclaims orphaned RX buffers and reposts fresh ones. Wire this
   // into Agent::SetMigrationHandler.
   sim::Task<Status> HandleMigration(std::unique_ptr<core::MmioPath> new_path);
-
-  struct Stats {
-    uint64_t tx_datagrams = 0;
-    uint64_t rx_datagrams = 0;
-    uint64_t rx_no_socket = 0;
-    uint64_t tx_no_buffer = 0;
-  };
-  const Stats& stats() const { return stats_; }
 
  private:
   friend class UdpSocket;
@@ -123,7 +116,12 @@ class UdpStack {
   std::vector<uint64_t> inflight_tx_;   // FIFO of buffers awaiting completion
   uint64_t tx_reclaimed_ = 0;           // completions already processed
 
-  Stats stats_;
+  obs::Counter* tx_datagrams_ = host_.metrics().GetCounter("stack.tx_datagrams");
+  obs::Counter* rx_datagrams_ = host_.metrics().GetCounter("stack.rx_datagrams");
+  // Datagrams for an unbound port.
+  obs::Counter* rx_no_socket_ = host_.metrics().GetCounter("stack.rx_no_socket");
+  // Sends refused: TX buffer pool exhausted.
+  obs::Counter* tx_no_buffer_ = host_.metrics().GetCounter("stack.tx_no_buffer");
 };
 
 }  // namespace cxlpool::stack

@@ -14,6 +14,7 @@
 #include "src/msg/doorbell.h"
 #include "src/msg/ring.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::analysis {
 namespace {
@@ -187,7 +188,7 @@ TEST_F(CoherenceCheckerTest, NtStoreOverOwnDirtyLineFiresLostPublish) {
   RunBlocking(loop_, t(pod_, base_));
   ExpectOnly(ViolationType::kLostPublish, 1);
   // The violation attributes the adapter's anonymous counter.
-  EXPECT_EQ(pod_.host(0).stats().lost_dirty_lines, 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "host.lost_dirty_lines", HostLabels(0)), 1u);
   EXPECT_EQ(checker_.violations().at(0).offender, HostId(0));
 }
 

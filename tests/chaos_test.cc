@@ -11,6 +11,7 @@
 #include "src/core/rack.h"
 #include "src/sim/chaos.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::core {
 namespace {
@@ -39,16 +40,16 @@ Task<Status> WriteReg(MmioPath& path, uint64_t value) {
 // End-state fingerprint: chaos trace digest + orchestrator counters +
 // full lease layout + the loop's executed-event count. Any cross-run
 // divergence in timing, ordering, or outcome changes it.
-std::string Fingerprint(const sim::ChaosInjector& chaos,
-                        const Orchestrator& orch, const sim::EventLoop& loop) {
-  const Orchestrator::Stats& s = orch.stats();
+std::string Fingerprint(const sim::ChaosInjector& chaos, Rack& rack,
+                        const sim::EventLoop& loop) {
+  const Orchestrator& orch = rack.orchestrator();
   std::string fp = chaos.TraceDigest();
-  fp += " acquires=" + std::to_string(s.acquires) +
-        " failovers=" + std::to_string(s.failovers) +
-        " deaths=" + std::to_string(s.host_deaths) +
-        " rereg=" + std::to_string(s.host_reregistrations) +
-        " revoked=" + std::to_string(s.leases_revoked) +
-        " abandoned=" + std::to_string(s.abandoned_migrations);
+  for (const char* field : {"acquires", "failovers", "host_deaths",
+                            "host_reregistrations", "leases_revoked",
+                            "abandoned_migrations"}) {
+    fp += std::string(" ") + field + "=" +
+          std::to_string(CounterValue(rack.pod().metrics(), std::string("orch.") + field));
+  }
   for (const auto& [id, rec] : orch.devices()) {
     fp += " d" + std::to_string(id.value()) + "=[";
     for (HostId lessee : rec.lessees) {
@@ -149,7 +150,7 @@ std::string RunHostCrashScenario() {
   // all fit well inside the 600 µs budget checked here.
   loop.RunUntil(kMillisecond + 600 * kMicrosecond);
   EXPECT_FALSE(orch.agent_alive(HostId(1)));
-  EXPECT_EQ(orch.stats().host_deaths, 1u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "orch.host_deaths"), 1u);
 
   // Home devices of the dead host are unhealthy; the accel lease failed
   // over to the survivor and the epoch advanced past the old path's.
@@ -164,13 +165,13 @@ std::string RunHostCrashScenario() {
   CXLPOOL_CHECK(survivor_rec != nullptr);
   CXLPOOL_CHECK(survivor_rec->lessees.size() == 1);
   EXPECT_EQ(survivor_rec->lessees[0], HostId(2));
-  EXPECT_GE(orch.stats().failovers, 1u);
+  EXPECT_GE(CounterValue(rack.pod().metrics(), "orch.failovers"), 1u);
 
   // The dead host's own NIC lease was revoked...
   const Orchestrator::DeviceRecord* nic_rec = orch.record(nic_of_crashed);
   CXLPOOL_CHECK(nic_rec != nullptr);
   EXPECT_TRUE(nic_rec->lessees.empty());
-  EXPECT_GE(orch.stats().leases_revoked, 1u);
+  EXPECT_GE(CounterValue(rack.pod().metrics(), "orch.leases_revoked"), 1u);
   // ...and it cannot acquire anything while dead.
   EXPECT_EQ(orch.Acquire(HostId(1), DeviceType::kNic).status().code(),
             StatusCode::kFailedPrecondition);
@@ -187,14 +188,14 @@ std::string RunHostCrashScenario() {
   // resyncs device epochs to its agent.
   loop.RunUntil(4500 * kMicrosecond);
   EXPECT_TRUE(orch.agent_alive(HostId(1)));
-  EXPECT_EQ(orch.stats().host_reregistrations, 1u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "orch.host_reregistrations"), 1u);
   EXPECT_TRUE(orch.record(PcieDeviceId(50))->healthy);
   EXPECT_TRUE(orch.record(nic_of_crashed)->healthy);
   EXPECT_EQ(orch.agent(HostId(1))->device_epoch(PcieDeviceId(50)), 1u);
   // The stale path is now fenced by the epoch bump, not just unreachable.
   EXPECT_EQ(RunBlocking(loop, WriteReg(**path, 3)).code(),
             StatusCode::kAborted);
-  EXPECT_GE(orch.agent(HostId(1))->stats().stale_epoch_rejects, 1u);
+  EXPECT_GE(CounterValue(rack.pod().metrics(), "agent.stale_epoch_rejects", HostLabels(1)), 1u);
   // The re-registered host is a full citizen again.
   auto back = orch.Acquire(HostId(1), DeviceType::kNic);
   EXPECT_TRUE(back.ok());
@@ -204,7 +205,7 @@ std::string RunHostCrashScenario() {
   EXPECT_EQ(chaos.violations(), 0u);
   EXPECT_GT(chaos.mttr().max(), 0);
 
-  std::string fp = Fingerprint(chaos, orch, loop);
+  std::string fp = Fingerprint(chaos, rack, loop);
   rack.Shutdown();
   loop.RunFor(200 * kMicrosecond);
   return fp;
@@ -256,7 +257,7 @@ TEST(ChaosTest, StaleMmioPathAbortsAfterRebalance) {
   loop.RunFor(100 * kMicrosecond);
   RunBlocking(loop, orch.RebalanceOnce());
   loop.RunFor(100 * kMicrosecond);
-  EXPECT_EQ(orch.stats().rebalances, 1u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "orch.rebalances"), 1u);
   EXPECT_TRUE(orch.record(PcieDeviceId(60))->lessees.empty());
   ASSERT_EQ(orch.record(PcieDeviceId(61))->lessees.size(), 1u);
   EXPECT_EQ(orch.record(PcieDeviceId(61))->lessees[0], HostId(0));
@@ -268,7 +269,7 @@ TEST(ChaosTest, StaleMmioPathAbortsAfterRebalance) {
   // The old path carries epoch 0: fenced off at the home agent.
   EXPECT_EQ(RunBlocking(loop, WriteReg(**path, 2)).code(),
             StatusCode::kAborted);
-  EXPECT_GE(orch.agent(HostId(1))->stats().stale_epoch_rejects, 1u);
+  EXPECT_GE(CounterValue(rack.pod().metrics(), "agent.stale_epoch_rejects", HostLabels(1)), 1u);
   EXPECT_EQ(hot.regs[0x10], 1u);  // the fenced write never landed
 
   // A path built under the new lease works.

@@ -9,6 +9,7 @@
 #include "src/core/rack.h"
 #include "src/sim/random.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::core {
 namespace {
@@ -72,7 +73,7 @@ TEST_F(CoreTest, ForwardedMmioReachesDevice) {
   };
   EXPECT_EQ(RunBlocking(loop_, t(**path)), 0xabcdu);
   EXPECT_EQ(dev.regs[0x10], 0xabcdu);
-  EXPECT_GE(rack_->orchestrator().agent(HostId(0))->stats().forwarded_writes, 1u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "agent.forwarded_writes", HostLabels(0)), 1u);
   Drain();
 }
 
@@ -224,7 +225,7 @@ TEST_F(CoreTest, RemoteNicDatapathWorks) {
   };
   EXPECT_TRUE(RunBlocking(loop_, t(*rack_, loop_)));
   // The remote host's doorbells were executed by host 0's agent.
-  EXPECT_GE(rack_->orchestrator().agent(HostId(0))->stats().forwarded_writes, 8u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "agent.forwarded_writes", HostLabels(0)), 8u);
   Drain();
 }
 
@@ -348,7 +349,7 @@ TEST_F(CoreTest, AcquirePrefersLocalDevice) {
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->home, HostId(1));
   EXPECT_TRUE(a->local);
-  EXPECT_EQ(rack_->orchestrator().stats().local_hits, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "orch.local_hits"), 1u);
   Drain();
 }
 
@@ -415,7 +416,7 @@ TEST_F(CoreTest, NicLinkFailureTriggersMigration) {
 
   ASSERT_TRUE(migrated_to.valid());
   EXPECT_NE(migrated_to, PcieDeviceId(1));
-  EXPECT_EQ(rack_->orchestrator().stats().failovers, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "orch.failovers"), 1u);
   // Detection (MMIO link poll) + report + migration RPC: well under 100 us.
   EXPECT_LT(migrated_at - failed_at, 100 * kMicrosecond);
   // The lease moved in the registry too.
@@ -473,7 +474,7 @@ TEST_F(CoreTest, RebalanceShedsOverloadedDevice) {
   loop_.RunFor(100 * kMicrosecond);
 
   EXPECT_TRUE(migrated);
-  EXPECT_EQ(rack_->orchestrator().stats().rebalances, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "orch.rebalances"), 1u);
   EXPECT_EQ(rack_->orchestrator().record(PcieDeviceId(51))->lessees.size(), 1u);
   Drain();
 }

@@ -10,6 +10,7 @@
 #include "src/sim/poll.h"
 #include "src/sim/task.h"
 #include "src/sim/windowed.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool {
 namespace {
@@ -253,7 +254,8 @@ TEST(VirtualNicConcurrencyTest, ConcurrentSendersDeliverEveryFrame) {
     }
     // Give the NIC time to drain its TX ring.
     co_await sim::Delay(loop, 2 * kMillisecond);
-    co_return rack.nic(0)->nic_stats().tx_frames;
+    co_return CounterValue(rack.pod().metrics(), "nic.tx_frames",
+                         DeviceLabels(rack.nic(0)->id().value()));
   };
   // Every frame transmitted exactly once (frames to NIC 1 are dropped for
   // lack of RX buffers there, which is fine — we count TX).

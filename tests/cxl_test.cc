@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/cxl/host_adapter.h"
@@ -8,6 +9,7 @@
 #include "src/cxl/pool.h"
 #include "src/cxl/replication.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::cxl {
 namespace {
@@ -39,6 +41,15 @@ class CxlPodTest : public ::testing::Test {
     c.dram_per_host = 8 * kMiB;
     return c;
   }
+
+  // A host's counter, and a region's, read back from the pod's registry.
+  uint64_t HostCount(int host, const std::string& name) {
+    return CounterValue(pod_.metrics(), name, pod_.host(host).metrics().labels());
+  }
+  uint64_t RegionCount(const std::string& name) {
+    return CounterValue(pod_.metrics(), name, {{"region", "r"}});
+  }
+  obs::Scope RegionScope() { return obs::Scope(pod_.metrics(), {{"region", "r"}}); }
 
   sim::EventLoop loop_;
   CxlPod pod_;
@@ -167,7 +178,7 @@ TEST_F(CxlPodTest, SecondLoadHitsCache) {
   RunBlocking(loop_, t(h, seg->base, buf));
   Nanos second = loop_.now() - first;
   EXPECT_LT(second, first / 10);  // cache hit is far cheaper
-  EXPECT_GE(h.cache().stats().hits, 1u);
+  EXPECT_GE(HostCount(0, "cache.hits"), 1u);
 }
 
 // The central hazard: cached stores are invisible to other hosts, and
@@ -398,21 +409,21 @@ TEST_F(CxlPodTest, StatsAccumulate) {
     CXLPOOL_CHECK_OK(co_await host.Flush(a, 1));
   };
   RunBlocking(loop_, t(h, seg->base));
-  EXPECT_EQ(h.stats().nt_stores, 1u);
-  EXPECT_EQ(h.stats().loads, 1u);
-  EXPECT_EQ(h.stats().flushes, 1u);
-  EXPECT_EQ(h.stats().lost_dirty_lines, 0u);
+  EXPECT_EQ(HostCount(2, "host.nt_stores"), 1u);
+  EXPECT_EQ(HostCount(2, "host.loads"), 1u);
+  EXPECT_EQ(HostCount(2, "host.flushes"), 1u);
+  EXPECT_EQ(HostCount(2, "host.lost_dirty_lines"), 0u);
 }
 
 
 // --- Replicated regions (Sec. 5 "highly-available CXL pods") ---
 
 TEST_F(CxlPodTest, ReplicationRequiresEnoughHealthyMhds) {
-  EXPECT_FALSE(ReplicatedRegion::Create(pod_.pool(), 4096, 3).ok());  // only 2 MHDs
+  EXPECT_FALSE(ReplicatedRegion::Create(pod_.pool(), 4096, 3, RegionScope()).ok());  // only 2 MHDs
   pod_.FailMhd(MhdId(1));
-  EXPECT_FALSE(ReplicatedRegion::Create(pod_.pool(), 4096, 2).ok());
+  EXPECT_FALSE(ReplicatedRegion::Create(pod_.pool(), 4096, 2, RegionScope()).ok());
   pod_.RepairMhd(MhdId(1));
-  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   EXPECT_EQ(region->replicas(), 2);
   // Replicas land on DISTINCT MHDs.
@@ -420,7 +431,7 @@ TEST_F(CxlPodTest, ReplicationRequiresEnoughHealthyMhds) {
 }
 
 TEST_F(CxlPodTest, ReplicatedReadSurvivesMhdFailure) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2, RegionScope());
   ASSERT_TRUE(region.ok());
 
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<std::pair<int, int>> {
@@ -442,11 +453,11 @@ TEST_F(CxlPodTest, ReplicatedReadSurvivesMhdFailure) {
   auto [before, after] = RunBlocking(loop_, t(*region, pod_));
   EXPECT_EQ(before, 42);
   EXPECT_EQ(after, 42);
-  EXPECT_EQ(region->stats().failover_reads, 1u);
+  EXPECT_EQ(RegionCount("replication.failover_reads"), 1u);
 }
 
 TEST_F(CxlPodTest, ReplicatedWriteDegradesGracefully) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   pod_.FailMhd(region->segment(1).mhds[0]);  // secondary down
 
@@ -455,7 +466,7 @@ TEST_F(CxlPodTest, ReplicatedWriteDegradesGracefully) {
     co_return co_await r.Publish(pod.host(0), 0, payload);
   };
   EXPECT_TRUE(RunBlocking(loop_, t(*region, pod_)).ok());
-  EXPECT_EQ(region->stats().degraded_writes, 1u);
+  EXPECT_EQ(RegionCount("replication.degraded_writes"), 1u);
 
   // Both replicas down -> the write finally fails.
   pod_.FailMhd(region->segment(0).mhds[0]);
@@ -463,7 +474,7 @@ TEST_F(CxlPodTest, ReplicatedWriteDegradesGracefully) {
 }
 
 TEST_F(CxlPodTest, ReplicatedWriteDegradesWhenWriterLinkDown) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   // Sever only the writer's link to the secondary replica's MHD. The MHD
   // itself stays healthy — other hosts still reach both copies.
@@ -480,13 +491,13 @@ TEST_F(CxlPodTest, ReplicatedWriteDegradesWhenWriterLinkDown) {
   };
   auto [wr, seen] = RunBlocking(loop_, t(*region, pod_));
   EXPECT_TRUE(wr.ok());  // one reachable replica is enough
-  EXPECT_EQ(region->stats().degraded_writes, 1u);
-  EXPECT_EQ(region->stats().failover_reads, 0u);
+  EXPECT_EQ(RegionCount("replication.degraded_writes"), 1u);
+  EXPECT_EQ(RegionCount("replication.failover_reads"), 0u);
   EXPECT_EQ(seen, 9);
 }
 
 TEST_F(CxlPodTest, ReplicatedReadFailsOverWhenReaderLinkDown) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2, RegionScope());
   ASSERT_TRUE(region.ok());
 
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<int> {
@@ -501,13 +512,13 @@ TEST_F(CxlPodTest, ReplicatedReadFailsOverWhenReaderLinkDown) {
     co_return static_cast<int>(seen[0]);
   };
   EXPECT_EQ(RunBlocking(loop_, t(*region, pod_)), 5);
-  EXPECT_EQ(region->stats().failover_reads, 1u);
+  EXPECT_EQ(RegionCount("replication.failover_reads"), 1u);
   // The writer's links were never touched: the publish was clean.
-  EXPECT_EQ(region->stats().degraded_writes, 0u);
+  EXPECT_EQ(RegionCount("replication.degraded_writes"), 0u);
 }
 
 TEST_F(CxlPodTest, ReplicatedRegionBoundsChecked) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 128, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 128, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<Status> {
     std::array<std::byte, 64> buf{};
@@ -519,7 +530,7 @@ TEST_F(CxlPodTest, ReplicatedRegionBoundsChecked) {
 TEST_F(CxlPodTest, ReplicatedReadWithAllReplicasDownErrorsOut) {
   // The worst case must be an ERROR, never a hang: a control-plane caller
   // blocked forever on dead memory is itself a liveness bug.
-  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 4096, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<Status> {
     auto payload = Bytes({3, 3, 3, 3});
@@ -558,12 +569,12 @@ TEST_F(CxlPodTest, PoisonedLineReturnsDataLossOnFreshLoad) {
   auto [poisoned, healed] = RunBlocking(loop_, t(pod_, seg->base));
   EXPECT_EQ(poisoned.code(), StatusCode::kDataLoss);
   EXPECT_TRUE(healed.ok());
-  EXPECT_EQ(pod_.host(1).stats().poisoned_reads, 1u);
+  EXPECT_EQ(HostCount(1, "host.poisoned_reads"), 1u);
   EXPECT_EQ(pod_.PoisonedLineCount(), 0u);
 }
 
 TEST_F(CxlPodTest, ScrubberRepairsPoisonedReplicaByteIdentically) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 256, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 256, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<std::vector<std::byte>> {
     std::vector<std::byte> content(256);
@@ -588,16 +599,16 @@ TEST_F(CxlPodTest, ScrubberRepairsPoisonedReplicaByteIdentically) {
     EXPECT_EQ(seen[i], static_cast<std::byte>(i * 7 + 1)) << "byte " << i;
   }
   EXPECT_EQ(pod_.PoisonedLineCount(), 0u);
-  EXPECT_GE(region->stats().scrub_repairs, 2u);
-  EXPECT_EQ(region->stats().scrub_unrecoverable, 0u);
-  EXPECT_GE(region->stats().lines_scrubbed, 4u);  // 4 lines per sweep
+  EXPECT_GE(RegionCount("scrub.repairs"), 2u);
+  EXPECT_EQ(RegionCount("scrub.unrecoverable"), 0u);
+  EXPECT_GE(RegionCount("scrub.lines_scrubbed"), 4u);  // 4 lines per sweep
 }
 
 TEST_F(CxlPodTest, ScrubberRepairsDivergentReplica) {
   // Divergence without poison: one replica's media bytes get corrupted
   // in place (e.g. a torn partial write). The checksum fingers the bad
   // copy even though both replicas read back "successfully".
-  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<int> {
     auto content = Fill(64, 0x44);
@@ -613,7 +624,7 @@ TEST_F(CxlPodTest, ScrubberRepairsDivergentReplica) {
     co_return static_cast<int>(seen[0]);
   };
   EXPECT_EQ(RunBlocking(loop_, t(*region, pod_)), 0x44);
-  EXPECT_GE(region->stats().scrub_repairs, 1u);
+  EXPECT_GE(RegionCount("scrub.repairs"), 1u);
 }
 
 TEST_F(CxlPodTest, ScrubberFlagsBothReplicasDivergedAsConflict) {
@@ -622,7 +633,7 @@ TEST_F(CxlPodTest, ScrubberFlagsBothReplicasDivergedAsConflict) {
   // matches the checksum, so there is no authority — the scrubber must
   // converge on the DETERMINISTIC winner (lowest healthy index), count a
   // conflict, and NEVER byte-merge or resolve silently.
-  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<std::pair<int, int>> {
     auto content = Fill(64, 0x44);
@@ -648,20 +659,20 @@ TEST_F(CxlPodTest, ScrubberFlagsBothReplicasDivergedAsConflict) {
   // never a byte-merge, never replica 1's content.
   EXPECT_EQ(rep0, 0xA1);
   EXPECT_EQ(rep1, 0xA1);
-  EXPECT_GE(region->stats().scrub_conflicts, 1u);
-  EXPECT_EQ(region->stats().scrub_unrecoverable, 0u);
+  EXPECT_GE(RegionCount("scrub.conflicts"), 1u);
+  EXPECT_EQ(RegionCount("scrub.unrecoverable"), 0u);
 
   // The adopted winner settles: the next sweep sees a consistent line and
   // raises no further conflicts.
-  uint64_t conflicts_after_first = region->stats().scrub_conflicts;
+  uint64_t conflicts_after_first = RegionCount("scrub.conflicts");
   RunBlocking(loop_, [](ReplicatedRegion& r, CxlPod& pod) -> Task<> {
     CXLPOOL_CHECK_OK(co_await r.ScrubOnce(pod.host(1)));
   }(*region, pod_));
-  EXPECT_EQ(region->stats().scrub_conflicts, conflicts_after_first);
+  EXPECT_EQ(RegionCount("scrub.conflicts"), conflicts_after_first);
 }
 
 TEST_F(CxlPodTest, ScrubberDoesNotCountTransientOutageAsUnrecoverable) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   auto t = [](ReplicatedRegion& r, CxlPod& pod) -> Task<> {
     auto content = Fill(64, 0x21);
@@ -677,11 +688,11 @@ TEST_F(CxlPodTest, ScrubberDoesNotCountTransientOutageAsUnrecoverable) {
     co_return;
   };
   RunBlocking(loop_, t(*region, pod_));
-  EXPECT_EQ(region->stats().scrub_unrecoverable, 0u);
+  EXPECT_EQ(RegionCount("scrub.unrecoverable"), 0u);
 }
 
 TEST_F(CxlPodTest, ScrubLoopRunsUntilStopped) {
-  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2);
+  auto region = ReplicatedRegion::Create(pod_.pool(), 64, 2, RegionScope());
   ASSERT_TRUE(region.ok());
   RunBlocking(loop_, [](ReplicatedRegion& r, CxlPod& pod) -> Task<> {
     auto content = Fill(64, 1);
@@ -692,12 +703,12 @@ TEST_F(CxlPodTest, ScrubLoopRunsUntilStopped) {
   pod_.PoisonLine(region->segment(0).base);
   loop_.RunFor(100 * kMicrosecond);
   EXPECT_EQ(pod_.PoisonedLineCount(), 0u);  // loop swept and repaired
-  uint64_t swept = region->stats().lines_scrubbed;
+  uint64_t swept = RegionCount("scrub.lines_scrubbed");
   EXPECT_GE(swept, 5u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
   // Stopped: no further sweeps.
-  EXPECT_LE(region->stats().lines_scrubbed, swept + 1);
+  EXPECT_LE(RegionCount("scrub.lines_scrubbed"), swept + 1);
 }
 
 

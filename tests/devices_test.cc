@@ -5,6 +5,7 @@
 #include "src/core/rack.h"
 #include "src/netsim/network.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::devices {
 namespace {
@@ -124,7 +125,8 @@ TEST(NicDeviceTest, DropsWhenNoRxBuffersPosted) {
   f.payload.assign(64, std::byte{1});
   rack.network().Transmit(f);
   loop.RunFor(100 * kMicrosecond);
-  EXPECT_EQ(rack.nic(1)->nic_stats().rx_dropped_no_buffer, 1u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "nic.rx_dropped_no_buffer",
+                         DeviceLabels(rack.nic(1)->id().value())), 1u);
   rack.Shutdown();
   loop.RunFor(200 * kMicrosecond);
 }
@@ -139,7 +141,8 @@ TEST(NicDeviceTest, LinkDownDropsTraffic) {
   f.payload.assign(64, std::byte{1});
   rack.network().Transmit(f);
   loop.RunFor(100 * kMicrosecond);
-  EXPECT_EQ(rack.nic(1)->nic_stats().dropped_link_down, 1u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "nic.dropped_link_down",
+                         DeviceLabels(rack.nic(1)->id().value())), 1u);
   EXPECT_FALSE(rack.nic(1)->link_up());
   rack.nic(1)->RepairLink();
   EXPECT_TRUE(rack.nic(1)->link_up());
@@ -158,12 +161,12 @@ TEST(NicDeviceTest, WireDownAndWedgeEpisodesCountedSeparately) {
   devices::Nic* nic = rack.nic(0);
 
   // Episode counters live in the metrics registry, labeled by device id.
-  obs::Labels nic_labels = {{"device", std::to_string(nic->id().value())}};
+  obs::Labels nic_labels = DeviceLabels(nic->id().value());
   auto link_down = [&] {
-    return nic->metrics().FindCounter("nic.link_down_episodes", nic_labels)->value();
+    return CounterValue(rack.pod().metrics(), "nic.link_down_episodes", nic_labels);
   };
   auto wedges = [&] {
-    return nic->metrics().FindCounter("nic.wedge_episodes", nic_labels)->value();
+    return CounterValue(rack.pod().metrics(), "nic.wedge_episodes", nic_labels);
   };
 
   nic->InjectLinkFailure();
@@ -187,7 +190,7 @@ TEST(NicDeviceTest, WireDownAndWedgeEpisodesCountedSeparately) {
   nic->Wedge();
   nic->Reset();
   EXPECT_EQ(wedges(), 2u);
-  EXPECT_EQ(nic->gray_stats().resets, 3u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "pcie.resets", DeviceLabels(nic->id().value())), 3u);
   rack.Shutdown();
   loop.RunFor(200 * kMicrosecond);
 }

@@ -12,6 +12,7 @@
 #include "src/msg/channel.h"
 #include "src/msg/rpc.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::core {
 namespace {
@@ -100,13 +101,16 @@ TEST_F(GrayFailureTest, TimedOutDoorbellIsAppliedExactlyOnce) {
   loop_.RunFor(100 * kMicrosecond);  // let straggler duplicates drain
 
   EXPECT_TRUE(st.ok()) << st.message();
-  EXPECT_GE(path.retry_stats().retries, 1u) << "deadline never fired; the "
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "retry.retries",
+                         {{"host", "2"}, {"device", "90"}}), 1u) << "deadline never fired; the "
       "test lost its premise that attempt 1 times out mid-flight";
   // THE acceptance check: the doorbell landed exactly once.
   EXPECT_EQ(dev.write_counts[0x20], 1);
   EXPECT_EQ(dev.regs[0x20], 0xd00du);
-  EXPECT_EQ(agent->stats().forwarded_writes, 1u);
-  EXPECT_GE(agent->stats().dedup_hits, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "agent.forwarded_writes",
+                         HostLabels(agent->host_id().value())), 1u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "agent.dedup_hits",
+                         HostLabels(agent->host_id().value())), 1u);
   Drain();
 }
 
@@ -149,7 +153,8 @@ TEST_F(GrayFailureTest, DedupWindowDoesNotSwallowSubsequentOps) {
   EXPECT_EQ(dev.write_counts[2], 1);
   EXPECT_EQ(dev.write_counts[3], 1);
   EXPECT_EQ(dev.regs[2], 22u);
-  EXPECT_EQ(agent->stats().forwarded_writes, 3u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "agent.forwarded_writes",
+                         HostLabels(agent->host_id().value())), 3u);
   Drain();
 }
 
@@ -171,11 +176,13 @@ TEST_F(GrayFailureTest, AgentWatchdogDetectsWedgeAndIssuesFlr) {
 
   Agent* agent = rack_->orchestrator().agent(HostId(0));
   EXPECT_FALSE(dev.wedged()) << "watchdog never reset the wedged device";
-  EXPECT_GE(agent->stats().watchdog_misses, 2u);
-  EXPECT_GE(agent->stats().flr_resets, 1u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "agent.watchdog_misses",
+                         HostLabels(agent->host_id().value())), 2u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "agent.flr_resets",
+                         HostLabels(agent->host_id().value())), 1u);
   EXPECT_GE(agent->device_fault_episodes(PcieDeviceId(92)), 1u);
   EXPECT_GE(dev.resets, 1);
-  EXPECT_EQ(dev.gray_stats().wedges, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "pcie.wedges", DeviceLabels(92)), 1u);
   // The episode reaches the orchestrator's flap accounting via reports.
   const auto* rec = rack_->orchestrator().record(PcieDeviceId(92));
   ASSERT_NE(rec, nullptr);
@@ -208,8 +215,7 @@ TEST_F(GrayFailureTest, FlappingDeviceIsQuarantinedThenReoffered) {
 
   // Quarantine activity now lives in the metrics registry.
   auto quarantine_count = [&](const std::string& name) {
-    const obs::Counter* c = orch.metrics().FindCounter(name);
-    return c != nullptr ? c->value() : 0;
+    return CounterValue(rack_->pod().metrics(), name);
   };
 
   // Flap device A past the threshold: quarantined, never offered.
@@ -264,10 +270,7 @@ TEST_F(GrayFailureTest, QuarantineRespectsThresholdConfig) {
 
   rack_->orchestrator().NoteFlaps(PcieDeviceId(95), 100);
   EXPECT_FALSE(rack_->orchestrator().InQuarantine(PcieDeviceId(95)));
-  const obs::Counter* q =
-      rack_->orchestrator().metrics().FindCounter("orch.quarantines");
-  ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->value(), 0u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "orch.quarantines"), 0u);
   Drain();
 }
 

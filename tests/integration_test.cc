@@ -11,6 +11,7 @@
 #include "src/sim/task.h"
 #include "src/stack/loadgen.h"
 #include "src/stack/udp.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool {
 namespace {
@@ -160,7 +161,7 @@ TEST_F(IntegrationTest, NiclessHostRunsUdpThroughPooledNic) {
   EXPECT_EQ(got, "borrowed NIC");
   // Doorbells really crossed the forwarding channel.
   HostId home = rack.orchestrator().record(assignment->device)->home;
-  EXPECT_GT(rack.orchestrator().agent(home)->stats().forwarded_writes, 5u);
+  EXPECT_GT(CounterValue(rack.pod().metrics(), "agent.forwarded_writes", HostLabels(home.value())), 5u);
   Drain(rack);
 }
 
@@ -209,7 +210,7 @@ TEST_F(IntegrationTest, FailoverRestoresTrafficWithinAMillisecond) {
   loop_.RunUntil(fail_at + 2 * kMillisecond);
   EXPECT_GT(before, 3);
   EXPECT_GT(after, 10);  // traffic resumed well within the window
-  EXPECT_EQ(rack.orchestrator().stats().failovers, 1u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "orch.failovers"), 1u);
   Drain(rack);
 }
 

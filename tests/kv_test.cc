@@ -20,6 +20,7 @@
 #include "src/sim/task.h"
 #include "src/stack/buffer_pool.h"
 #include "src/stack/udp.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::kv {
 namespace {
@@ -233,7 +234,7 @@ TEST_F(KvStoreTest, SetGetDeleteRoundTrip) {
                   StatusCode::kNotFound);
   };
   RunBlocking(loop_, t());
-  EXPECT_EQ(store.resident_entries(), 1u);  // beta
+  EXPECT_EQ(GaugeValue(pod_.metrics(), "kv.resident_entries", HostLabels(0)), 1);  // beta
 }
 
 TEST_F(KvStoreTest, ExhaustionWithoutColdTierIsTypedOverload) {
@@ -257,7 +258,7 @@ TEST_F(KvStoreTest, ExhaustionWithoutColdTierIsTypedOverload) {
   };
   int stored = RunBlocking(loop_, t());
   EXPECT_EQ(stored, 4);
-  EXPECT_EQ(store.resident_entries(), 4u);
+  EXPECT_EQ(GaugeValue(pod_.metrics(), "kv.resident_entries", HostLabels(0)), 4);
 }
 
 TEST_F(KvStoreTest, PoisonedValueIsDroppedScrubbedAndKeyReusable) {
@@ -298,7 +299,7 @@ TEST_F(KvStoreTest, ScrubOnceSweepsPoisonedEntries) {
   };
   uint64_t dropped = RunBlocking(loop_, t());
   EXPECT_EQ(dropped, 1u);
-  EXPECT_EQ(store.resident_entries(), 3u);
+  EXPECT_EQ(GaugeValue(pod_.metrics(), "kv.resident_entries", HostLabels(0)), 3);
   EXPECT_EQ(pod_.PoisonedLineCount(), 0u);
 }
 
@@ -339,8 +340,11 @@ TEST(KvStoreSsdTest, ColdTailSpillsAndHydratesBack) {
       CXLPOOL_CHECK_OK(co_await store.Set("key" + std::to_string(i),
                                           Bytes(v), loop.now() + kSecond));
     }
-    CXLPOOL_CHECK(store.spilled_entries() > 0);
-    CXLPOOL_CHECK(store.resident_entries() + store.spilled_entries() == 16);
+    const obs::Registry& metrics = rack.pod().metrics();
+    CXLPOOL_CHECK(GaugeValue(metrics, "kv.spilled_entries", HostLabels(0)) > 0);
+    CXLPOOL_CHECK(GaugeValue(metrics, "kv.resident_entries", HostLabels(0)) +
+                      GaugeValue(metrics, "kv.spilled_entries", HostLabels(0)) ==
+                  16);
 
     // Every value — hot or cold — reads back intact; cold ones hydrate.
     bool saw_ssd_origin = false;
@@ -380,7 +384,8 @@ TEST(KvStoreSsdTest, HydrationShedsWhenDeadlineTooTight) {
                                           Bytes("cold-candidate"),
                                           loop.now() + kSecond));
     }
-    CXLPOOL_CHECK(store.spilled_entries() > 0);
+    CXLPOOL_CHECK(
+        GaugeValue(rack.pod().metrics(), "kv.spilled_entries", HostLabels(0)) > 0);
     // key0 is the coldest — certainly spilled. A deadline tighter than
     // ssd_min_headroom must shed before touching the device (PR 6).
     auto got = co_await store.Get("key0", loop.now() + 5 * kMicrosecond);

@@ -6,6 +6,7 @@
 #include "src/mem/address_map.h"
 #include "src/mem/backend.h"
 #include "src/mem/cache.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::mem {
 namespace {
@@ -231,8 +232,17 @@ TEST_F(AddressMapTest, PoisonUnmappedAddressFails) {
 
 // --- WriteBackCache ---
 
+// A cache counting into its own registry.
+struct CountedCache {
+  explicit CountedCache(size_t capacity) : cache(capacity, obs::Scope(metrics)) {}
+  uint64_t count(const char* name) const { return CounterValue(metrics, name); }
+  obs::Registry metrics;
+  WriteBackCache cache;
+};
+
 TEST(CacheTest, MissThenHit) {
-  WriteBackCache cache(16);
+  CountedCache counted(16);
+  WriteBackCache& cache = counted.cache;
   EXPECT_EQ(cache.Find(0), nullptr);
   auto data = LinePattern(0xaa);
   cache.Install(0, data.data(), false);
@@ -240,12 +250,13 @@ TEST(CacheTest, MissThenHit) {
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->data[0], std::byte{0xaa});
   EXPECT_FALSE(line->dirty);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(counted.count("cache.hits"), 1u);
+  EXPECT_EQ(counted.count("cache.misses"), 1u);
 }
 
 TEST(CacheTest, DirtyBitSticky) {
-  WriteBackCache cache(16);
+  CountedCache counted(16);
+  WriteBackCache& cache = counted.cache;
   auto data = LinePattern(1);
   cache.Install(64, data.data(), true);
   // Re-installing clean does not clear dirty.
@@ -254,7 +265,8 @@ TEST(CacheTest, DirtyBitSticky) {
 }
 
 TEST(CacheTest, LruEviction) {
-  WriteBackCache cache(2);
+  CountedCache counted(2);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(1);
   EXPECT_FALSE(cache.Install(0, d.data(), false).has_value());
   EXPECT_FALSE(cache.Install(64, d.data(), false).has_value());
@@ -266,7 +278,8 @@ TEST(CacheTest, LruEviction) {
 }
 
 TEST(CacheTest, EvictedDirtyLineCarriesData) {
-  WriteBackCache cache(1);
+  CountedCache counted(1);
+  WriteBackCache& cache = counted.cache;
   auto d1 = LinePattern(0x11);
   cache.Install(0, d1.data(), true);
   auto d2 = LinePattern(0x22);
@@ -274,11 +287,12 @@ TEST(CacheTest, EvictedDirtyLineCarriesData) {
   ASSERT_TRUE(ev.has_value());
   EXPECT_TRUE(ev->dirty);
   EXPECT_EQ(ev->data[5], std::byte{0x11});
-  EXPECT_EQ(cache.stats().writebacks, 1u);
+  EXPECT_EQ(counted.count("cache.writebacks"), 1u);
 }
 
 TEST(CacheTest, RemoveReturnsContent) {
-  WriteBackCache cache(4);
+  CountedCache counted(4);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(0x33);
   cache.Install(192, d.data(), true);
   auto ev = cache.Remove(192);
@@ -290,7 +304,8 @@ TEST(CacheTest, RemoveReturnsContent) {
 }
 
 TEST(CacheTest, ZeroCapacityNeverCaches) {
-  WriteBackCache cache(0);
+  CountedCache counted(0);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(1);
   EXPECT_FALSE(cache.Install(0, d.data(), true).has_value());
   EXPECT_EQ(cache.Find(0), nullptr);
@@ -298,7 +313,8 @@ TEST(CacheTest, ZeroCapacityNeverCaches) {
 }
 
 TEST(CacheTest, DropAllForgetsEverything) {
-  WriteBackCache cache(8);
+  CountedCache counted(8);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(1);
   cache.Install(0, d.data(), true);
   cache.Install(64, d.data(), false);
@@ -308,7 +324,8 @@ TEST(CacheTest, DropAllForgetsEverything) {
 }
 
 TEST(CacheTest, PeekDoesNotBumpLru) {
-  WriteBackCache cache(2);
+  CountedCache counted(2);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(1);
   cache.Install(0, d.data(), false);
   cache.Install(64, d.data(), false);
@@ -322,15 +339,17 @@ TEST(CacheTest, PeekDoesNotBumpLru) {
 // line from eviction, Peek's lack of one does not, and Peek never touches
 // the hit/miss counters (it is the observer path — e.g. DMA snooping).
 TEST(CacheTest, FindBumpsLruPeekDoesNotAndPeekIsStatFree) {
-  WriteBackCache cache(2);
+  CountedCache counted(2);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(1);
   cache.Install(0, d.data(), false);
   cache.Install(64, d.data(), false);
-  WriteBackCache::Stats before = cache.stats();
+  const uint64_t hits = counted.count("cache.hits");
+  const uint64_t misses = counted.count("cache.misses");
   EXPECT_NE(cache.Peek(0), nullptr);
   EXPECT_EQ(cache.Peek(999 * kCachelineSize), nullptr);  // miss: no count
-  EXPECT_EQ(cache.stats().hits, before.hits);
-  EXPECT_EQ(cache.stats().misses, before.misses);
+  EXPECT_EQ(counted.count("cache.hits"), hits);
+  EXPECT_EQ(counted.count("cache.misses"), misses);
 
   cache.Find(0);  // bump: 64 becomes LRU
   auto ev1 = cache.Install(128, d.data(), false);
@@ -347,7 +366,8 @@ TEST(CacheTest, FindBumpsLruPeekDoesNotAndPeekIsStatFree) {
 // previous line, re-installing the resident line evicts nothing, and the
 // dirty victim's bytes ride out intact.
 TEST(CacheTest, CapacityOneEvictsEveryNewcomerButNotReinstalls) {
-  WriteBackCache cache(1);
+  CountedCache counted(1);
+  WriteBackCache& cache = counted.cache;
   auto d1 = LinePattern(0x11);
   auto d2 = LinePattern(0x22);
   EXPECT_FALSE(cache.Install(0, d1.data(), true).has_value());
@@ -365,13 +385,14 @@ TEST(CacheTest, CapacityOneEvictsEveryNewcomerButNotReinstalls) {
   ASSERT_TRUE(ev2.has_value());
   EXPECT_EQ(ev2->line_addr, 64u);
   EXPECT_FALSE(ev2->dirty);
-  EXPECT_EQ(cache.stats().writebacks, 1u);  // only the dirty victim counted
+  EXPECT_EQ(counted.count("cache.writebacks"), 1u);  // only the dirty victim counted
 }
 
 // Install over an existing line replaces bytes in place: no victim, no
 // size change, dirty stays sticky, and the line is bumped to MRU.
 TEST(CacheTest, InstallOverExistingReplacesContentInPlace) {
-  WriteBackCache cache(2);
+  CountedCache counted(2);
+  WriteBackCache& cache = counted.cache;
   auto d1 = LinePattern(0x0d);
   auto d2 = LinePattern(0x0e);
   cache.Install(0, d1.data(), true);
@@ -391,26 +412,30 @@ TEST(CacheTest, InstallOverExistingReplacesContentInPlace) {
 }
 
 // DropAll is the power-off path: it must NOT count write-backs or
-// invalidations for the dirty lines it destroys (those stats feed the
+// invalidations for the dirty lines it destroys (those counters feed the
 // coherence accounting; a crash is not a write-back), and counters keep
 // accumulating normally afterwards.
 TEST(CacheTest, DropAllCountsNoWritebacksOrInvalidations) {
-  WriteBackCache cache(4);
+  CountedCache counted(4);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(5);
   cache.Install(0, d.data(), true);
   cache.Install(64, d.data(), true);
   cache.Find(0);
-  WriteBackCache::Stats before = cache.stats();
+  const uint64_t writebacks = counted.count("cache.writebacks");
+  const uint64_t invalidations = counted.count("cache.invalidations");
+  const uint64_t hits = counted.count("cache.hits");
+  const uint64_t misses = counted.count("cache.misses");
 
   cache.DropAll();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().writebacks, before.writebacks);
-  EXPECT_EQ(cache.stats().invalidations, before.invalidations);
-  EXPECT_EQ(cache.stats().hits, before.hits);
-  EXPECT_EQ(cache.stats().misses, before.misses);
+  EXPECT_EQ(counted.count("cache.writebacks"), writebacks);
+  EXPECT_EQ(counted.count("cache.invalidations"), invalidations);
+  EXPECT_EQ(counted.count("cache.hits"), hits);
+  EXPECT_EQ(counted.count("cache.misses"), misses);
 
   EXPECT_EQ(cache.Find(0), nullptr);  // gone, and the miss still counts
-  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+  EXPECT_EQ(counted.count("cache.misses"), misses + 1);
 }
 
 // Parameterized capacity sweep: occupancy never exceeds capacity and the
@@ -419,7 +444,8 @@ class CacheCapacityTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CacheCapacityTest, OccupancyBounded) {
   size_t cap = GetParam();
-  WriteBackCache cache(cap);
+  CountedCache counted(cap);
+  WriteBackCache& cache = counted.cache;
   auto d = LinePattern(0x7f);
   for (uint64_t i = 0; i < 1000; ++i) {
     uint64_t addr = (i * 37 % 256) * kCachelineSize;
@@ -428,7 +454,7 @@ TEST_P(CacheCapacityTest, OccupancyBounded) {
     }
     EXPECT_LE(cache.size(), cap);
   }
-  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 1000u);
+  EXPECT_EQ(counted.count("cache.hits") + counted.count("cache.misses"), 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CacheCapacityTest,

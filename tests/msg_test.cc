@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
@@ -17,8 +18,10 @@
 #include "src/msg/rpc.h"
 #include "src/msg/submit.h"
 #include "src/msg/wire.h"
+#include "src/obs/obs.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::msg {
 namespace {
@@ -61,6 +64,19 @@ class MsgTest : public ::testing::Test {
     rc.base = seg->base;
     rc.slots = slots;
     return rc;
+  }
+
+  // Host `host`'s counter in the pod's registry (the MsgTest channels run
+  // host 0 -> host 1: clients and senders on 0, servers and receivers on 1).
+  uint64_t Count(uint32_t host, const std::string& name) {
+    return CounterValue(pod_.metrics(), name, HostLabels(host));
+  }
+  // Standalone retry policies, told apart by name.
+  obs::Scope PolicyScope(const std::string& policy) {
+    return obs::Scope(pod_.metrics(), {{"policy", policy}});
+  }
+  uint64_t PolicyCount(const std::string& policy, const std::string& field) {
+    return CounterValue(pod_.metrics(), "retry." + field, {{"policy", policy}});
   }
 
   sim::EventLoop loop_;
@@ -428,8 +444,40 @@ TEST_F(MsgTest, ServeCountsAbortWhenChannelDies) {
   // exit loudly (counted), not spin or vanish silently.
   pod_.FailMhd(MhdId(0));
   loop_.RunFor(300 * kMicrosecond);
-  EXPECT_GE(server.stats().serve_aborts, 1u);
-  EXPECT_EQ(server.stats().restarts, 0u);  // plain Serve never restarts
+  EXPECT_GE(Count(1, "rpc_server.serve_aborts"), 1u);
+  EXPECT_EQ(Count(1, "rpc_server.restarts"), 0u);  // plain Serve never restarts
+  stop.Stop();
+  loop_.RunFor(100 * kMicrosecond);
+}
+
+TEST_F(MsgTest, ServeLoopKilledByHostCrashCountsAndLeavesFlightNote) {
+  auto ch = Channel::Create(pod_.pool(), pod_.host(0), pod_.host(1));
+  ASSERT_TRUE(ch.ok());
+  Channel& c = **ch;
+  sim::StopToken stop;
+  obs::Observability obs;
+  RpcServer server(c.end_b(),
+                   [](uint16_t, std::span<const std::byte> req)
+                       -> Task<Result<std::vector<std::byte>>> {
+                     co_return std::vector<std::byte>(req.begin(), req.end());
+                   });
+  server.BindObservability(&obs);
+  Spawn(server.Serve(stop));
+  loop_.RunFor(10 * kMicrosecond);
+  EXPECT_EQ(obs.flight().recorded(), 0u);
+
+  // The serving host crashes: the loop's next memory op fails and it exits,
+  // counted and noted in the host's flight ring rather than logged.
+  pod_.FailHost(HostId(1));
+  loop_.RunFor(300 * kMicrosecond);
+  EXPECT_EQ(Count(1, "rpc_server.serve_aborts"), 1u);
+  std::vector<obs::FlightRecorder::Event> notes = obs.flight().Snapshot();
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_EQ(notes[0].host, 1u);
+  EXPECT_STREQ(notes[0].category, "rpc");
+  EXPECT_NE(std::string(notes[0].msg).find("serve loop aborted on channel death"),
+            std::string::npos)
+      << notes[0].msg;
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -455,14 +503,14 @@ TEST_F(MsgTest, ServeSupervisedComesBackAfterRepair) {
 
   pod_.FailMhd(MhdId(0));
   loop_.RunFor(500 * kMicrosecond);
-  EXPECT_GE(server.stats().serve_aborts, 1u);
+  EXPECT_GE(Count(1, "rpc_server.serve_aborts"), 1u);
 
   // After repair the supervisor re-enters Serve within its max backoff
   // (200 µs) and calls succeed again.
   pod_.RepairMhd(MhdId(0));
   loop_.RunFor(500 * kMicrosecond);
   EXPECT_TRUE(RunBlocking(loop_, call(client, loop_)));
-  EXPECT_GE(server.stats().restarts, 1u);
+  EXPECT_GE(Count(1, "rpc_server.restarts"), 1u);
   EXPECT_EQ(server.calls_served(), 2u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
@@ -490,16 +538,16 @@ TEST_F(MsgTest, RetryPolicySucceedsOnceServerAppears) {
   RetryPolicy::Options ro;
   ro.max_attempts = 5;
   ro.initial_backoff = 50 * kMicrosecond;
-  RetryPolicy policy(ro);
+  RetryPolicy policy(PolicyScope("policy"), ro);
   RpcClient client(c.end_a());
   auto t = [](RetryPolicy& p, RpcClient& cl, sim::EventLoop& loop) -> Task<bool> {
     auto r = co_await p.Call(cl, 1, Msg("x"), 100 * kMicrosecond, loop);
     co_return r.ok();
   };
   EXPECT_TRUE(RunBlocking(loop_, t(policy, client, loop_)));
-  EXPECT_EQ(policy.stats().calls, 1u);
-  EXPECT_GE(policy.stats().retries, 1u);
-  EXPECT_EQ(policy.stats().exhausted, 0u);
+  EXPECT_EQ(PolicyCount("policy", "calls"), 1u);
+  EXPECT_GE(PolicyCount("policy", "retries"), 1u);
+  EXPECT_EQ(PolicyCount("policy", "exhausted"), 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -516,7 +564,7 @@ TEST_F(MsgTest, RetryPolicyDoesNotRetryApplicationErrors) {
                    });
   Spawn(server.Serve(stop));
 
-  RetryPolicy policy;
+  RetryPolicy policy(PolicyScope("policy"));
   RpcClient client(c.end_a());
   auto t = [](RetryPolicy& p, RpcClient& cl, sim::EventLoop& loop,
               sim::StopToken& st) -> Task<StatusCode> {
@@ -526,8 +574,8 @@ TEST_F(MsgTest, RetryPolicyDoesNotRetryApplicationErrors) {
   };
   EXPECT_EQ(RunBlocking(loop_, t(policy, client, loop_, stop)),
             StatusCode::kNotFound);
-  EXPECT_EQ(policy.stats().retries, 0u);  // terminal error: one attempt
-  EXPECT_EQ(policy.stats().exhausted, 0u);
+  EXPECT_EQ(PolicyCount("policy", "retries"), 0u);  // terminal error: one attempt
+  EXPECT_EQ(PolicyCount("policy", "exhausted"), 0u);
 }
 
 TEST_F(MsgTest, RetryPolicyExhaustsOnDeadPath) {
@@ -538,15 +586,15 @@ TEST_F(MsgTest, RetryPolicyExhaustsOnDeadPath) {
   RetryPolicy::Options ro;
   ro.max_attempts = 3;
   ro.initial_backoff = 20 * kMicrosecond;
-  RetryPolicy policy(ro);
+  RetryPolicy policy(PolicyScope("policy"), ro);
   RpcClient client(c.end_a());
   auto t = [](RetryPolicy& p, RpcClient& cl, sim::EventLoop& loop) -> Task<bool> {
     auto r = co_await p.Call(cl, 1, Msg("x"), 50 * kMicrosecond, loop);
     co_return r.ok();
   };
   EXPECT_FALSE(RunBlocking(loop_, t(policy, client, loop_)));
-  EXPECT_EQ(policy.stats().retries, 2u);  // attempts 2 and 3
-  EXPECT_EQ(policy.stats().exhausted, 1u);
+  EXPECT_EQ(PolicyCount("policy", "retries"), 2u);  // attempts 2 and 3
+  EXPECT_EQ(PolicyCount("policy", "exhausted"), 1u);
 }
 
 TEST_F(MsgTest, RetryPolicyTimeoutEscalationOutwaitsSlowServer) {
@@ -577,17 +625,17 @@ TEST_F(MsgTest, RetryPolicyTimeoutEscalationOutwaitsSlowServer) {
   RetryPolicy::Options flat;
   flat.max_attempts = 3;
   flat.initial_backoff = 5 * kMicrosecond;
-  RetryPolicy flat_policy(flat);
+  RetryPolicy flat_policy(PolicyScope("flat_policy"), flat);
   EXPECT_FALSE(RunBlocking(loop_, call(flat_policy, client, loop_)));
-  EXPECT_EQ(flat_policy.stats().exhausted, 1u);
+  EXPECT_EQ(PolicyCount("flat_policy", "exhausted"), 1u);
 
   // Escalating deadlines: 2us, 8us, 32us — attempt 3 outwaits the server.
   RetryPolicy::Options esc = flat;
   esc.timeout_multiplier = 4.0;
-  RetryPolicy esc_policy(esc);
+  RetryPolicy esc_policy(PolicyScope("esc_policy"), esc);
   EXPECT_TRUE(RunBlocking(loop_, call(esc_policy, client, loop_)));
-  EXPECT_GE(esc_policy.stats().retries, 1u);
-  EXPECT_EQ(esc_policy.stats().exhausted, 0u);
+  EXPECT_GE(PolicyCount("esc_policy", "retries"), 1u);
+  EXPECT_EQ(PolicyCount("esc_policy", "exhausted"), 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -595,8 +643,9 @@ TEST_F(MsgTest, RetryPolicyTimeoutEscalationOutwaitsSlowServer) {
 TEST(RetryPolicyTest, BackoffIsDeterministicSeededAndBounded) {
   RetryPolicy::Options o;
   o.seed = 42;
-  RetryPolicy a(o);
-  RetryPolicy b(o);
+  obs::Registry registry;
+  RetryPolicy a(obs::Scope(registry, {{"policy", "a"}}), o);
+  RetryPolicy b(obs::Scope(registry, {{"policy", "b"}}), o);
   for (int retry = 1; retry <= 6; ++retry) {
     Nanos d = a.BackoffFor(retry);
     EXPECT_EQ(d, b.BackoffFor(retry));  // same seed, same jitter draws
@@ -643,7 +692,7 @@ TEST_F(MsgTest, ServerDropsBadVersionRequest) {
   };
   RunBlocking(loop_, send_old(c.end_a(), loop_));
   loop_.RunFor(50 * kMicrosecond);
-  EXPECT_EQ(server.stats().bad_version, 1u);
+  EXPECT_EQ(Count(1, "rpc_server.bad_version"), 1u);
   EXPECT_EQ(handler_calls, 0);
   EXPECT_EQ(server.calls_served(), 0u);
 
@@ -721,7 +770,7 @@ TEST_F(MsgTest, ExpiredRequestRefusedBeforeHandler) {
   EXPECT_EQ(RunBlocking(loop_, call(client, loop_)),
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(handler_calls, 0);
-  EXPECT_EQ(server.stats().expired, 1u);
+  EXPECT_EQ(Count(1, "rpc_server.expired"), 1u);
   EXPECT_EQ(server.calls_served(), 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
@@ -816,8 +865,8 @@ TEST_F(MsgTest, BoundedClientQueueRejectNew) {
   EXPECT_EQ(codes[1], StatusCode::kOk);
   EXPECT_EQ(codes[2], StatusCode::kOverloaded);
   EXPECT_EQ(codes[3], StatusCode::kOk);
-  EXPECT_EQ(client.stats().rejected, 1u);
-  EXPECT_EQ(client.stats().dropped_oldest, 0u);
+  EXPECT_EQ(Count(0, "rpc_client.rejected"), 1u);
+  EXPECT_EQ(Count(0, "rpc_client.dropped_oldest"), 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -857,8 +906,8 @@ TEST_F(MsgTest, BoundedClientQueueDropOldest) {
   EXPECT_EQ(codes[0], StatusCode::kOk);
   EXPECT_EQ(codes[1], StatusCode::kOverloaded);  // freshest-first under load
   EXPECT_EQ(codes[2], StatusCode::kOk);
-  EXPECT_EQ(client.stats().dropped_oldest, 1u);
-  EXPECT_EQ(client.stats().rejected, 0u);
+  EXPECT_EQ(Count(0, "rpc_client.dropped_oldest"), 1u);
+  EXPECT_EQ(Count(0, "rpc_client.rejected"), 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -892,7 +941,8 @@ TEST(AdmissionControllerTest, CoDelShedsOnlyAfterSustainedDelay) {
   AdmissionController::Options o;
   o.target = 5 * kMicrosecond;
   o.interval = 100 * kMicrosecond;
-  AdmissionController ac(o);
+  obs::Registry registry;
+  AdmissionController ac(obs::Scope(registry), o);
   Nanos t = 1 * kMillisecond;
   Nanos high = 20 * kMicrosecond;
 
@@ -900,53 +950,55 @@ TEST(AdmissionControllerTest, CoDelShedsOnlyAfterSustainedDelay) {
   EXPECT_FALSE(ac.ShouldShed(high, kPriorityData, t));  // arms the interval
   EXPECT_FALSE(ac.ShouldShed(high, kPriorityData, t + 50 * kMicrosecond));
   EXPECT_TRUE(ac.ShouldShed(high, kPriorityData, t + 110 * kMicrosecond));
-  EXPECT_EQ(ac.stats().shed, 1u);
+  EXPECT_EQ(CounterValue(registry, "admission.shed"), 1u);
 
   // In the dropping state the cadence is interval/sqrt(drop_count): the
   // next shed comes only after that gap, then the gaps shrink.
   Nanos t2 = t + 110 * kMicrosecond;
   EXPECT_FALSE(ac.ShouldShed(high, kPriorityData, t2 + 10 * kMicrosecond));
   EXPECT_TRUE(ac.ShouldShed(high, kPriorityData, t2 + 101 * kMicrosecond));
-  EXPECT_EQ(ac.stats().shed, 2u);
+  EXPECT_EQ(CounterValue(registry, "admission.shed"), 2u);
 
   // One sojourn below target resets everything.
   EXPECT_FALSE(
       ac.ShouldShed(1 * kMicrosecond, kPriorityData, t2 + 200 * kMicrosecond));
   EXPECT_FALSE(ac.ShouldShed(high, kPriorityData, t2 + 201 * kMicrosecond));
-  EXPECT_EQ(ac.stats().shed, 2u);
+  EXPECT_EQ(CounterValue(registry, "admission.shed"), 2u);
 }
 
 TEST(AdmissionControllerTest, ControlIsNeverShedAndNeverDrivesState) {
   AdmissionController::Options o;
   o.target = 5 * kMicrosecond;
   o.interval = 100 * kMicrosecond;
-  AdmissionController ac(o);
+  obs::Registry registry;
+  AdmissionController ac(obs::Scope(registry), o);
   // Hammer it with control-priority sojourns far above target, far past
   // the interval: no shed, and the CoDel state stays disarmed.
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(ac.ShouldShed(kMillisecond, kPriorityControl,
                                static_cast<Nanos>(i) * kMillisecond));
   }
-  EXPECT_EQ(ac.stats().shed, 0u);
+  EXPECT_EQ(CounterValue(registry, "admission.shed"), 0u);
   // The very next data sojourn above target only ARMS the interval — the
   // control storm left no armed state behind.
   EXPECT_FALSE(ac.ShouldShed(kMillisecond, kPriorityData, 60 * kMillisecond));
-  EXPECT_EQ(ac.stats().shed, 0u);
+  EXPECT_EQ(CounterValue(registry, "admission.shed"), 0u);
 }
 
 TEST(AdmissionControllerTest, InflightBound) {
   AdmissionController::Options o;
   o.max_inflight = 2;
-  AdmissionController ac(o);
+  obs::Registry registry;
+  AdmissionController ac(obs::Scope(registry), o);
   EXPECT_TRUE(ac.TryEnterServe());
   EXPECT_TRUE(ac.TryEnterServe());
   EXPECT_FALSE(ac.TryEnterServe());
-  EXPECT_EQ(ac.stats().inflight_rejects, 1u);
+  EXPECT_EQ(CounterValue(registry, "admission.inflight_rejects"), 1u);
   ac.ExitServe();
   EXPECT_TRUE(ac.TryEnterServe());
   EXPECT_EQ(ac.inflight(), 2u);
 
-  AdmissionController unlimited{AdmissionController::Options{}};
+  AdmissionController unlimited{obs::Scope(registry, {{"controller", "unlimited"}})};
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(unlimited.TryEnterServe());
   }
@@ -959,7 +1011,8 @@ TEST(CircuitBreakerTest, TripOpenHalfOpenClose) {
   o.failure_threshold = 3;
   o.open_duration = 100 * kMicrosecond;
   o.half_open_successes = 2;
-  CircuitBreaker cb(o);
+  obs::Registry registry;
+  CircuitBreaker cb(obs::Scope(registry), o);
   int opens_seen = 0;
   cb.OnOpen([&opens_seen] { ++opens_seen; });
 
@@ -972,18 +1025,18 @@ TEST(CircuitBreakerTest, TripOpenHalfOpenClose) {
   EXPECT_EQ(cb.state(t), CircuitBreaker::State::kOpen);
   EXPECT_EQ(opens_seen, 1);
   EXPECT_FALSE(cb.Allow(t + 50 * kMicrosecond));
-  EXPECT_EQ(cb.stats().fast_fails, 1u);
+  EXPECT_EQ(CounterValue(registry, "breaker.fast_fails"), 1u);
 
   // After open_duration the breaker half-opens and probes flow again.
   Nanos probe_t = t + 150 * kMicrosecond;
   EXPECT_TRUE(cb.Allow(probe_t));
   EXPECT_EQ(cb.state(probe_t), CircuitBreaker::State::kHalfOpen);
-  EXPECT_EQ(cb.stats().probes, 1u);
+  EXPECT_EQ(CounterValue(registry, "breaker.probes"), 1u);
   cb.RecordSuccess(probe_t);
   EXPECT_EQ(cb.state(probe_t), CircuitBreaker::State::kHalfOpen);
   cb.RecordSuccess(probe_t + kMicrosecond);  // second success: close
   EXPECT_EQ(cb.state(probe_t + kMicrosecond), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(cb.stats().opens, 1u);
+  EXPECT_EQ(CounterValue(registry, "breaker.opens"), 1u);
 
   // An intervening success in closed state resets the failure streak.
   cb.RecordFailure(probe_t + 2 * kMicrosecond);
@@ -999,7 +1052,8 @@ TEST(CircuitBreakerTest, HalfOpenFailureReopensImmediately) {
   CircuitBreaker::Options o;
   o.failure_threshold = 2;
   o.open_duration = 100 * kMicrosecond;
-  CircuitBreaker cb(o);
+  obs::Registry registry;
+  CircuitBreaker cb(obs::Scope(registry), o);
   Nanos t = 0;
   cb.RecordFailure(t);
   cb.RecordFailure(t);
@@ -1008,20 +1062,21 @@ TEST(CircuitBreakerTest, HalfOpenFailureReopensImmediately) {
   EXPECT_TRUE(cb.Allow(probe_t));  // half-open probe
   cb.RecordFailure(probe_t);       // probe failed: straight back to open
   EXPECT_EQ(cb.state(probe_t), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(cb.stats().opens, 2u);
+  EXPECT_EQ(CounterValue(registry, "breaker.opens"), 2u);
   EXPECT_FALSE(cb.Allow(probe_t + kMicrosecond));
 }
 
 TEST(CircuitBreakerTest, ZeroThresholdDisables) {
   CircuitBreaker::Options o;
   o.failure_threshold = 0;
-  CircuitBreaker cb(o);
+  obs::Registry registry;
+  CircuitBreaker cb(obs::Scope(registry), o);
   for (int i = 0; i < 100; ++i) {
     cb.RecordFailure(static_cast<Nanos>(i));
   }
   EXPECT_TRUE(cb.Allow(200));
   EXPECT_EQ(cb.state(200), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(cb.stats().opens, 0u);
+  EXPECT_EQ(CounterValue(registry, "breaker.opens"), 0u);
 }
 
 TEST(CircuitBreakerTest, OverloadedIsNotABreakerFailure) {
@@ -1048,7 +1103,7 @@ TEST_F(MsgTest, RetryBudgetCapsAmplification) {
   ro.max_backoff = 4 * kMicrosecond;
   ro.budget_ratio = 0.1;
   ro.budget_burst = 2.0;
-  RetryPolicy policy(ro);
+  RetryPolicy policy(PolicyScope("policy"), ro);
   RpcClient client(c.end_a());
 
   // Dead-but-draining peer: consumes frames, never replies — otherwise the
@@ -1069,17 +1124,17 @@ TEST_F(MsgTest, RetryBudgetCapsAmplification) {
     }
   };
   RunBlocking(loop_, drive(policy, client, loop_));
-  EXPECT_EQ(policy.stats().calls, static_cast<uint64_t>(kCalls));
-  EXPECT_GT(policy.stats().retries, 0u);
-  EXPECT_LE(static_cast<double>(policy.stats().retries),
+  EXPECT_EQ(PolicyCount("policy", "calls"), static_cast<uint64_t>(kCalls));
+  EXPECT_GT(PolicyCount("policy", "retries"), 0u);
+  EXPECT_LE(static_cast<double>(PolicyCount("policy", "retries")),
             ro.budget_ratio * kCalls + ro.budget_burst);
-  EXPECT_GT(policy.stats().budget_denied, 0u);
+  EXPECT_GT(PolicyCount("policy", "budget_denied"), 0u);
   // Unbudgeted control: every call burns its full attempt allowance.
   RetryPolicy::Options unlimited = ro;
   unlimited.budget_ratio = 0.0;
-  RetryPolicy free_policy(unlimited);
+  RetryPolicy free_policy(PolicyScope("free_policy"), unlimited);
   RunBlocking(loop_, drive(free_policy, client, loop_));
-  EXPECT_EQ(free_policy.stats().retries, static_cast<uint64_t>(kCalls * 3));
+  EXPECT_EQ(PolicyCount("free_policy", "retries"), static_cast<uint64_t>(kCalls * 3));
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -1111,22 +1166,22 @@ TEST_F(MsgTest, TimeoutEscalationCutShortByBudget) {
   ro.max_backoff = 2 * kMicrosecond;
   ro.budget_ratio = 0.01;
   ro.budget_burst = 1.0;  // one retry token: dies between attempts 2 and 3
-  RetryPolicy starved(ro);
+  RetryPolicy starved(PolicyScope("starved"), ro);
   auto call = [](RetryPolicy& p, RpcClient& cl, sim::EventLoop& loop) -> Task<bool> {
     auto r = co_await p.Call(cl, 1, Msg("x"), 2 * kMicrosecond, loop);
     co_return r.ok();
   };
   EXPECT_FALSE(RunBlocking(loop_, call(starved, client, loop_)));
-  EXPECT_EQ(starved.stats().retries, 1u);
-  EXPECT_EQ(starved.stats().budget_denied, 1u);
+  EXPECT_EQ(PolicyCount("starved", "retries"), 1u);
+  EXPECT_EQ(PolicyCount("starved", "budget_denied"), 1u);
 
   loop_.RunFor(100 * kMicrosecond);  // let the slow server drain
   RetryPolicy::Options full = ro;
   full.budget_burst = 10.0;
-  RetryPolicy healthy(full);
+  RetryPolicy healthy(PolicyScope("healthy"), full);
   EXPECT_TRUE(RunBlocking(loop_, call(healthy, client, loop_)));
-  EXPECT_EQ(healthy.stats().retries, 2u);
-  EXPECT_EQ(healthy.stats().budget_denied, 0u);
+  EXPECT_EQ(PolicyCount("healthy", "retries"), 2u);
+  EXPECT_EQ(PolicyCount("healthy", "budget_denied"), 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -1145,7 +1200,7 @@ TEST_F(MsgTest, RetryBudgetRefillIsDeterministic) {
   ro.budget_ratio = 0.25;
   ro.budget_burst = 3.0;
   ro.seed = 77;
-  RetryPolicy a(ro), b(ro);
+  RetryPolicy a(PolicyScope("a"), ro), b(PolicyScope("b"), ro);
   RpcClient ca((*ch1)->end_a()), cb((*ch2)->end_a());
 
   auto drive = [](RetryPolicy& p, RpcClient& cl, sim::EventLoop& loop) -> Task<> {
@@ -1157,10 +1212,10 @@ TEST_F(MsgTest, RetryBudgetRefillIsDeterministic) {
   // same per-call timing structure.
   RunBlocking(loop_, drive(a, ca, loop_));
   RunBlocking(loop_, drive(b, cb, loop_));
-  EXPECT_EQ(a.stats().calls, b.stats().calls);
-  EXPECT_EQ(a.stats().retries, b.stats().retries);
-  EXPECT_EQ(a.stats().budget_denied, b.stats().budget_denied);
-  EXPECT_EQ(a.stats().exhausted, b.stats().exhausted);
+  EXPECT_EQ(PolicyCount("a", "calls"), PolicyCount("b", "calls"));
+  EXPECT_EQ(PolicyCount("a", "retries"), PolicyCount("b", "retries"));
+  EXPECT_EQ(PolicyCount("a", "budget_denied"), PolicyCount("b", "budget_denied"));
+  EXPECT_EQ(PolicyCount("a", "exhausted"), PolicyCount("b", "exhausted"));
   EXPECT_DOUBLE_EQ(a.budget_tokens(), b.budget_tokens());
 }
 
@@ -1251,7 +1306,7 @@ TEST_F(MsgTest, CoalescerWatermarkBeatsDeadline) {
   RingLog log{&loop_, {}};
   DoorbellCoalescer co(
       loop_, [&log](uint64_t v) { return log.Ring(v); },
-      {.watermark = 3, .max_delay = 5 * kMicrosecond});
+      {.watermark = 3, .max_delay = 5 * kMicrosecond}, obs::Scope(pod_.metrics()));
   auto t = [](DoorbellCoalescer& c) -> Task<> {
     CXLPOOL_CHECK_OK(co_await c.Offer(1));
     CXLPOOL_CHECK_OK(co_await c.Offer(2));
@@ -1265,17 +1320,17 @@ TEST_F(MsgTest, CoalescerWatermarkBeatsDeadline) {
   // deadline flush counted.
   loop_.RunFor(20 * kMicrosecond);
   EXPECT_EQ(log.rung.size(), 1u);
-  EXPECT_EQ(co.stats().watermark_flushes, 1u);
-  EXPECT_EQ(co.stats().deadline_flushes, 0u);
-  EXPECT_EQ(co.stats().rings, 1u);
-  EXPECT_EQ(co.stats().coalesced, 2u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.watermark_flushes"), 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.deadline_flushes"), 0u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.rings"), 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.coalesced"), 2u);
 }
 
 TEST_F(MsgTest, CoalescerDeadlineBoundsTrickle) {
   RingLog log{&loop_, {}};
   DoorbellCoalescer co(
       loop_, [&log](uint64_t v) { return log.Ring(v); },
-      {.watermark = 100, .max_delay = 5 * kMicrosecond});
+      {.watermark = 100, .max_delay = 5 * kMicrosecond}, obs::Scope(pod_.metrics()));
   auto t = [](DoorbellCoalescer& c, sim::EventLoop& loop) -> Task<> {
     CXLPOOL_CHECK_OK(co_await c.Offer(1));  // arms the timer at t=0
     co_await sim::Delay(loop, kMicrosecond);
@@ -1289,16 +1344,16 @@ TEST_F(MsgTest, CoalescerDeadlineBoundsTrickle) {
   EXPECT_EQ(log.rung[0].first, 2u);  // max of the folded values
   // max_delay is the hard latency bound, anchored at the FIRST offer.
   EXPECT_EQ(log.rung[0].second, 5 * kMicrosecond);
-  EXPECT_EQ(co.stats().deadline_flushes, 1u);
-  EXPECT_EQ(co.stats().watermark_flushes, 0u);
-  EXPECT_EQ(co.stats().coalesced, 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.deadline_flushes"), 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.watermark_flushes"), 0u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.coalesced"), 1u);
   EXPECT_FALSE(co.dirty());
 }
 
 TEST_F(MsgTest, CoalescerRungValuesStayMonotone) {
   RingLog log{&loop_, {}};
   DoorbellCoalescer co(loop_, [&log](uint64_t v) { return log.Ring(v); },
-                       {.watermark = 1});
+                       {.watermark = 1}, obs::Scope(pod_.metrics()));
   auto t = [](DoorbellCoalescer& c) -> Task<> {
     CXLPOOL_CHECK_OK(co_await c.Offer(5));
     CXLPOOL_CHECK_OK(co_await c.Offer(3));  // behind the last rung value
@@ -1310,8 +1365,8 @@ TEST_F(MsgTest, CoalescerRungValuesStayMonotone) {
   ASSERT_EQ(log.rung.size(), 2u);
   EXPECT_EQ(log.rung[0].first, 5u);
   EXPECT_EQ(log.rung[1].first, 7u);
-  EXPECT_EQ(co.stats().skipped_stale, 1u);
-  EXPECT_EQ(co.stats().rings, 2u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.skipped_stale"), 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.rings"), 2u);
   EXPECT_EQ(co.last_rung(), 7u);
 }
 
@@ -1346,15 +1401,15 @@ TEST_F(MsgTest, SendBatchPreservesOrderAndCountsStats) {
               std::string("m") + static_cast<char>('0' + i));
   }
   EXPECT_EQ(got[6].size(), 200u);  // the multi-slot straggler, intact
-  EXPECT_EQ(tx.stats().batch_sends, 1u);
-  EXPECT_EQ(tx.stats().batched_messages, 7u);
+  EXPECT_EQ(Count(0, "ring.batch_sends"), 1u);
+  EXPECT_EQ(Count(0, "ring.batched_messages"), 7u);
   // Write-combining: far fewer nt-store issues than slots written.
-  EXPECT_GE(tx.stats().nt_store_runs, 1u);
-  EXPECT_LT(tx.stats().nt_store_runs, 10u);
-  EXPECT_LE(tx.stats().cursor_refreshes, 1u);
+  EXPECT_GE(Count(0, "ring.nt_store_runs"), 1u);
+  EXPECT_LT(Count(0, "ring.nt_store_runs"), 10u);
+  EXPECT_LE(Count(0, "ring.cursor_refreshes"), 1u);
   EXPECT_EQ(rx.messages_received(), 7u);
   // Burst drain: the receiver served some slots from its cached window.
-  EXPECT_GE(rx.stats().window_hits, 1u);
+  EXPECT_GE(Count(1, "ring.window_hits"), 1u);
 }
 
 // --- MPSC submission front ---
@@ -1411,13 +1466,16 @@ TEST_F(MsgTest, MpscSubmitterFairnessUnderSaturation) {
     early.insert(got[i].first);
   }
   EXPECT_GE(early.size(), 2u);
-  EXPECT_EQ(sub.stats().submitted, static_cast<uint64_t>(kProducers * kPer));
-  EXPECT_EQ(sub.stats().batched_frames,
-            static_cast<uint64_t>(kProducers * kPer));
-  EXPECT_GE(sub.stats().max_batch, 2u);   // real folding happened
-  EXPECT_LE(sub.stats().max_batch, 8u);   // and respected the watermark
-  EXPECT_GE(sub.stats().handoffs, 1u);    // no head-of-line combiner
-  EXPECT_GE(tx.stats().batch_sends, 1u);
+  EXPECT_EQ(Count(0, "submit.submitted"), static_cast<uint64_t>(kProducers * kPer));
+  const sim::Histogram* batches =
+      pod_.metrics().FindHistogram("submit.batch_frames", HostLabels(0));
+  ASSERT_NE(batches, nullptr);
+  EXPECT_EQ(std::llround(batches->mean() * static_cast<double>(batches->count())),
+            kProducers * kPer);           // every frame rode some batch
+  EXPECT_GE(batches->max(), 2);           // real folding happened
+  EXPECT_LE(batches->max(), 8);           // and respected the watermark
+  EXPECT_GE(Count(0, "submit.handoffs"), 1u);  // no head-of-line combiner
+  EXPECT_GE(Count(0, "ring.batch_sends"), 1u);
 }
 
 // --- Pipelined RPC client ---
@@ -1487,7 +1545,7 @@ TEST_F(MsgTest, PipelinedResponsesMatchOutOfOrder) {
   ASSERT_EQ(done_order.size(), 2u);
   EXPECT_EQ(done_order[0], "second");  // completed out of order...
   EXPECT_EQ(done_order[1], "first");   // ...and both landed correctly
-  EXPECT_EQ(client.stats().stale_responses, 0u);
+  EXPECT_EQ(Count(0, "rpc_client.stale_responses"), 0u);
   EXPECT_EQ(client.inflight(), 0u);
 }
 
@@ -1551,8 +1609,8 @@ TEST_F(MsgTest, PipelinedMidFlightOverloadExpiryAndStale) {
   loop_.RunFor(200 * kMicrosecond);
   EXPECT_EQ(code1, StatusCode::kDeadlineExceeded);  // expired mid-flight
   EXPECT_EQ(code2, StatusCode::kOverloaded);        // refused mid-flight
-  EXPECT_EQ(client.stats().expired_in_flight, 1u);
-  EXPECT_EQ(client.stats().stale_responses, 0u);  // late frame still queued
+  EXPECT_EQ(Count(0, "rpc_client.expired_in_flight"), 1u);
+  EXPECT_EQ(Count(0, "rpc_client.stale_responses"), 0u);  // late frame still queued
 
   // The next call's pump drains the late response first: counted stale,
   // never misdelivered, and the fresh call still completes.
@@ -1562,14 +1620,15 @@ TEST_F(MsgTest, PipelinedMidFlightOverloadExpiryAndStale) {
     co_return AsString(*r);
   };
   EXPECT_EQ(RunBlocking(loop_, call3(client, loop_)), "fresh");
-  EXPECT_EQ(client.stats().stale_responses, 1u);
+  EXPECT_EQ(Count(0, "rpc_client.stale_responses"), 1u);
   EXPECT_EQ(client.inflight(), 0u);
 }
 
 // --- Fault plane: directed partitions, asymmetric and lossy links ---
 
 TEST(FaultPlaneTest, DirectedCutAndPartitionBookkeeping) {
-  netsim::FaultPlane plane(1);
+  obs::Registry registry;
+  netsim::FaultPlane plane(1, obs::Scope(registry));
   EXPECT_FALSE(plane.active());
   EXPECT_EQ(plane.Judge(HostId(0), HostId(1)).verdict,
             netsim::FaultPlane::Verdict::kDeliver);
@@ -1594,8 +1653,8 @@ TEST(FaultPlaneTest, DirectedCutAndPartitionBookkeeping) {
   EXPECT_FALSE(plane.IsCut(HostId(0), HostId(1)));  // same side untouched
   plane.HealPartition(a, b);
   EXPECT_FALSE(plane.active());
-  EXPECT_GE(plane.stats().cuts, 5u);
-  EXPECT_GE(plane.stats().heals, 5u);
+  EXPECT_GE(CounterValue(registry, "fault_plane.cuts"), 5u);
+  EXPECT_GE(CounterValue(registry, "fault_plane.heals"), 5u);
 }
 
 TEST(FaultPlaneTest, LossyVerdictsAreSeedDeterministic) {
@@ -1607,7 +1666,8 @@ TEST(FaultPlaneTest, LossyVerdictsAreSeedDeterministic) {
   lossy.delay_max = 40 * kMicrosecond;
 
   auto run = [&lossy](uint64_t seed) {
-    netsim::FaultPlane plane(seed);
+    obs::Registry registry;
+    netsim::FaultPlane plane(seed, obs::Scope(registry));
     plane.SetLossy(HostId(0), HostId(1), lossy);
     std::vector<std::pair<int, Nanos>> fates;
     for (int i = 0; i < 500; ++i) {
@@ -1633,7 +1693,7 @@ TEST(FaultPlaneTest, LossyVerdictsAreSeedDeterministic) {
 }
 
 TEST_F(MsgTest, RingCutDropsFramesUntilHealed) {
-  netsim::FaultPlane plane(7);
+  netsim::FaultPlane plane(7, obs::Scope(pod_.metrics(), {{"plane", "test"}}));
   RingConfig rc = MakeRing();
   rc.fault_plane = &plane;
   rc.src_host = HostId(0);
@@ -1652,7 +1712,7 @@ TEST_F(MsgTest, RingCutDropsFramesUntilHealed) {
   // consume-then-judge path eats the frame.
   EXPECT_EQ(RunBlocking(loop_, send_recv(tx, rx, loop_)).code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(rx.stats().faults_dropped, 1u);
+  EXPECT_EQ(Count(1, "ring.faults_dropped"), 1u);
 
   plane.Heal(HostId(0), HostId(1));
   auto ok_path = [](RingSender& s, RingReceiver& r,
@@ -1666,7 +1726,7 @@ TEST_F(MsgTest, RingCutDropsFramesUntilHealed) {
 }
 
 TEST_F(MsgTest, RingDuplicateDeliversFrameTwice) {
-  netsim::FaultPlane plane(7);
+  netsim::FaultPlane plane(7, obs::Scope(pod_.metrics(), {{"plane", "test"}}));
   RingConfig rc = MakeRing();
   rc.fault_plane = &plane;
   rc.src_host = HostId(0);
@@ -1689,11 +1749,11 @@ TEST_F(MsgTest, RingDuplicateDeliversFrameTwice) {
   auto [a, b] = RunBlocking(loop_, t(tx, rx, loop_));
   EXPECT_EQ(a, "echo");
   EXPECT_EQ(b, "echo");
-  EXPECT_EQ(rx.stats().faults_duplicated, 1u);
+  EXPECT_EQ(Count(1, "ring.faults_duplicated"), 1u);
 }
 
 TEST_F(MsgTest, RingDelayHoldsFrameForConfiguredWindow) {
-  netsim::FaultPlane plane(7);
+  netsim::FaultPlane plane(7, obs::Scope(pod_.metrics(), {{"plane", "test"}}));
   RingConfig rc = MakeRing();
   rc.fault_plane = &plane;
   rc.src_host = HostId(0);
@@ -1717,7 +1777,7 @@ TEST_F(MsgTest, RingDelayHoldsFrameForConfiguredWindow) {
   };
   Nanos elapsed = RunBlocking(loop_, t(tx, rx, loop_));
   EXPECT_GE(elapsed, 30 * kMicrosecond);
-  EXPECT_EQ(rx.stats().faults_delayed, 1u);
+  EXPECT_EQ(Count(1, "ring.faults_delayed"), 1u);
 }
 
 // A storm of seeded garbage frames — random lengths, random bytes, and

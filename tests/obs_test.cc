@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -14,6 +15,7 @@
 #include "src/core/rack.h"
 #include "src/obs/obs.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::obs {
 namespace {
@@ -62,13 +64,59 @@ TEST(RegistryTest, FindDoesNotCreateAndRespectsKind) {
   EXPECT_EQ(reg.FindCounter("c")->value(), 1u);
 }
 
-TEST(RegistryTest, ProbesArePolledAtSnapshotTime) {
+TEST(ScopeTest, BaseLabelsMergeWithSeriesLabelsInAnyOrder) {
   Registry reg;
-  int64_t live = 7;
-  reg.RegisterProbe("live_value", {}, [&live] { return live; });
-  EXPECT_NE(reg.ToJson().find("\"value\":7"), std::string::npos);
-  live = 42;
-  EXPECT_NE(reg.ToJson().find("\"value\":42"), std::string::npos);
+  Scope scope(reg, {{"host", "1"}});
+  scope.GetCounter("ring.sends", {{"peer", "2"}})->Add(3);
+  // The same series, whichever side names which label, in either order.
+  const Counter* c =
+      reg.FindCounter("ring.sends", {{"peer", "2"}, {"host", "1"}});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value(), 3u);
+  EXPECT_EQ(Scope(reg, {{"peer", "2"}}).GetCounter("ring.sends", {{"host", "1"}}),
+            c);
+  EXPECT_EQ(scope.With({{"peer", "2"}}).GetCounter("ring.sends"), c);
+  EXPECT_EQ(reg.FindCounter("ring.sends", {{"host", "1"}}), nullptr)
+      << "a label subset names a different series";
+}
+
+TEST(ScopeTest, ScopesNamingTheSameKeyShareOneHandle) {
+  Registry reg;
+  Scope a(reg, {{"device", "7"}});
+  Scope b(reg, {{"device", "7"}});
+  Counter* ca = a.GetCounter("nic.tx_frames");
+  EXPECT_EQ(ca, b.GetCounter("nic.tx_frames"));
+  EXPECT_EQ(a.GetGauge("nic.depth"), b.GetGauge("nic.depth"));
+  EXPECT_EQ(a.GetHistogram("nic.lat_ns"), b.GetHistogram("nic.lat_ns"));
+  EXPECT_NE(ca, Scope(reg, {{"device", "8"}}).GetCounter("nic.tx_frames"));
+  EXPECT_EQ(reg.series_count(), 4u);
+}
+
+TEST(ScopeTest, ComponentRebuiltInPlaceContinuesItsCounter) {
+  // A component that caches its handles at construction, rebuilt under the
+  // same scope (a restarted server, a re-created stack): the new instance
+  // continues the series, so counters only grow.
+  struct Component {
+    explicit Component(const Scope& scope)
+        : served(scope.GetCounter("comp.served")) {}
+    Counter* served;
+  };
+  Registry reg;
+  Scope scope(reg, {{"host", "0"}});
+  auto first = std::make_unique<Component>(scope);
+  first->served->Add(5);
+  first.reset();
+  Component second(scope);
+  second.served->Inc();
+  EXPECT_EQ(reg.FindCounter("comp.served", {{"host", "0"}})->value(), 6u);
+}
+
+TEST(ScopeTest, AskingForAnExistingKeyAsAnotherKindAborts) {
+  Registry reg;
+  Scope scope(reg, {{"host", "0"}});
+  scope.GetCounter("comp.level");
+  EXPECT_DEATH(scope.GetGauge("comp.level"), "different kind");
+  EXPECT_DEATH(reg.GetHistogram("comp.level", {{"host", "0"}}), "different kind");
 }
 
 TEST(RegistryTest, JsonExportCarriesKindsAndHistogramPercentiles) {
@@ -186,14 +234,14 @@ TEST(TracerTest, UntracedParentYieldsInertSpan) {
   EXPECT_TRUE(tracer.spans().empty());
 
   // Null-tracer helpers are inert too.
-  Span none = MaybeStartTrace(nullptr, "op", 1, 10);  // lint-tasks: allow(leaked-span)
+  Span none = MaybeStartTrace(nullptr, "op", 1, 10);  // simlint: allow(leaked-span)
   EXPECT_FALSE(none.active());
 }
 
 TEST(TracerTest, DroppedSpansAreCountedNotExported) {
   Tracer tracer;
   {
-    Span leaked = tracer.StartTrace("op", 1, 10);  // lint-tasks: allow(leaked-span)
+    Span leaked = tracer.StartTrace("op", 1, 10);  // simlint: allow(leaked-span)
     // BUG (deliberate): never ended; destructor abandons it.
   }
   EXPECT_EQ(tracer.spans().size(), 0u);
@@ -305,7 +353,7 @@ TEST(ObservabilityTest, TracingOffMeansNullTracer) {
   Observability obs(opts);
   EXPECT_EQ(obs.tracer(), nullptr);
   // Hook sites degrade to inert spans.
-  Span s = MaybeStartTrace(obs.tracer(), "op", 0, 0);  // lint-tasks: allow(leaked-span)
+  Span s = MaybeStartTrace(obs.tracer(), "op", 0, 0);  // simlint: allow(leaked-span)
   EXPECT_FALSE(s.active());
 }
 
@@ -456,7 +504,10 @@ TEST(ObsEndToEndTest, CoherenceViolationTriggersFlightDumpWithOffendingOp) {
   EXPECT_NE(dump.find(line_hex), std::string::npos) << dump;
   EXPECT_NE(dump.find("stale-read"), std::string::npos);
 
-  // The violation counts are exported through the registry probes.
+  // The checker's final counts are copied into the registry on request.
+  checker.ExportCounts(obs.metrics());
+  EXPECT_EQ(CounterValue(obs.metrics(), "coherence.violations", {{"type", "stale-read"}}),
+            1u);
   std::string json = obs.metrics().ToJson();
   EXPECT_NE(json.find("\"name\":\"coherence.violations\""), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"stale-read\""), std::string::npos);

@@ -12,6 +12,7 @@
 #include "src/core/rack.h"
 #include "src/msg/backpressure.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::core {
 namespace {
@@ -100,24 +101,24 @@ TEST_F(OverloadTest, BreakerOpensFeedQuarantine) {
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(RunBlocking(loop_, WriteOnce(**path, 0x8, 2)).code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(breaker->stats().opens, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "breaker.opens", DeviceLabels(50)), 1u);
   EXPECT_FALSE(rack_->orchestrator().InQuarantine(PcieDeviceId(50)));
 
   // While open: fast-fail with kOverloaded, no wire traffic, no new flap.
   EXPECT_EQ(RunBlocking(loop_, WriteOnce(**path, 0x8, 3)).code(),
             StatusCode::kOverloaded);
-  EXPECT_GE(breaker->stats().fast_fails, 1u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "breaker.fast_fails", DeviceLabels(50)), 1u);
 
   // Past open_duration the breaker half-opens; the probe also times out,
   // re-tripping immediately: open #2, flap #2 -> quarantine.
   loop_.RunFor(250 * kMicrosecond);
   EXPECT_EQ(RunBlocking(loop_, WriteOnce(**path, 0x8, 4)).code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(breaker->stats().opens, 2u);
-  EXPECT_GE(breaker->stats().probes, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "breaker.opens", DeviceLabels(50)), 2u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "breaker.probes", DeviceLabels(50)), 1u);
   EXPECT_TRUE(rack_->orchestrator().InQuarantine(PcieDeviceId(50)));
   // The device itself was never the problem: no FLR, no watchdog noise.
-  EXPECT_EQ(agent->stats().flr_resets, 0u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "agent.flr_resets", HostLabels(0)), 0u);
 
   agent->InjectSlowDrain(0);
   Drain();
@@ -154,7 +155,7 @@ TEST_F(OverloadTest, HalfOpenProbeRacesQuarantineSweep) {
   agent->InjectSlowDrain(kMillisecond);
   (void)RunBlocking(loop_, WriteOnce(**path, 0x8, 1));
   (void)RunBlocking(loop_, WriteOnce(**path, 0x8, 2));
-  EXPECT_EQ(breaker->stats().opens, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "breaker.opens", DeviceLabels(51)), 1u);
   EXPECT_TRUE(rack_->orchestrator().InQuarantine(PcieDeviceId(51)));
 
   // The agent recovers while the device still serves probation. The two
@@ -180,7 +181,7 @@ TEST_F(OverloadTest, HalfOpenProbeRacesQuarantineSweep) {
   auto acq = rack_->orchestrator().Acquire(HostId(1), DeviceType::kAccel);
   EXPECT_TRUE(acq.ok());
   EXPECT_EQ(breaker->state(loop_.now()), msg::CircuitBreaker::State::kClosed);
-  EXPECT_EQ(breaker->stats().opens, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "breaker.opens", DeviceLabels(51)), 1u);
 
   Drain();
 }
@@ -204,7 +205,7 @@ TEST_F(OverloadTest, SlowDrainExpiresBeforeDeviceBar) {
   Status st = RunBlocking(
       loop_, WriteOnce(**path, 0x8, 0xbad, loop_.now() + 20 * kMicrosecond));
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(agent->stats().expired_at_device, 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "agent.expired_at_device", HostLabels(0)), 1u);
   EXPECT_EQ(dev.write_counts.count(0x8), 0u);
 
   // Same stall, roomier budget: the op survives the stall and lands once.
@@ -266,9 +267,9 @@ TEST_F(OverloadTest, InflightBoundShedsDataKeepsControl) {
   EXPECT_EQ(codes[0], StatusCode::kOk);          // the admitted op lands
   EXPECT_EQ(codes[1], StatusCode::kOverloaded);  // shed, not queued to death
   EXPECT_TRUE(probe.ok());                       // control got through
-  EXPECT_GE(agent->admission().stats().inflight_rejects, 1u);
-  EXPECT_GE(agent->rpc_shed(), 1u);
-  EXPECT_EQ(agent->stats().watchdog_misses, 0u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "admission.inflight_rejects", HostLabels(0)), 1u);
+  EXPECT_GE(CounterValue(rack_->pod().metrics(), "agent.rpc_shed", HostLabels(0)), 1u);
+  EXPECT_EQ(CounterValue(rack_->pod().metrics(), "agent.watchdog_misses", HostLabels(0)), 0u);
 
   agent->InjectSlowDrain(0);
   Drain();

@@ -13,6 +13,7 @@
 #include "src/core/rack.h"
 #include "src/netsim/fault_plane.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::core {
 namespace {
@@ -76,6 +77,12 @@ struct PartitionRig {
   }
 
   Orchestrator& orch() { return rack->orchestrator(); }
+  uint64_t OrchCount(const std::string& field) {
+    return CounterValue(rack->pod().metrics(), "orch." + field);
+  }
+  uint64_t AgentCount(uint32_t host, const std::string& field) {
+    return CounterValue(rack->pod().metrics(), "agent." + field, HostLabels(host));
+  }
   netsim::FaultPlane& plane() { return rack->pod().fault_plane(); }
 };
 
@@ -103,11 +110,10 @@ TEST(PartitionTest, QuorumKeepsPartitionedLeaseholderAlive) {
   }
   EXPECT_EQ(rig.accel->regs[0x10], v);
 
-  const Orchestrator::Stats& s = rig.orch().stats();
-  EXPECT_EQ(s.host_deaths, 0u);
-  EXPECT_GE(s.suspects, 1u);
-  EXPECT_EQ(s.condemned_by_quorum, 0u);
-  EXPECT_EQ(s.condemned_by_ttl, 0u);
+  EXPECT_EQ(rig.OrchCount("host_deaths"), 0u);
+  EXPECT_GE(rig.OrchCount("suspects"), 1u);
+  EXPECT_EQ(rig.OrchCount("condemned_by_quorum"), 0u);
+  EXPECT_EQ(rig.OrchCount("condemned_by_ttl"), 0u);
   EXPECT_TRUE(rig.orch().agent_alive(HostId(1)));
   EXPECT_GE(rig.orch().suspect_count(), 1u);
   // The lease was never revoked out from under the living holder.
@@ -119,9 +125,9 @@ TEST(PartitionTest, QuorumKeepsPartitionedLeaseholderAlive) {
   rig.plane().Heal(HostId(1), HostId(0));
   rig.plane().Heal(HostId(0), HostId(1));
   rig.loop.RunFor(500 * kMicrosecond);
-  EXPECT_GE(rig.orch().stats().suspect_recoveries, 1u);
+  EXPECT_GE(rig.OrchCount("suspect_recoveries"), 1u);
   EXPECT_EQ(rig.orch().suspect_count(), 0u);
-  EXPECT_EQ(rig.orch().stats().host_deaths, 0u);
+  EXPECT_EQ(rig.OrchCount("host_deaths"), 0u);
   CXLPOOL_CHECK_OK(RunBlocking(rig.loop, WriteReg(*rig.path, ++v)));
   EXPECT_EQ(rig.accel->regs[0x10], v);
 }
@@ -139,16 +145,15 @@ TEST(PartitionTest, ProbeOnlyLivenessOvertakesPartitionedHost) {
   rig.plane().Cut(HostId(0), HostId(1));
   rig.loop.RunFor(kMillisecond);
 
-  const Orchestrator::Stats& s = rig.orch().stats();
-  EXPECT_GE(s.host_deaths, 1u);  // overtaken early: h1 is alive and working
+  EXPECT_GE(rig.OrchCount("host_deaths"), 1u);  // overtaken early: h1 is alive and working
   EXPECT_FALSE(rig.orch().agent_alive(HostId(1)));
-  EXPECT_GE(s.fences_acked, 1u);  // home agent (h2, reachable) acked the bump
+  EXPECT_GE(rig.OrchCount("fences_acked"), 1u);  // home agent (h2, reachable) acked the bump
   EXPECT_GE(rig.orch().devices().at(PcieDeviceId(60)).epoch, 1u);
   // The revoked holder's writes are dead at the home agent — no dual
   // ownership even under the wrong liveness call.
   Status st = RunBlocking(rig.loop, WriteReg(*rig.path, 99));
   EXPECT_EQ(st.code(), StatusCode::kAborted);
-  EXPECT_GE(rig.orch().agent(HostId(2))->stats().stale_epoch_rejects, 1u);
+  EXPECT_GE(rig.AgentCount(2, "stale_epoch_rejects"), 1u);
   // Re-grant is safe: the fence was acked first.
   auto regrant = rig.orch().Acquire(HostId(3), DeviceType::kAccel);
   ASSERT_TRUE(regrant.ok());
@@ -169,24 +174,23 @@ TEST(PartitionTest, FullPartitionCondemnedByQuorumThenFencedByTtl) {
   rig.plane().Partition(one, rest);
   rig.loop.RunFor(800 * kMicrosecond);
 
-  const Orchestrator::Stats& s = rig.orch().stats();
-  EXPECT_EQ(s.host_deaths, 1u);
-  EXPECT_GE(s.suspects, 1u);
-  EXPECT_EQ(s.condemned_by_quorum, 1u);
+  EXPECT_EQ(rig.OrchCount("host_deaths"), 1u);
+  EXPECT_GE(rig.OrchCount("suspects"), 1u);
+  EXPECT_EQ(rig.OrchCount("condemned_by_quorum"), 1u);
   EXPECT_FALSE(rig.orch().agent_alive(HostId(1)));
   EXPECT_GE(rig.orch().devices().at(PcieDeviceId(60)).epoch, 1u);
   // Fence unresolved (home unreachable): the device must not be granted.
-  EXPECT_EQ(s.fences_acked, 0u);
+  EXPECT_EQ(rig.OrchCount("fences_acked"), 0u);
   EXPECT_FALSE(rig.orch().Acquire(HostId(2), DeviceType::kAccel).ok());
 
   // lease_ttl (800 us) + fence_margin (500 us) past the fence start: the
   // isolated agent has provably self-fenced, the fence may resolve.
   rig.loop.RunFor(2 * kMillisecond);
-  EXPECT_GE(rig.orch().stats().fences_ttl_expired, 1u);
+  EXPECT_GE(rig.OrchCount("fences_ttl_expired"), 1u);
 
   rig.plane().HealPartition(one, rest);
   rig.loop.RunFor(600 * kMicrosecond);
-  EXPECT_GE(rig.orch().stats().host_reregistrations, 1u);
+  EXPECT_GE(rig.OrchCount("host_reregistrations"), 1u);
   EXPECT_TRUE(rig.orch().agent_alive(HostId(1)));
   // Re-issue under the bumped epoch; the old holder's path is fenced.
   auto regrant = rig.orch().Acquire(HostId(2), DeviceType::kAccel);
@@ -194,7 +198,7 @@ TEST(PartitionTest, FullPartitionCondemnedByQuorumThenFencedByTtl) {
   EXPECT_EQ(regrant->device, PcieDeviceId(60));
   Status st = RunBlocking(rig.loop, WriteReg(*rig.path, 99));
   EXPECT_EQ(st.code(), StatusCode::kAborted);
-  EXPECT_GE(rig.orch().agent(HostId(1))->stats().stale_epoch_rejects, 1u);
+  EXPECT_GE(rig.AgentCount(1, "stale_epoch_rejects"), 1u);
 }
 
 // Orchestrator-only isolation of the HOME agent: its peers keep it alive
@@ -213,16 +217,16 @@ TEST(PartitionTest, HomeAgentSelfFencesWhenIsolatedFromOrchestrator) {
   // provably self-fenced, so even that death would be split-brain-safe).
   rig.loop.RunFor(kMillisecond);
 
-  EXPECT_EQ(rig.orch().stats().host_deaths, 0u);
-  EXPECT_GE(rig.orch().stats().suspects, 1u);
+  EXPECT_EQ(rig.OrchCount("host_deaths"), 0u);
+  EXPECT_GE(rig.OrchCount("suspects"), 1u);
   Status st = RunBlocking(rig.loop, WriteReg(*rig.path, 50));
   EXPECT_EQ(st.code(), StatusCode::kAborted);
-  EXPECT_GE(rig.orch().agent(HostId(2))->stats().self_fence_rejects, 1u);
+  EXPECT_GE(rig.AgentCount(2, "self_fence_rejects"), 1u);
 
   rig.plane().Heal(HostId(2), HostId(0));
   rig.plane().Heal(HostId(0), HostId(2));
   rig.loop.RunFor(500 * kMicrosecond);
-  EXPECT_GE(rig.orch().stats().suspect_recoveries, 1u);
+  EXPECT_GE(rig.OrchCount("suspect_recoveries"), 1u);
   CXLPOOL_CHECK_OK(RunBlocking(rig.loop, WriteReg(*rig.path, 7)));
   EXPECT_EQ(rig.accel->regs[0x10], 7u);
 }
@@ -236,15 +240,15 @@ TEST(PartitionTest, AsymmetricCutSuspectsWithoutCondemnation) {
   rig.plane().Cut(HostId(3), HostId(0));  // one direction only
   rig.loop.RunFor(kMillisecond);
 
-  EXPECT_EQ(rig.orch().stats().host_deaths, 0u);
-  EXPECT_GE(rig.orch().stats().suspects, 1u);
+  EXPECT_EQ(rig.OrchCount("host_deaths"), 0u);
+  EXPECT_GE(rig.OrchCount("suspects"), 1u);
   EXPECT_TRUE(rig.orch().agent_alive(HostId(3)));
   // The victim's own forwarded path (h3->h2) is untouched by the cut.
   CXLPOOL_CHECK_OK(RunBlocking(rig.loop, WriteReg(*rig.path, 2)));
 
   rig.plane().Heal(HostId(3), HostId(0));
   rig.loop.RunFor(500 * kMicrosecond);
-  EXPECT_GE(rig.orch().stats().suspect_recoveries, 1u);
+  EXPECT_GE(rig.OrchCount("suspect_recoveries"), 1u);
   EXPECT_EQ(rig.orch().suspect_count(), 0u);
 }
 

@@ -4,6 +4,7 @@
 #include "src/pcie/device.h"
 #include "src/pcie/switch_fabric.h"
 #include "src/sim/task.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::pcie {
 namespace {
@@ -285,7 +286,7 @@ TEST_F(PcieTest, WedgedDeviceStallsMmioReadsThenTimesOut) {
   // stall for the completion timeout followed by kDeadlineExceeded.
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(took, dev.timing().wedge_stall);
-  EXPECT_GE(dev.gray_stats().stalled_ops, 1u);
+  EXPECT_GE(CounterValue(pod_.metrics(), "pcie.stalled_ops", DeviceLabels(dev.id().value())), 1u);
 }
 
 TEST_F(PcieTest, WedgedDeviceAbsorbsPostedWrites) {
@@ -301,7 +302,7 @@ TEST_F(PcieTest, WedgedDeviceAbsorbsPostedWrites) {
   EXPECT_TRUE(RunBlocking(loop_, t(dev)).ok());
   loop_.RunFor(10 * dev.timing().mmio_write);
   EXPECT_EQ(dev.last_write_value, 0u);
-  EXPECT_EQ(dev.gray_stats().dropped_mmio_writes, 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "pcie.dropped_mmio_writes", DeviceLabels(dev.id().value())), 1u);
 }
 
 TEST_F(PcieTest, WedgedDeviceStallsDma) {
@@ -340,7 +341,7 @@ TEST_F(PcieTest, WedgeIsDistinctFromFailStop) {
   EXPECT_EQ(wedged_st.code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(wedged_took, wedged.timing().wedge_stall);
   // Wedge does not bump the generation (nothing re-bound); failure does.
-  EXPECT_EQ(wedged.gray_stats().wedges, 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "pcie.wedges", DeviceLabels(wedged.id().value())), 1u);
 }
 
 TEST_F(PcieTest, ResetClearsWedgeAndDrainsEngines) {
@@ -354,7 +355,7 @@ TEST_F(PcieTest, ResetClearsWedgeAndDrainsEngines) {
   EXPECT_FALSE(dev.wedged());
   EXPECT_EQ(dev.resets, 1);
   EXPECT_GT(dev.generation(), gen_before);  // engines observe and exit
-  EXPECT_EQ(dev.gray_stats().resets, 1u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "pcie.resets", DeviceLabels(dev.id().value())), 1u);
 
   // Back in service: reads round-trip again.
   auto t = [](TestDevice& d) -> Task<uint64_t> {
@@ -371,7 +372,7 @@ TEST_F(PcieTest, WedgeOnFailedDeviceIsIgnored) {
   dev.InjectFailure();
   dev.Wedge();  // fail-stop wins; wedge on a dead device is meaningless
   EXPECT_FALSE(dev.wedged());
-  EXPECT_EQ(dev.gray_stats().wedges, 0u);
+  EXPECT_EQ(CounterValue(pod_.metrics(), "pcie.wedges", DeviceLabels(dev.id().value())), 0u);
 }
 
 }  // namespace

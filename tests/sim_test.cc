@@ -436,17 +436,6 @@ TEST(StatsTest, HistogramNegativeClampsToZero) {
   EXPECT_EQ(h.Percentile(0.5), 0);
 }
 
-TEST(StatsTest, CounterDelta) {
-  Counter c;
-  c.Add(5);
-  c.Add(3);
-  EXPECT_EQ(c.total(), 8u);
-  EXPECT_EQ(c.TakeDelta(), 8u);
-  c.Add(2);
-  EXPECT_EQ(c.TakeDelta(), 2u);
-  EXPECT_EQ(c.TakeDelta(), 0u);
-}
-
 // --- Bandwidth ---
 
 TEST(BandwidthTest, IdleLinkIsSerializationOnly) {

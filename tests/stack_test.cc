@@ -8,6 +8,7 @@
 #include "src/sim/stats.h"
 #include "src/stack/loadgen.h"
 #include "src/stack/udp.h"
+#include "tests/test_metrics.h"
 
 namespace cxlpool::stack {
 namespace {
@@ -202,7 +203,7 @@ TEST_P(StackTest, UdpEchoRoundTrip) {
   RunBlocking(loop_, t(cli_sock, server.stack->mac(), loop_, got, got_port));
   EXPECT_EQ(got, "echo me");
   EXPECT_EQ(got_port, 7);
-  EXPECT_EQ(server.stack->stats().rx_datagrams, 1u);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "stack.rx_datagrams", HostLabels(0)), 1u);
   Drain(rack);
 }
 
@@ -238,7 +239,7 @@ TEST_P(StackTest, ManyDatagramsNoLoss) {
   RunBlocking(loop_, t(cli_sock, server.stack->mac(), loop_));
   loop_.RunFor(10 * kMillisecond);  // let the tail arrive
   EXPECT_EQ(received, kCount);
-  EXPECT_EQ(server.stack->stats().rx_datagrams, static_cast<uint64_t>(kCount));
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "stack.rx_datagrams", HostLabels(0)), static_cast<uint64_t>(kCount));
   Drain(rack);
 }
 

@@ -9,7 +9,7 @@ recurring bug families:
   * overload contracts (kOverloaded is terminal: never retried, never
     counted by circuit breakers).
 
-It replaces the line-regex core of ``tools/lint_tasks.py`` with:
+It replaced the line-regex engine of the earlier ``lint_tasks.py`` with:
 
   1. a real C++ token stream (``lexer``) — comments, string/char
      literals, raw strings, preprocessor directives, line splices and
@@ -29,8 +29,7 @@ target. ``--self-test`` replays the seeded bug corpus under
 where its ``// simlint-expect: <rule>`` annotations say (and nowhere
 else).
 
-Suppression: append ``// simlint: allow(<rule>)`` to the offending line
-(the legacy ``// lint-tasks: allow(<rule>)`` spelling is still honored).
+Suppression: append ``// simlint: allow(<rule>)`` to the offending line.
 """
 
 __version__ = "1.0.0"

@@ -35,11 +35,9 @@ _PUNCTUATORS = [
 _ID_START = re.compile(r"[A-Za-z_]")
 _ID_BODY = re.compile(r"[A-Za-z0-9_]")
 
-# Suppression / expectation comment grammar. Both the new spelling and
-# the legacy lint_tasks.py spelling are honored for suppressions, so the
-# tree did not need a flag-day rewrite of existing allows.
+# Suppression / expectation comment grammar.
 _ALLOW_RE = re.compile(
-    r"(?:simlint|lint-tasks):\s*allow\(\s*(?P<rules>[\w-]+(?:\s*,\s*[\w-]+)*)\s*\)")
+    r"simlint:\s*allow\(\s*(?P<rules>[\w-]+(?:\s*,\s*[\w-]+)*)\s*\)")
 _EXPECT_RE = re.compile(
     r"simlint-expect:\s*(?P<rules>[\w-]+(?:\s*,\s*[\w-]+)*)")
 

@@ -94,8 +94,7 @@ inline obs::Span HandOffSpan(obs::Tracer& tracer, uint32_t host, Nanos now) {
 
 // Budgeted awaits the missing-deadline rule must accept: an absolute
 // deadline computed from now(), a deadline/timeout variable threaded
-// through, and a sanctioned unbounded wait with an explicit waiver —
-// both the current suppression spelling and the legacy lint-tasks one.
+// through, and a sanctioned unbounded wait with an explicit waiver.
 sim::Task<Status> RecvInto(msg::Endpoint& end, std::vector<std::byte>* frame,
                            Nanos deadline);
 
@@ -111,7 +110,7 @@ inline sim::Task<Status> BudgetedPoke(msg::RpcClient& client, sim::EventLoop& lo
 inline sim::Task<Status> BudgetedDrain(msg::Endpoint& end, Nanos deadline) {
   std::vector<std::byte> frame;
   CO_RETURN_IF_ERROR(co_await end.Recv(&frame, deadline));
-  co_return co_await end.Recv(&frame);  // lint-tasks: allow(missing-deadline)
+  co_return co_await end.Recv(&frame);  // simlint: allow(missing-deadline)
 }
 
 inline sim::Task<Status> FinalDrain(msg::Endpoint& end) {

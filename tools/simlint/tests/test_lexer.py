@@ -106,11 +106,12 @@ class LexerPreprocessor(unittest.TestCase):
 
 
 class LexerSideTables(unittest.TestCase):
-    def test_allow_comment_both_spellings(self):
+    def test_allow_comment(self):
         import tempfile
         from simlint.lexer import lex_file
         src = ("x;  // simlint: allow(missing-deadline)\n"
-               "y;  // lint-tasks: allow(leaked-span, dangling-frame)\n")
+               "y;  // simlint: allow(leaked-span, dangling-frame)\n"
+               "z;  // lint-tasks: allow(leaked-span)\n")
         with tempfile.NamedTemporaryFile("w", suffix=".cc",
                                          delete=False) as f:
             f.write(src)
@@ -123,6 +124,8 @@ class LexerSideTables(unittest.TestCase):
         self.assertTrue(lf.allowed(2, "leaked-span"))
         self.assertTrue(lf.allowed(2, "dangling-frame"))
         self.assertFalse(lf.allowed(1, "leaked-span"))
+        self.assertFalse(lf.allowed(3, "leaked-span"),
+                         "the retired lint-tasks spelling waives nothing")
 
     def test_expect_annotations(self):
         import tempfile
