@@ -75,7 +75,6 @@ Task<> StreamPhase(cxl::CxlPod& pod, sim::EventLoop& loop, int producers,
   msg::Channel::Options sopts;
   sopts.poll_min = 50;
   sopts.poll_max = 100;
-  sopts.submit.watermark = 8;  // opportunistic batching, no Nagle delay
   auto sch = msg::Channel::Create(pod.pool(), pod.host(0), pod.host(1), sopts);
   CXLPOOL_CHECK_OK(sch.status());
   int live = producers;

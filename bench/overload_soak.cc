@@ -119,7 +119,7 @@ Task<> ControlProbes(ForwardedMmioPath& path, sim::EventLoop& loop,
   uint64_t seq = 0;
   while (loop.now() < until) {
     Nanos start = loop.now();
-    auto req = mmio_wire::EncodeRead(kDev, path.epoch(), /*client_id=*/0,
+    auto req = mmio_wire::EncodeRead(kDev, path.epoch(), path.client_id(),
                                      ++seq, kReg);
     auto resp = co_await path.rpc_client().Call(
         kMethodMmioRead, req, start + kProbeBudget, {}, msg::kPriorityControl);
@@ -191,18 +191,15 @@ int main(int argc, char** argv) {
   rc.pod.dram_per_host = 4 * kMiB;
   rc.obs = &obs;
   // The full protection stack, all knobs at their intended-production
-  // settings: bounded client queue (reject-new), retry budget, per-agent
-  // inflight bound + CoDel (agent defaults), enabled breaker.
+  // settings: bounded client queue (reject-new), retry budget (default),
+  // per-agent inflight bound + CoDel (agent defaults), breaker.
   //
   // The queue bound is sized to the deadline budget, not to taste:
   // depth * service_time must stay under kOpBudget or every queued op is
   // already dead when its turn comes and goodput collapses to zero under
   // sustained overload (bufferbloat). 16 * ~2us ~= 32us < 50us.
   rc.orch.mmio_client.max_pending = 16;
-  rc.orch.mmio_client.overflow = msg::OverflowPolicy::kRejectNew;
   rc.orch.mmio_retry.max_attempts = 3;
-  rc.orch.mmio_retry.budget_ratio = 0.1;
-  rc.orch.mmio_retry.budget_burst = 10.0;
   rc.orch.agent.admission.max_inflight = 8;
   rc.orch.breaker.failure_threshold = 5;
   Rack rack(loop, rc);
@@ -298,9 +295,11 @@ int main(int argc, char** argv) {
   const obs::Labels home_labels = {{"host", "0"}};
   const obs::Labels dev_labels = {{"device", std::to_string(kDev.value())}};
   const uint64_t client_rejected = count("rpc_client.rejected", path_labels);
-  const uint64_t client_dropped = count("rpc_client.dropped_oldest", path_labels);
   const uint64_t client_expired = count("rpc_client.expired_in_queue", path_labels);
   const uint64_t retry_calls = count("retry.calls", path_labels);
+  const double retry_bound =
+      rc.orch.mmio_retry.budget_ratio * static_cast<double>(retry_calls) +
+      rc.orch.mmio_retry.budget_burst;
   const uint64_t retries = count("retry.retries", path_labels);
   const uint64_t retry_denied = count("retry.budget_denied", path_labels);
   const uint64_t codel_sheds = count("admission.shed", home_labels);
@@ -312,10 +311,8 @@ int main(int argc, char** argv) {
   const uint64_t breaker_opens = count("breaker.opens", dev_labels);
   msg::CircuitBreaker* breaker = rack.orchestrator().breaker(kDev);
   CXLPOOL_CHECK(breaker != nullptr);
-  std::printf("\nclient queue: %llu rejected, %llu dropped-oldest, "
-              "%llu expired in queue\n",
+  std::printf("\nclient queue: %llu rejected, %llu expired in queue\n",
               static_cast<unsigned long long>(client_rejected),
-              static_cast<unsigned long long>(client_dropped),
               static_cast<unsigned long long>(client_expired));
   std::printf("home agent:   %llu codel sheds, %llu inflight rejects, "
               "%llu expired at dequeue, %llu expired pre-BAR\n",
@@ -327,8 +324,7 @@ int main(int argc, char** argv) {
               "(budget bound %.0f)\n",
               static_cast<unsigned long long>(retry_calls),
               static_cast<unsigned long long>(retries),
-              static_cast<unsigned long long>(retry_denied),
-              0.1 * static_cast<double>(retry_calls) + 10.0);
+              static_cast<unsigned long long>(retry_denied), retry_bound);
   std::printf("control:      %llu probes, %llu ok, %llu deadline misses, "
               "p99 %lld ns\n",
               static_cast<unsigned long long>(probes.sent),
@@ -362,8 +358,7 @@ int main(int argc, char** argv) {
   CXLPOOL_CHECK(watchdog_misses == 0);
   CXLPOOL_CHECK(flr_resets == 0);
   // 3. Retry amplification bounded by the token bucket.
-  CXLPOOL_CHECK(static_cast<double>(retries) <=
-                0.1 * static_cast<double>(retry_calls) + 10.0);
+  CXLPOOL_CHECK(static_cast<double>(retries) <= retry_bound);
   // 4. Pure overload and slow drain never open the breaker (budget expiry
   //    is not device failure) and never reach quarantine.
   CXLPOOL_CHECK(breaker_opens == 0);

@@ -154,9 +154,7 @@ bool Agent::self_fenced() const {
 
 uint64_t Agent::peer_mask() {
   uint64_t mask = ~0ull;
-  Nanos stale = config_.peer_unreachable_after > 0
-                    ? config_.peer_unreachable_after
-                    : 2 * config_.peer_probe_interval + config_.peer_probe_timeout;
+  Nanos stale = 2 * config_.peer_probe_interval + config_.peer_probe_timeout;
   Nanos now = host_.loop().now();
   for (const auto& [peer, last_ok] : peer_last_ok_) {
     if (peer < 64 && now - last_ok > stale) {
@@ -223,17 +221,15 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
     // device — re-ringing a doorbell advances device state twice.
     // The epoch check above still wins: a fenced-off path gets kAborted,
     // never a dedup ack.
-    if (decoded->client_id != 0) {
-      auto [seq_it, inserted] =
-          it->second.applied_write_seq.try_emplace(decoded->client_id, 0);
-      if (!inserted && decoded->seq <= seq_it->second) {
-        dedup_hits_->Inc();
-        FlightNote("mmio", "dedup ack dev=%u client=%llu seq=%llu",
-                   decoded->device.value(),
-                   static_cast<unsigned long long>(decoded->client_id),
-                   static_cast<unsigned long long>(decoded->seq));
-        co_return std::vector<std::byte>{};
-      }
+    auto [seq_it, inserted] =
+        it->second.applied_write_seq.try_emplace(decoded->client_id, 0);
+    if (!inserted && decoded->seq <= seq_it->second) {
+      dedup_hits_->Inc();
+      FlightNote("mmio", "dedup ack dev=%u client=%llu seq=%llu",
+                 decoded->device.value(),
+                 static_cast<unsigned long long>(decoded->client_id),
+                 static_cast<unsigned long long>(decoded->seq));
+      co_return std::vector<std::byte>{};
     }
     forwarded_writes_->Inc();
     obs::Span bar = obs::MaybeStartSpan(tracer(), "mmio.device_bar",
@@ -256,10 +252,8 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
     }
     // Record only after a successful apply: a write the device rejected had
     // no side effect, so its retry must be allowed to run for real.
-    if (decoded->client_id != 0) {
-      uint64_t& mark = it->second.applied_write_seq[decoded->client_id];
-      mark = std::max(mark, decoded->seq);
-    }
+    uint64_t& mark = it->second.applied_write_seq[decoded->client_id];
+    mark = std::max(mark, decoded->seq);
     co_return std::vector<std::byte>{};
   }
   forwarded_reads_->Inc();

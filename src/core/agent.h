@@ -117,12 +117,11 @@ class Agent {
     // (standalone agents without a report loop are never fenced).
     Nanos lease_ttl = 0;
     // Peer-probe mesh cadence (quorum liveness): how often this agent
-    // pings each peer it was wired to, the per-probe timeout, and how
-    // stale a last-success may get before the peer_mask bit clears.
+    // pings each peer it was wired to, and the per-probe timeout. A peer
+    // whose last success is older than 2 * interval + timeout loses its
+    // peer_mask bit.
     Nanos peer_probe_interval = 50 * kMicrosecond;
     Nanos peer_probe_timeout = 100 * kMicrosecond;
-    // 0 = derived: 2 * interval + timeout.
-    Nanos peer_unreachable_after = 0;
   };
 
   // Counts under the host's scope ({"host": id}): the agent.* series

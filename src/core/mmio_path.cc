@@ -76,8 +76,8 @@ sim::Task<Status> ForwardedMmioPath::Write(uint64_t reg, uint64_t value,
   // path while the call is in flight, so no member access after the
   // co_await (the breaker is orchestrator-owned and outlives the path).
   sim::EventLoop& loop = loop_;
-  msg::CircuitBreaker* breaker = breaker_;
-  if (breaker != nullptr && !breaker->Allow(loop.now())) {
+  msg::CircuitBreaker& breaker = breaker_;
+  if (!breaker.Allow(loop.now())) {
     // Open breaker: fail fast without loading the wire. kOverloaded (not
     // retryable) — the device is being given room to recover.
     op.End(loop.now());
@@ -89,20 +89,18 @@ sim::Task<Status> ForwardedMmioPath::Write(uint64_t reg, uint64_t value,
                                    timeout_, loop, op.context(), deadline,
                                    msg::kPriorityData);
   op.End(loop.now());
-  if (breaker != nullptr) {
-    // Only transport-level failure inside a live budget trips the breaker:
-    // an explicit kOverloaded push-back means the peer is alive, and an op
-    // that died of its OWN deadline (budget elapsed — queue wait, shed
-    // downstream) says nothing about the device. Counting budget expiry
-    // would open breakers under pure overload and amputate capacity
-    // exactly when demand peaks.
-    bool budget_expired = deadline > 0 && loop.now() >= deadline;
-    if (resp.ok()) {
-      breaker->RecordSuccess(loop.now());
-    } else if (msg::CircuitBreaker::IsBreakerFailure(resp.status()) &&
-               !budget_expired) {
-      breaker->RecordFailure(loop.now());
-    }
+  // Only transport-level failure inside a live budget trips the breaker:
+  // an explicit kOverloaded push-back means the peer is alive, and an op
+  // that died of its OWN deadline (budget elapsed — queue wait, shed
+  // downstream) says nothing about the device. Counting budget expiry
+  // would open breakers under pure overload and amputate capacity
+  // exactly when demand peaks.
+  bool budget_expired = deadline > 0 && loop.now() >= deadline;
+  if (resp.ok()) {
+    breaker.RecordSuccess(loop.now());
+  } else if (msg::CircuitBreaker::IsBreakerFailure(resp.status()) &&
+             !budget_expired) {
+    breaker.RecordFailure(loop.now());
   }
   if (!resp.ok()) {
     co_return resp.status();
@@ -119,8 +117,8 @@ sim::Task<Result<uint64_t>> ForwardedMmioPath::Read(uint64_t reg,
   obs::Span op = StartOpSpan("mmio.read", parent);
   // Same frame-pinning as Write: `this` may die during the await.
   sim::EventLoop& loop = loop_;
-  msg::CircuitBreaker* breaker = breaker_;
-  if (breaker != nullptr && !breaker->Allow(loop.now())) {
+  msg::CircuitBreaker& breaker = breaker_;
+  if (!breaker.Allow(loop.now())) {
     op.End(loop.now());
     co_return Overloaded("circuit breaker open for device");
   }
@@ -129,15 +127,13 @@ sim::Task<Result<uint64_t>> ForwardedMmioPath::Read(uint64_t reg,
                                    loop, op.context(), deadline,
                                    msg::kPriorityData);
   op.End(loop.now());
-  if (breaker != nullptr) {
-    // Same rule as Write: budget expiry never blames the device.
-    bool budget_expired = deadline > 0 && loop.now() >= deadline;
-    if (resp.ok()) {
-      breaker->RecordSuccess(loop.now());
-    } else if (msg::CircuitBreaker::IsBreakerFailure(resp.status()) &&
-               !budget_expired) {
-      breaker->RecordFailure(loop.now());
-    }
+  // Same rule as Write: budget expiry never blames the device.
+  bool budget_expired = deadline > 0 && loop.now() >= deadline;
+  if (resp.ok()) {
+    breaker.RecordSuccess(loop.now());
+  } else if (msg::CircuitBreaker::IsBreakerFailure(resp.status()) &&
+             !budget_expired) {
+    breaker.RecordFailure(loop.now());
   }
   if (!resp.ok()) {
     co_return resp.status();

@@ -85,22 +85,25 @@ class LocalMmioPath : public MmioPath {
 // WILL apply it — so the path retries through msg::RetryPolicy with the
 // SAME seq, and the agent's per-(client, device) dedup window acknowledges
 // the duplicate without re-applying the side effect (a doorbell rung twice
-// is a protocol corruption, not a harmless hiccup). client_id 0 disables
-// dedup (legacy frames); real paths get a nonzero unique id from the
-// orchestrator.
+// is a protocol corruption, not a harmless hiccup). The orchestrator gives
+// every path a unique client_id.
 class ForwardedMmioPath : public MmioPath {
  public:
   // `client` must outlive the path. `device` identifies the target at the
   // remote agent. `epoch` is the lease epoch this path is valid for.
   // `timeout` bounds the first attempt of each forwarded operation;
   // `retry` governs further attempts (escalate timeout_multiplier > 1 to
-  // outwait slow-but-alive peers).
+  // outwait slow-but-alive peers). `client_id` keys the home agent's dedup
+  // window. `breaker` is the device's circuit breaker, shared by every path
+  // to it and owned by the orchestrator (it must outlive the path): ops
+  // fail fast with kOverloaded while it is open, and every final outcome
+  // feeds it.
   // The retry policy counts retry.* under the client host's scope plus
   // {"device": device}.
   ForwardedMmioPath(std::shared_ptr<msg::RpcClient> client, PcieDeviceId device,
                     uint64_t epoch, Nanos timeout, sim::EventLoop& loop,
-                    uint64_t client_id = 0,
-                    msg::RetryPolicy::Options retry = {})
+                    uint64_t client_id, msg::RetryPolicy::Options retry,
+                    msg::CircuitBreaker& breaker)
       : client_(std::move(client)),
         device_(device),
         epoch_(epoch),
@@ -109,7 +112,8 @@ class ForwardedMmioPath : public MmioPath {
         client_id_(client_id),
         retry_(client_->endpoint().host().metrics().With(
                    {{"device", std::to_string(device.value())}}),
-               retry) {}
+               retry),
+        breaker_(breaker) {}
 
   // Enables root mmio.write/mmio.read spans on this path. `host` labels
   // the spans with the client host issuing the ops.
@@ -117,11 +121,6 @@ class ForwardedMmioPath : public MmioPath {
     tracer_ = tracer;
     trace_host_ = host;
   }
-
-  // Shares the device's circuit breaker (owned by the orchestrator, one
-  // per device): ops fail fast with kOverloaded while it is open, and
-  // every final outcome feeds it. Null (default) = no breaker.
-  void BindBreaker(msg::CircuitBreaker* breaker) { breaker_ = breaker; }
 
   sim::Task<Status> Write(uint64_t reg, uint64_t value,
                           obs::TraceContext parent = {},
@@ -149,7 +148,7 @@ class ForwardedMmioPath : public MmioPath {
   uint64_t client_id_;
   uint64_t next_seq_ = 0;  // assigned once per op; identical across retries
   msg::RetryPolicy retry_;
-  msg::CircuitBreaker* breaker_ = nullptr;
+  msg::CircuitBreaker& breaker_;
   obs::Tracer* tracer_ = nullptr;
   uint32_t trace_host_ = 0;
 };
@@ -166,7 +165,7 @@ std::vector<std::byte> EncodeRead(PcieDeviceId device, uint64_t epoch,
 struct Decoded {
   PcieDeviceId device;
   uint64_t epoch = 0;
-  uint64_t client_id = 0;  // 0 = no dedup
+  uint64_t client_id = 0;  // keys the home agent's write dedup window
   uint64_t seq = 0;        // per-client monotonic op number
   uint64_t reg = 0;
   uint64_t value = 0;  // writes only

@@ -8,6 +8,14 @@
 
 namespace cxlpool::core {
 
+Orchestrator::Orchestrator(cxl::CxlPod& pod, HostId home, Config config)
+    : pod_(pod),
+      home_(home),
+      config_(config),
+      retry_policy_(pod.host(home).metrics(), config.retry) {
+  CXLPOOL_CHECK(config_.quarantine_flap_threshold > 0);
+}
+
 void Orchestrator::FlightNote(const char* category, const char* fmt, ...) {
   if (config_.obs == nullptr) {
     return;
@@ -32,7 +40,7 @@ Result<Agent*> Orchestrator::AddAgent(cxl::HostAdapter& host) {
   // unacked fence may resolve once TTL + fence_margin elapses (by then the
   // agent has provably self-fenced). The stamped value must match the
   // orchestrator's wait horizon; an explicit per-agent TTL wins.
-  if (agent_config.lease_ttl == 0 && config_.quorum_liveness) {
+  if (agent_config.lease_ttl == 0) {
     agent_config.lease_ttl = config_.lease_ttl;
   }
   entry.lease_ttl = agent_config.lease_ttl;
@@ -85,21 +93,19 @@ void Orchestrator::Start(sim::StopToken& stop) {
   // agent probes every peer over a dedicated channel and folds the
   // results into the peer_mask it reports. Wired before the serve loops
   // so the first reports already carry meaningful masks.
-  if (config_.quorum_liveness) {
-    for (auto& [a_id, a_entry] : agents_) {
-      for (auto& [b_id, b_entry] : agents_) {
-        if (a_id == b_id) {
-          continue;
-        }
-        auto ch =
-            msg::Channel::Create(pod_.pool(), pod_.host(a_id), pod_.host(b_id));
-        if (!ch.ok()) {
-          continue;
-        }
-        b_entry.agent->ServePeerProbe((*ch)->end_b(), stop);
-        a_entry.agent->StartPeerProbe(b_id, (*ch)->end_a(), stop);
-        peer_channels_.push_back(std::move(*ch));
+  for (auto& [a_id, a_entry] : agents_) {
+    for (auto& [b_id, b_entry] : agents_) {
+      if (a_id == b_id) {
+        continue;
       }
+      auto ch =
+          msg::Channel::Create(pod_.pool(), pod_.host(a_id), pod_.host(b_id));
+      if (!ch.ok()) {
+        continue;
+      }
+      b_entry.agent->ServePeerProbe((*ch)->end_b(), stop);
+      a_entry.agent->StartPeerProbe(b_id, (*ch)->end_a(), stop);
+      peer_channels_.push_back(std::move(*ch));
     }
   }
   for (auto& [host_id, entry] : agents_) {
@@ -121,9 +127,7 @@ void Orchestrator::Start(sim::StopToken& stop) {
   if (config_.auto_rebalance) {
     sim::Spawn(RebalanceLoop(stop));
   }
-  if (config_.liveness_timeout > 0) {
-    sim::Spawn(LivenessLoop(stop));
-  }
+  sim::Spawn(LivenessLoop(stop));
 }
 
 sim::Task<Result<std::vector<std::byte>>> Orchestrator::HandleReport(
@@ -219,9 +223,6 @@ sim::Task<Result<std::vector<std::byte>>> Orchestrator::HandleReport(
 
 void Orchestrator::AccumulateFlaps(PcieDeviceId id, DeviceRecord& rec,
                                    uint32_t count) {
-  if (config_.quarantine_flap_threshold == 0) {
-    return;
-  }
   rec.flap_count += count;
   if (rec.quarantined || rec.flap_count < config_.quarantine_flap_threshold) {
     return;
@@ -408,14 +409,13 @@ Result<std::unique_ptr<MmioPath>> Orchestrator::MakeMmioPath(
       channel->end_a(), client_options,
       obs::Labels{{"device", std::to_string(device.value())}});
   client->BindTracer(tracer());
-  // Each path gets a unique nonzero client_id: the home agent's dedup
-  // window is keyed on it, so a timed-out-then-retried posted write is
-  // acknowledged exactly once even across path rebuilds.
+  // Each path gets a unique client_id: the home agent's dedup window is
+  // keyed on it, so a timed-out-then-retried posted write is acknowledged
+  // exactly once even across path rebuilds.
   auto path = std::make_unique<ForwardedMmioPath>(
       client, device, rec.epoch, config_.rpc_timeout, pod_.loop(),
-      ++next_path_client_id_, config_.mmio_retry);
+      ++next_path_client_id_, config_.mmio_retry, *rec.breaker);
   path->BindTracer(tracer(), user.value());
-  path->BindBreaker(rec.breaker.get());
   forwarding_channels_.push_back(std::move(channel));
   forwarding_clients_.push_back(std::move(client));
   return std::unique_ptr<MmioPath>(std::move(path));
@@ -553,13 +553,6 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
       if (staleness <= config_.liveness_timeout) {
         continue;
       }
-      if (!config_.quorum_liveness) {
-        // Legacy probe-only mode: staleness alone condemns. A host that is
-        // merely partitioned from the orchestrator gets overtaken here —
-        // exactly the hole quorum mode closes.
-        DeclareAgentDead(host_id, entry);
-        continue;
-      }
       if (entry.liveness == AgentEntry::Liveness::kAlive) {
         entry.liveness = AgentEntry::Liveness::kSuspect;
         suspects_->Inc();
@@ -570,12 +563,10 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
       }
       // Condemnation is evaluated in the same sweep as the suspect
       // transition, so a genuinely crashed host (peers vote immediately)
-      // still dies within the legacy detection budget.
+      // dies within one liveness_timeout + sweep.
       uint32_t fresh = 0;
       uint32_t votes = CondemnationVotes(host_id, now, &fresh);
-      uint32_t needed = config_.condemn_quorum > 0 ? config_.condemn_quorum
-                                                   : fresh / 2 + 1;
-      if (fresh > 0 && votes >= needed) {
+      if (fresh > 0 && votes >= fresh / 2 + 1) {
         condemned_by_quorum_->Inc();
         DeclareAgentDead(host_id, entry);
         continue;
@@ -584,8 +575,8 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
       // fresh observers at all): fall back to the lease TTL. Past
       // ttl + fence_margin the agent has provably self-fenced, so
       // condemning it cannot create a second writer.
-      Nanos ttl = entry.lease_ttl > 0 ? entry.lease_ttl : config_.lease_ttl;
-      if (ttl > 0 && staleness > ttl + config_.fence_margin) {
+      if (entry.lease_ttl > 0 &&
+          staleness > entry.lease_ttl + config_.fence_margin) {
         condemned_by_ttl_->Inc();
         DeclareAgentDead(host_id, entry);
       }
@@ -629,13 +620,9 @@ void Orchestrator::DeclareAgentDead(HostId host, AgentEntry& entry) {
 void Orchestrator::FenceDevice(PcieDeviceId id, DeviceRecord& rec) {
   ++rec.epoch;
   rec.fence_pending = true;
-  Nanos ttl = [&] {
-    auto it = agents_.find(rec.home);
-    if (it != agents_.end() && it->second.lease_ttl > 0) {
-      return it->second.lease_ttl;
-    }
-    return config_.lease_ttl;
-  }();
+  auto home_it = agents_.find(rec.home);
+  Nanos ttl =
+      home_it != agents_.end() ? home_it->second.lease_ttl : config_.lease_ttl;
   // The deadline is measured from NOW, which is >= the home agent's last
   // report receipt — so waiting it out is a conservative proof that the
   // agent's own lease clock (renewed at most fence_margin after our

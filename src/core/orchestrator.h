@@ -30,24 +30,18 @@ class Orchestrator {
     bool auto_rebalance = false;
     Nanos rebalance_interval = 200 * kMicrosecond;
     Nanos rpc_timeout = 2 * kMillisecond;
-    // An agent whose last report is staler than this is declared dead
-    // (crashed host). <= 0 disables the liveness sweep.
+    // Quorum liveness + split-brain-safe fencing: an agent whose last
+    // report is staler than liveness_timeout is marked kSuspect (fenced
+    // from new grants and allocations; existing leases kept). It is
+    // condemned only when a majority of the fresh alive observers (the
+    // OTHER agents whose own reports are current) also lost it — their
+    // reported peer_mask bit for it is clear — or when its lease TTL +
+    // fence_margin has elapsed with no report, by which point the agent
+    // has provably self-fenced. A partitioned-from-the-orchestrator-but-
+    // alive host therefore survives as a suspect instead of being
+    // overtaken. The sweep runs every liveness_interval.
     Nanos liveness_timeout = 300 * kMicrosecond;
     Nanos liveness_interval = 100 * kMicrosecond;
-    // --- Quorum liveness + split-brain-safe fencing (ISSUE 9) ---
-    // On: a stale agent is first marked kSuspect (fenced from new grants
-    // and allocations; existing leases kept) and condemned only when a
-    // quorum of fresh peers ALSO lost it (their reported peer_mask bit for
-    // it is clear), or when its lease TTL + fence_margin has elapsed with
-    // no report — by which point the agent has provably self-fenced. A
-    // partitioned-from-the-orchestrator-but-alive host therefore survives
-    // as a suspect instead of being overtaken. Off: legacy probe-only
-    // behavior (condemn on report staleness alone).
-    bool quorum_liveness = true;
-    // Votes needed to condemn a suspect. 0 = majority of the fresh alive
-    // observers (the OTHER agents whose own reports are current). With no
-    // fresh observers, only the TTL path can condemn.
-    uint32_t condemn_quorum = 0;
     // Lease TTL stamped into each agent whose own Config::lease_ttl is 0.
     // Also the orchestrator's wait horizon before an unacked fence
     // resolves. Must comfortably exceed the report cadence so healthy
@@ -69,12 +63,11 @@ class Orchestrator {
     // Per-device circuit breaker shared by every forwarded MMIO path to
     // that device: consecutive transport failures (never kOverloaded —
     // push-back means the peer is alive) open it, open trips feed the
-    // quarantine flap accounting via NoteFlaps. failure_threshold = 0
-    // disables.
+    // quarantine flap accounting via NoteFlaps.
     msg::CircuitBreaker::Options breaker;
     // Client-side send-queue bound and pipelining depth for forwarded
     // MMIO paths (per (user host, device) path). Queue bound defaults
-    // unbounded (legacy); max_inflight defaults to 8 so independent
+    // unbounded; max_inflight defaults to 8 so independent
     // producers on one path overlap their forwarded writes instead of
     // serializing on the round trip. Exactly-once dedup at the home agent
     // is keyed by (client_id, seq), not by arrival order, so pipelined
@@ -83,7 +76,7 @@ class Orchestrator {
     // Gray-failure quarantine: a device accumulating this many flaps
     // (watchdog FLR episodes + fail-stop repair cycles) is pulled from the
     // allocatable pool for an exponentially growing probation period.
-    // 0 disables quarantine.
+    // Must be >= 1.
     uint32_t quarantine_flap_threshold = 3;
     // Base probation; doubles with every quarantine entry for the device.
     Nanos quarantine_probation = 2 * kMillisecond;
@@ -141,11 +134,7 @@ class Orchestrator {
   // control-plane retries count retry.* under the home host; each device's
   // breaker counts breaker.* under {"device": id}; each forwarded path's
   // client and retries count under the user host plus {"device": id}.
-  Orchestrator(cxl::CxlPod& pod, HostId home, Config config)
-      : pod_(pod),
-        home_(home),
-        config_(config),
-        retry_policy_(pod.host(home).metrics(), config.retry) {}
+  Orchestrator(cxl::CxlPod& pod, HostId home, Config config);
   Orchestrator(const Orchestrator&) = delete;
   Orchestrator& operator=(const Orchestrator&) = delete;
 
@@ -206,7 +195,7 @@ class Orchestrator {
     // kAlive: reports are fresh. kSuspect: reports stale, but not yet
     // condemned — the host is fenced (no new grants, its devices are not
     // offered) while its existing leases are kept; the next report
-    // recovers it. kDead: condemned by quorum, TTL, or legacy staleness.
+    // recovers it. kDead: condemned by peer quorum or lease TTL.
     enum class Liveness { kAlive, kSuspect, kDead };
     std::unique_ptr<Agent> agent;
     std::unique_ptr<msg::Channel> report_channel;   // agent -> orch RPC
@@ -236,9 +225,8 @@ class Orchestrator {
   // failover (from is unhealthy) and rebalancing.
   sim::Task<> MigrateLeases(PcieDeviceId from, bool failover);
   sim::Task<> RebalanceLoop(sim::StopToken& stop);
-  // Periodically sweeps report staleness. Quorum mode: stale agents turn
-  // suspect, and a suspect is condemned only on peer votes or TTL expiry.
-  // Legacy mode: stale agents are condemned directly.
+  // Periodically sweeps report staleness: stale agents turn suspect, and a
+  // suspect is condemned only on peer votes or TTL expiry.
   sim::Task<> LivenessLoop(sim::StopToken& stop);
   // Peer votes against `host`: fresh alive observers whose reported
   // peer_mask clears this host's bit.
@@ -271,15 +259,15 @@ class Orchestrator {
   Config config_;
   std::map<HostId, AgentEntry> agents_;
   std::map<PcieDeviceId, DeviceRecord> devices_;
-  // Agent-to-agent probe channels (quorum liveness mesh), one per ordered
+  // Agent-to-agent probe channels (the liveness mesh), one per ordered
   // host pair, wired in Start().
   std::vector<std::unique_ptr<msg::Channel>> peer_channels_;
   std::vector<std::unique_ptr<msg::Channel>> forwarding_channels_;
   std::vector<std::shared_ptr<msg::RpcClient>> forwarding_clients_;
   sim::StopToken* stop_ = nullptr;
   msg::RetryPolicy retry_policy_;
-  // Unique nonzero client_id per forwarded path, so the home agents'
-  // dedup windows never alias two paths.
+  // Unique client_id per forwarded path, so the home agents' dedup windows
+  // never alias two paths.
   uint64_t next_path_client_id_ = 0;
   obs::Registry& metrics_ = pod_.metrics();
   obs::Counter* acquires_ = metrics_.GetCounter("orch.acquires");

@@ -29,9 +29,8 @@ VirtualNic::VirtualNic(cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio,
       rx_backoff_(config.poll_min, config.poll_max),
       tx_backoff_(config.poll_min, config.poll_max),
       rx_shadow_(config.rx_entries, 0),
-      rx_doorbell_(host.loop(),
-                   [this](uint64_t value) { return RxDoorbellWrite(value); },
-                   {.watermark = config.rx_doorbell_batch},
+      rx_doorbell_([this](uint64_t value) { return RxDoorbellWrite(value); },
+                   config.rx_doorbell_batch,
                    host.metrics().With({{"doorbell", "vnic_rx"}})) {}
 
 VirtualNic::~VirtualNic() {

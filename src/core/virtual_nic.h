@@ -122,9 +122,9 @@ class VirtualNic {
   uint64_t rx_posted_ = 0;
   uint64_t rx_cpl_next_ = 0;
   std::vector<uint64_t> rx_shadow_;  // ring idx -> posted buffer addr
-  // RX doorbell MMIO writes, folded per rx_doorbell_batch. Watermark-only
-  // (max_delay = 0): rings happen synchronously inside PostRxBuffer /
-  // FlushRxDoorbell frames, so the `this` capture in the ring fn is safe.
+  // RX doorbell MMIO writes, folded per rx_doorbell_batch. Rings happen
+  // synchronously inside PostRxBuffer / FlushRxDoorbell frames, so the
+  // `this` capture in the ring fn is safe.
   msg::DoorbellCoalescer rx_doorbell_;
 
   bool owns_segment_ = false;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/common/check.h"
+
 namespace cxlpool::msg {
 
 AdmissionController::AdmissionController(const obs::Scope& scope, Options options)
@@ -77,6 +79,7 @@ CircuitBreaker::CircuitBreaker(const obs::Scope& scope, Options options)
       opens_(scope.GetCounter("breaker.opens")),
       fast_fails_(scope.GetCounter("breaker.fast_fails")),
       probes_(scope.GetCounter("breaker.probes")) {
+  CXLPOOL_CHECK(options_.failure_threshold > 0);
   state_gauge_->Set(static_cast<int64_t>(state_));
 }
 
@@ -86,9 +89,6 @@ void CircuitBreaker::SetState(State state) {
 }
 
 bool CircuitBreaker::Allow(Nanos now) {
-  if (!enabled()) {
-    return true;
-  }
   switch (state(now)) {
     case State::kClosed:
       return true;
@@ -122,9 +122,6 @@ void CircuitBreaker::Trip(Nanos now) {
 }
 
 void CircuitBreaker::RecordSuccess(Nanos now) {
-  if (!enabled()) {
-    return;
-  }
   switch (state(now)) {
     case State::kClosed:
       consecutive_failures_ = 0;
@@ -141,9 +138,6 @@ void CircuitBreaker::RecordSuccess(Nanos now) {
 }
 
 void CircuitBreaker::RecordFailure(Nanos now) {
-  if (!enabled()) {
-    return;
-  }
   switch (state(now)) {
     case State::kClosed:
       if (++consecutive_failures_ >= options_.failure_threshold) {

@@ -9,9 +9,6 @@
 //     doorbells, carried on the RPC wire so a watchdog probe never starves
 //     behind a data storm (a wedged-detection false positive under pure
 //     overload is the failure mode these kill).
-//   * OverflowPolicy — what a bounded queue does when full: reject the
-//     arriving request (kOverloaded, caller backs off) or drop the oldest
-//     queued one (freshest-first under deadline pressure).
 //   * AdmissionController — CoDel-style load shedder at the home agent:
 //     sheds data-plane requests when queueing delay stays above target for
 //     a full interval, never sheds control plane, and bounds concurrent
@@ -41,17 +38,6 @@ namespace cxlpool::msg {
 // is what backpressure acts on.
 inline constexpr uint8_t kPriorityControl = 0;
 inline constexpr uint8_t kPriorityData = 1;
-
-// What a bounded queue does with an arrival that would exceed its depth.
-enum class OverflowPolicy : uint8_t {
-  // Refuse the arriving request with kOverloaded. The caller learns
-  // immediately and can back off; queued work is untouched.
-  kRejectNew = 0,
-  // Evict the oldest *queued* (not in-flight) data-plane request with
-  // kOverloaded and admit the arrival. Under deadline pressure the oldest
-  // entry is the one most likely already dead — freshest-first wins.
-  kDropOldest = 1,
-};
 
 // CoDel-style admission control for a home agent's serve loops. The signal
 // is per-request sojourn time (send to dequeue — both ends share the sim
@@ -121,7 +107,7 @@ class CircuitBreaker {
   enum class State : uint8_t { kClosed = 0, kHalfOpen = 1, kOpen = 2 };
 
   struct Options {
-    // Consecutive recordable failures that trip the breaker. 0 disables.
+    // Consecutive recordable failures that trip the breaker. Must be >= 1.
     uint32_t failure_threshold = 5;
     Nanos open_duration = 200 * kMicrosecond;
     // Consecutive half-open successes required to close.
@@ -149,7 +135,6 @@ class CircuitBreaker {
   }
 
   State state(Nanos now);
-  bool enabled() const { return options_.failure_threshold > 0; }
 
  private:
   void Trip(Nanos now);

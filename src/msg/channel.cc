@@ -29,8 +29,8 @@ Result<std::unique_ptr<Channel>> Channel::Create(cxl::CxlPool& pool,
 
   auto channel = std::unique_ptr<Channel>(new Channel());
   channel->segment_ = seg;
-  channel->end_a_ = std::make_unique<Endpoint>(a, a_to_b, b_to_a, options.submit);
-  channel->end_b_ = std::make_unique<Endpoint>(b, b_to_a, a_to_b, options.submit);
+  channel->end_a_ = std::make_unique<Endpoint>(a, a_to_b, b_to_a);
+  channel->end_b_ = std::make_unique<Endpoint>(b, b_to_a, a_to_b);
   return channel;
 }
 

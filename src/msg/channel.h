@@ -28,13 +28,12 @@ namespace cxlpool::msg {
 // head across suspension points.
 class Endpoint {
  public:
-  Endpoint(cxl::HostAdapter& host, const RingConfig& tx, const RingConfig& rx,
-           MpscSubmitter::Options submit = {})
-      : sender_(host, tx), receiver_(host, rx), submitter_(sender_, submit) {}
+  Endpoint(cxl::HostAdapter& host, const RingConfig& tx, const RingConfig& rx)
+      : sender_(host, tx), receiver_(host, rx), submitter_(sender_) {}
 
   // `priority` orders the frame within the submission front only (control
-  // jumps staged data frames and ignores the staging bound); it does not
-  // reach the wire — RPC priority rides in the frame header.
+  // jumps staged data frames); it does not reach the wire — RPC priority
+  // rides in the frame header.
   sim::Task<Status> Send(std::span<const std::byte> payload,
                          uint8_t priority = kPriorityData) {
     return submitter_.Submit(payload, priority);
@@ -68,9 +67,6 @@ class Channel {
     // Bounded-send policy for both rings: how long a Send may wait on a
     // full ring before failing with kOverloaded. 0 = wait forever.
     Nanos full_wait = 0;
-    // Submission-front batching for both endpoints (watermark, Nagle
-    // max_delay, staging bound). Defaults: opportunistic batching only.
-    MpscSubmitter::Options submit;
     // Pin the backing segment to a specific MHD (tests); default balances.
     MhdId mhd;
   };

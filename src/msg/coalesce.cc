@@ -5,96 +5,66 @@
 
 namespace cxlpool::msg {
 
-DoorbellCoalescer::State::State(sim::EventLoop& l, const obs::Scope& scope)
-    : loop(l),
-      offered(scope.GetCounter("coalesce.offered")),
-      rings(scope.GetCounter("coalesce.rings")),
-      coalesced(scope.GetCounter("coalesce.coalesced")),
-      watermark_flushes(scope.GetCounter("coalesce.watermark_flushes")),
-      deadline_flushes(scope.GetCounter("coalesce.deadline_flushes")),
-      forced_flushes(scope.GetCounter("coalesce.forced_flushes")),
-      skipped_stale(scope.GetCounter("coalesce.skipped_stale")) {}
+DoorbellCoalescer::DoorbellCoalescer(RingFn ring, uint32_t watermark,
+                                     const obs::Scope& scope)
+    : ring_(std::move(ring)),
+      watermark_(std::max<uint32_t>(1, watermark)),
+      offered_(scope.GetCounter("coalesce.offered")),
+      rings_(scope.GetCounter("coalesce.rings")),
+      coalesced_(scope.GetCounter("coalesce.coalesced")),
+      watermark_flushes_(scope.GetCounter("coalesce.watermark_flushes")),
+      forced_flushes_(scope.GetCounter("coalesce.forced_flushes")),
+      skipped_stale_(scope.GetCounter("coalesce.skipped_stale")) {}
 
-DoorbellCoalescer::DoorbellCoalescer(sim::EventLoop& loop, RingFn ring,
-                                     Options options, const obs::Scope& scope)
-    : options_(options), state_(std::make_shared<State>(loop, scope)) {
-  if (options_.watermark == 0) {
-    options_.watermark = 1;
-  }
-  state_->ring = std::move(ring);
-}
-
-DoorbellCoalescer::~DoorbellCoalescer() { state_->closed = true; }
-
-sim::Task<Status> DoorbellCoalescer::FlushNow(std::shared_ptr<State> s) {
-  if (!s->dirty) {
+sim::Task<Status> DoorbellCoalescer::FlushNow() {
+  if (!dirty_) {
     co_return OkStatus();
   }
-  uint64_t value = s->pending;
-  uint64_t folded = s->since_flush;
-  s->dirty = false;
-  s->since_flush = 0;
-  if (value <= s->last_rung) {
+  uint64_t value = pending_;
+  uint64_t folded = since_flush_;
+  dirty_ = false;
+  since_flush_ = 0;
+  if (value <= last_rung_) {
     // Nothing beyond what the consumer already saw — e.g. a forced flush
     // racing a watermark flush. Ringing a non-advancing value would break
     // the monotone contract, so drop it.
-    s->skipped_stale->Inc();
-    s->coalesced->Add(folded);
+    skipped_stale_->Inc();
+    coalesced_->Add(folded);
     co_return OkStatus();
   }
-  s->rings->Inc();
-  s->coalesced->Add(folded > 0 ? folded - 1 : 0);
-  s->last_rung = value;
-  // The ring fn is copied into this frame: `s` keeps the State alive, and
-  // a coalescer destroyed mid-ring only flips `closed` (checked by the
-  // timer path before entering here).
-  RingFn ring = s->ring;
+  rings_->Inc();
+  coalesced_->Add(folded > 0 ? folded - 1 : 0);
+  last_rung_ = value;
+  // The ring fn is copied into this frame and no member is touched after
+  // the ring's co_await, so the ring may outlive the coalescer.
+  RingFn ring = ring_;
   co_return co_await ring(value);
 }
 
-sim::Task<> DoorbellCoalescer::DeadlineFlush(std::shared_ptr<State> s,
-                                             Nanos delay) {
-  co_await sim::Delay(s->loop, delay);
-  s->timer_armed = false;
-  if (s->closed || !s->dirty) {
-    co_return;
-  }
-  s->deadline_flushes->Inc();
-  // A dying CXL/MMIO path cannot be reported to anyone from a detached
-  // timer; the next explicit Offer/Flush on the same path surfaces it.
-  Status st = co_await FlushNow(s);
-  (void)st;
-}
-
 sim::Task<Status> DoorbellCoalescer::Offer(uint64_t value) {
-  State& s = *state_;
-  s.offered->Inc();
-  s.pending = std::max(s.pending, value);
-  s.since_flush += 1;
-  s.dirty = true;
-  if (s.since_flush >= options_.watermark) {
-    s.watermark_flushes->Inc();
-    co_return co_await FlushNow(state_);
-  }
-  if (options_.max_delay > 0 && !s.timer_armed) {
-    s.timer_armed = true;
-    sim::Spawn(DeadlineFlush(state_, options_.max_delay));
+  offered_->Inc();
+  pending_ = std::max(pending_, value);
+  since_flush_ += 1;
+  dirty_ = true;
+  if (since_flush_ >= watermark_) {
+    watermark_flushes_->Inc();
+    co_return co_await FlushNow();
   }
   co_return OkStatus();
 }
 
 sim::Task<Status> DoorbellCoalescer::Flush() {
-  if (state_->dirty) {
-    state_->forced_flushes->Inc();
+  if (dirty_) {
+    forced_flushes_->Inc();
   }
-  co_return co_await FlushNow(state_);
+  co_return co_await FlushNow();
 }
 
 void DoorbellCoalescer::Reset() {
-  state_->pending = 0;
-  state_->last_rung = 0;
-  state_->since_flush = 0;
-  state_->dirty = false;
+  pending_ = 0;
+  last_rung_ = 0;
+  since_flush_ = 0;
+  dirty_ = false;
 }
 
 }  // namespace cxlpool::msg

@@ -24,9 +24,6 @@ Nanos RetryPolicy::BackoffFor(int retry) {
 }
 
 bool RetryPolicy::SpendRetryToken() {
-  if (options_.budget_ratio <= 0.0) {
-    return true;  // budget disabled
-  }
   if (budget_tokens_ < 1.0) {
     budget_denied_->Inc();
     return false;

@@ -35,9 +35,9 @@ class RetryPolicy {
     // tokens (capped at budget_burst) and every retry spends one, so
     // sustained retries can never exceed that fraction of fresh load —
     // the amplification bound that keeps a saturated path from feeding
-    // itself. 0 = unlimited (legacy). The bucket starts full (burst), so
-    // isolated failures still get their max_attempts.
-    double budget_ratio = 0.0;
+    // itself. The bucket starts full (burst), so isolated failures still
+    // get their max_attempts.
+    double budget_ratio = 0.1;
     double budget_burst = 10.0;
     uint64_t seed = 0x9e3779b97f4a7c15ULL;
   };

@@ -38,23 +38,8 @@ sim::Task<Status> RpcClient::AcquireTurn(uint8_t priority) {
   }
   if (priority != kPriorityControl && options_.max_pending > 0 &&
       DataWaiters() >= options_.max_pending) {
-    if (options_.overflow == OverflowPolicy::kRejectNew) {
-      rejected_->Inc();
-      co_return Overloaded("client send queue full (reject-new)");
-    }
-    // kDropOldest: evict the oldest queued data-priority call. It wakes,
-    // sees `dropped`, and returns kOverloaded without ever holding the
-    // turn; the arriving call takes its place in line.
-    for (auto it = turn_queue_.begin(); it != turn_queue_.end(); ++it) {
-      if ((*it)->priority != kPriorityControl) {
-        TurnWaiter* victim = *it;
-        turn_queue_.erase(it);
-        victim->dropped = true;
-        victim->event.Set();
-        dropped_oldest_->Inc();
-        break;
-      }
-    }
+    rejected_->Inc();
+    co_return Overloaded("client send queue full (reject-new)");
   }
   TurnWaiter waiter(endpoint_.loop());
   waiter.priority = priority;
@@ -69,9 +54,6 @@ sim::Task<Status> RpcClient::AcquireTurn(uint8_t priority) {
     turn_queue_.push_back(&waiter);
   }
   co_await waiter.event.Wait();
-  if (waiter.dropped) {
-    co_return Overloaded("client send queue full (drop-oldest)");
-  }
   co_return OkStatus();  // ReleaseTurn handed us a slot; inflight_ unchanged
 }
 

@@ -58,11 +58,11 @@ class RpcClient {
  public:
   struct Options {
     // Bound on calls queued behind the in-flight window (per client —
-    // i.e. per (client host, device) forwarding path). 0 = unbounded
-    // (legacy). Control-priority calls are exempt: they jump the queue
-    // and are never counted against or evicted by the bound.
+    // i.e. per (client host, device) forwarding path). 0 = unbounded. A
+    // data-priority call arriving at the bound is refused with
+    // kOverloaded; queued work is untouched. Control-priority calls are
+    // exempt: they jump the queue and are never counted against the bound.
     uint32_t max_pending = 0;
-    OverflowPolicy overflow = OverflowPolicy::kRejectNew;
     // Calls allowed on the wire at once. 1 (default) = stop-and-wait:
     // exactly the pre-pipelining client, every existing ordering holds.
     // Larger values pipeline: the channel holds several requests while
@@ -121,7 +121,6 @@ class RpcClient {
     explicit TurnWaiter(sim::EventLoop& loop) : event(loop) {}
     sim::Event event;
     uint8_t priority = kPriorityData;
-    bool dropped = false;
   };
 
   // A call that has been sent and is awaiting its response. Keyed by
@@ -137,8 +136,8 @@ class RpcClient {
   };
 
   // Inflight-window admission with priority: returns kOverloaded without
-  // a slot when the pending bound rejects or evicts this call; otherwise
-  // returns OK holding one inflight slot (release with ReleaseTurn).
+  // a slot when the pending bound rejects this call; otherwise returns OK
+  // holding one inflight slot (release with ReleaseTurn).
   sim::Task<Status> AcquireTurn(uint8_t priority);
   void ReleaseTurn();
   size_t DataWaiters() const;
@@ -161,9 +160,8 @@ class RpcClient {
   bool reader_active_ = false;
   obs::Tracer* tracer_ = nullptr;
   obs::Scope metrics_;
-  // kRejectNew refusals at the bound; queued calls evicted by kDropOldest.
+  // Refusals at the max_pending bound.
   obs::Counter* rejected_ = metrics_.GetCounter("rpc_client.rejected");
-  obs::Counter* dropped_oldest_ = metrics_.GetCounter("rpc_client.dropped_oldest");
   // Deadline passed while waiting to send; timed out awaiting a response.
   obs::Counter* expired_in_queue_ = metrics_.GetCounter("rpc_client.expired_in_queue");
   obs::Counter* expired_in_flight_ = metrics_.GetCounter("rpc_client.expired_in_flight");

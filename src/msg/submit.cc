@@ -1,39 +1,13 @@
 #include "src/msg/submit.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "src/common/check.h"
 
 namespace cxlpool::msg {
 
-namespace {
-// Fires `ev` after `delay`; holds shared ownership so the waiter may
-// resume (and drop its reference) before the timer lapses.
-sim::Task<> NagleTimer(sim::EventLoop& loop, Nanos delay,
-                       std::shared_ptr<sim::Event> ev) {
-  co_await sim::Delay(loop, delay);
-  ev->Set();
-}
-}  // namespace
-
-size_t MpscSubmitter::StagedData() const {
-  size_t n = 0;
-  for (const Ticket* t : staged_) {
-    if (t->priority != kPriorityControl) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 sim::Task<Status> MpscSubmitter::Submit(std::span<const std::byte> payload,
                                         uint8_t priority) {
-  if (priority != kPriorityControl && options_.max_staged > 0 &&
-      StagedData() >= options_.max_staged) {
-    rejected_->Inc();
-    co_return Overloaded("submission front staging bound");
-  }
   submitted_->Inc();
   Ticket ticket(sender_.host().loop());
   ticket.payload = payload;
@@ -48,45 +22,27 @@ sim::Task<Status> MpscSubmitter::Submit(std::span<const std::byte> payload,
   } else {
     staged_.push_back(&ticket);
   }
-  // A drainer in its Nagle fill wait flushes early once the batch fills.
-  if (fill_wake_ != nullptr && staged_.size() >= options_.watermark) {
-    fill_wake_->Set();
-  }
 
   if (!draining_) {
     // Single-atomic-claim: first stager takes the drainer role.
     draining_ = true;
-    co_await Drain(&ticket, /*fresh=*/true);
+    co_await Drain(&ticket);
     co_return ticket.result;
   }
   co_await ticket.wake.Wait();
   if (ticket.finished) {
     co_return ticket.result;
   }
-  // Woken to inherit the drainer role from a finished predecessor. The
-  // inherited drain skips the Nagle fill wait: this frame already aged in
-  // the staging queue, so max_delay stays the per-frame latency bound.
+  // Woken to inherit the drainer role from a finished predecessor.
   CXLPOOL_CHECK(ticket.drainer);
-  co_await Drain(&ticket, /*fresh=*/false);
+  co_await Drain(&ticket);
   co_return ticket.result;
 }
 
-sim::Task<> MpscSubmitter::Drain(Ticket* self, bool fresh) {
-  sim::EventLoop& loop = sender_.host().loop();
-  if (fresh && options_.max_delay > 0 && staged_.size() < options_.watermark) {
-    // Nagle: bounded wait for the batch to fill, cut short the moment the
-    // watermark is reached. max_delay IS the hard latency bound — we
-    // flush whatever is staged when it elapses.
-    nagle_waits_->Inc();
-    auto filled = std::make_shared<sim::Event>(loop);
-    fill_wake_ = filled.get();
-    sim::Spawn(NagleTimer(loop, options_.max_delay, filled));
-    co_await filled->Wait();
-    fill_wake_ = nullptr;
-  }
+sim::Task<> MpscSubmitter::Drain(Ticket* self) {
   while (true) {
     CXLPOOL_CHECK(!staged_.empty());  // self stays staged until sent
-    size_t n = std::min<size_t>(staged_.size(), options_.watermark);
+    size_t n = std::min<size_t>(staged_.size(), kWatermark);
     std::vector<Ticket*> batch(staged_.begin(), staged_.begin() + n);
     staged_.erase(staged_.begin(), staged_.begin() + n);
     std::vector<std::span<const std::byte>> frames;

@@ -8,7 +8,7 @@
 //
 //   * Submit() stages a ticket (claiming a staging slot is the single-
 //     atomic-claim step) and the first stager becomes the DRAINER.
-//   * The drainer folds up to `watermark` staged frames into one
+//   * The drainer folds up to kWatermark staged frames into one
 //     RingSender::SendBatch — one space reservation, write-combined
 //     nt-stores — then completes those tickets.
 //   * When the drainer's own frame has been sent it hands the drainer
@@ -16,16 +16,13 @@
 //     finishing everyone's work itself (no head-of-line producer pays for
 //     the whole convoy).
 //
-// Batching is opportunistic by default: a lone producer drains itself
-// immediately (batch of one, zero added latency); concurrent producers
-// stage while the drainer's SendBatch is in flight and get folded into
-// the next batch. `max_delay` adds a Nagle-style bounded wait for the
-// batch to fill — the hard latency bound is max_delay itself, so the knob
-// trades exactly that much p50 for fewer, larger CXL bursts.
+// Batching is opportunistic: a lone producer drains itself immediately
+// (batch of one, zero added latency); concurrent producers stage while the
+// drainer's SendBatch is in flight and get folded into the next batch.
 //
 // Control-priority frames jump ahead of staged data frames (never ahead
-// of earlier control) and are exempt from the staging bound, mirroring
-// the RPC turn queue's guarantees end to end.
+// of earlier control), mirroring the RPC turn queue's guarantees end to
+// end.
 #ifndef SRC_MSG_SUBMIT_H_
 #define SRC_MSG_SUBMIT_H_
 
@@ -43,36 +40,17 @@ namespace cxlpool::msg {
 
 class MpscSubmitter {
  public:
-  struct Options {
-    // Max frames folded into one SendBatch; also the fill target the
-    // Nagle delay waits for. Clamped to >= 1.
-    uint32_t watermark = 8;
-    // Bounded wait for the batch to fill before flushing anyway. 0 =
-    // flush immediately (batching still happens opportunistically while
-    // a previous batch's stores are in flight). This is the hard latency
-    // bound: no staged frame ever waits longer than max_delay before its
-    // batch is pushed to the ring.
-    Nanos max_delay = 0;
-    // Bound on staged data-priority frames; 0 = unbounded. Overflow is
-    // refused with kOverloaded (control is exempt, like the RPC queue).
-    uint32_t max_staged = 0;
-  };
+  // Max frames folded into one SendBatch.
+  static constexpr uint32_t kWatermark = 8;
 
   // Counts the submit.* series declared with its members under the sender
   // host's scope.
-  MpscSubmitter(RingSender& sender, Options options)
-      : sender_(sender), options_(options) {
-    if (options_.watermark == 0) {
-      options_.watermark = 1;
-    }
-  }
-  explicit MpscSubmitter(RingSender& sender)
-      : MpscSubmitter(sender, Options()) {}
+  explicit MpscSubmitter(RingSender& sender) : sender_(sender) {}
 
   // Publishes one frame. The payload must stay alive until Submit
   // returns (callers await it, so their frame owns the bytes — no copy).
-  // Returns the ring send status; kOverloaded when the staging bound or
-  // the ring's full_wait rejects the frame.
+  // Returns the ring send status; kOverloaded when the ring's full_wait
+  // rejects the frame.
   sim::Task<Status> Submit(std::span<const std::byte> payload,
                            uint8_t priority = kPriorityData);
 
@@ -90,24 +68,15 @@ class MpscSubmitter {
     bool drainer = false;  // woken to take over draining
   };
 
-  sim::Task<> Drain(Ticket* self, bool fresh);
-  size_t StagedData() const;
+  sim::Task<> Drain(Ticket* self);
 
   RingSender& sender_;
-  Options options_;
   std::deque<Ticket*> staged_;
   bool draining_ = false;
-  // Set while a fresh drainer sits in its Nagle fill wait; staging the
-  // watermark-th frame fires it to flush early.
-  sim::Event* fill_wake_ = nullptr;
   const obs::Scope& metrics_ = sender_.host().metrics();
   obs::Counter* submitted_ = metrics_.GetCounter("submit.submitted");
   // Drainer role passed to a follower.
   obs::Counter* handoffs_ = metrics_.GetCounter("submit.handoffs");
-  // Staging-bound refusals.
-  obs::Counter* rejected_ = metrics_.GetCounter("submit.rejected");
-  // Bounded fills awaited.
-  obs::Counter* nagle_waits_ = metrics_.GetCounter("submit.nagle_waits");
   // Frames per drain round pushed to the ring: its count is the rounds,
   // its max the largest round.
   sim::Histogram* batch_frames_ = metrics_.GetHistogram("submit.batch_frames");

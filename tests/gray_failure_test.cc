@@ -92,7 +92,8 @@ TEST_F(GrayFailureTest, TimedOutDoorbellIsAppliedExactlyOnce) {
   // 10us RTT ceiling, so the op completes without exhausting attempts.
   retry.timeout_multiplier = 8.0;
   ForwardedMmioPath path(client, PcieDeviceId(90), /*epoch=*/0,
-                         /*timeout=*/200, loop_, /*client_id=*/7, retry);
+                         /*timeout=*/200, loop_, /*client_id=*/7, retry,
+                         *rack_->orchestrator().breaker(PcieDeviceId(90)));
 
   auto t = [](ForwardedMmioPath& p) -> Task<Status> {
     co_return co_await p.Write(0x20, 0xd00d);
@@ -135,7 +136,8 @@ TEST_F(GrayFailureTest, DedupWindowDoesNotSwallowSubsequentOps) {
   retry.initial_backoff = 2 * kMicrosecond;
   retry.timeout_multiplier = 8.0;
   ForwardedMmioPath path(client, PcieDeviceId(91), /*epoch=*/0,
-                         /*timeout=*/200, loop_, /*client_id=*/9, retry);
+                         /*timeout=*/200, loop_, /*client_id=*/9, retry,
+                         *rack_->orchestrator().breaker(PcieDeviceId(91)));
 
   auto t = [](ForwardedMmioPath& p) -> Task<Status> {
     for (uint64_t reg = 1; reg <= 3; ++reg) {
@@ -258,17 +260,17 @@ TEST_F(GrayFailureTest, FlappingDeviceIsQuarantinedThenReoffered) {
   Drain();
 }
 
-// Flaps below the threshold never quarantine; threshold 0 disables.
+// Flaps below the threshold never quarantine.
 TEST_F(GrayFailureTest, QuarantineRespectsThresholdConfig) {
   RackConfig rc = SmallRack();
-  rc.orch.quarantine_flap_threshold = 0;  // disabled
+  ASSERT_EQ(rc.orch.quarantine_flap_threshold, 3u);
   rack_ = std::make_unique<Rack>(loop_, rc);
   CountingDevice dev(PcieDeviceId(95), loop_);
   dev.AttachTo(&rack_->pod().host(0));
   rack_->orchestrator().RegisterDevice(HostId(0), &dev, DeviceType::kAccel);
   rack_->Start();
 
-  rack_->orchestrator().NoteFlaps(PcieDeviceId(95), 100);
+  rack_->orchestrator().NoteFlaps(PcieDeviceId(95), 2);
   EXPECT_FALSE(rack_->orchestrator().InQuarantine(PcieDeviceId(95)));
   EXPECT_EQ(CounterValue(rack_->pod().metrics(), "orch.quarantines"), 0u);
   Drain();

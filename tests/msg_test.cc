@@ -839,7 +839,6 @@ TEST_F(MsgTest, BoundedClientQueueRejectNew) {
   Spawn(server.Serve(stop));
   RpcClient::Options opts;
   opts.max_pending = 1;
-  opts.overflow = OverflowPolicy::kRejectNew;
   RpcClient client(c.end_a(), opts);
 
   std::vector<StatusCode> codes(4, StatusCode::kOk);
@@ -866,48 +865,6 @@ TEST_F(MsgTest, BoundedClientQueueRejectNew) {
   EXPECT_EQ(codes[2], StatusCode::kOverloaded);
   EXPECT_EQ(codes[3], StatusCode::kOk);
   EXPECT_EQ(Count(0, "rpc_client.rejected"), 1u);
-  EXPECT_EQ(Count(0, "rpc_client.dropped_oldest"), 0u);
-  stop.Stop();
-  loop_.RunFor(100 * kMicrosecond);
-}
-
-TEST_F(MsgTest, BoundedClientQueueDropOldest) {
-  auto ch = Channel::Create(pod_.pool(), pod_.host(0), pod_.host(1));
-  ASSERT_TRUE(ch.ok());
-  Channel& c = **ch;
-  sim::StopToken stop;
-  RpcServer server(c.end_b(),
-                   [this](uint16_t, std::span<const std::byte> req)
-                       -> Task<Result<std::vector<std::byte>>> {
-                     co_await sim::Delay(loop_, 5 * kMicrosecond);
-                     co_return std::vector<std::byte>(req.begin(), req.end());
-                   });
-  Spawn(server.Serve(stop));
-  RpcClient::Options opts;
-  opts.max_pending = 1;
-  opts.overflow = OverflowPolicy::kDropOldest;
-  RpcClient client(c.end_a(), opts);
-
-  std::vector<StatusCode> codes(3, StatusCode::kOk);
-  auto one = [&codes](RpcClient& cl, sim::EventLoop& loop, int i) -> Task<> {
-    auto r = co_await cl.Call(1, Msg("x"), loop.now() + 10 * kMillisecond);
-    codes[static_cast<size_t>(i)] =
-        r.ok() ? StatusCode::kOk : r.status().code();
-  };
-  auto drive = [&](RpcClient& cl, sim::EventLoop& loop) -> Task<> {
-    Spawn(one(cl, loop, 0));  // in flight
-    co_await sim::Delay(loop, 1 * kMicrosecond);
-    Spawn(one(cl, loop, 1));  // queued — the oldest waiter
-    Spawn(one(cl, loop, 2));  // evicts #1, takes its place
-    co_return;
-  };
-  RunBlocking(loop_, drive(client, loop_));
-  loop_.RunFor(kMillisecond);
-  EXPECT_EQ(codes[0], StatusCode::kOk);
-  EXPECT_EQ(codes[1], StatusCode::kOverloaded);  // freshest-first under load
-  EXPECT_EQ(codes[2], StatusCode::kOk);
-  EXPECT_EQ(Count(0, "rpc_client.dropped_oldest"), 1u);
-  EXPECT_EQ(Count(0, "rpc_client.rejected"), 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -1066,19 +1023,6 @@ TEST(CircuitBreakerTest, HalfOpenFailureReopensImmediately) {
   EXPECT_FALSE(cb.Allow(probe_t + kMicrosecond));
 }
 
-TEST(CircuitBreakerTest, ZeroThresholdDisables) {
-  CircuitBreaker::Options o;
-  o.failure_threshold = 0;
-  obs::Registry registry;
-  CircuitBreaker cb(obs::Scope(registry), o);
-  for (int i = 0; i < 100; ++i) {
-    cb.RecordFailure(static_cast<Nanos>(i));
-  }
-  EXPECT_TRUE(cb.Allow(200));
-  EXPECT_EQ(cb.state(200), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(CounterValue(registry, "breaker.opens"), 0u);
-}
-
 TEST(CircuitBreakerTest, OverloadedIsNotABreakerFailure) {
   // A peer answering kOverloaded is alive — only transport silence
   // (kDeadlineExceeded) or a dead path (kUnavailable) count.
@@ -1094,9 +1038,8 @@ TEST_F(MsgTest, RetryBudgetCapsAmplification) {
   auto ch = Channel::Create(pod_.pool(), pod_.host(0), pod_.host(1));
   ASSERT_TRUE(ch.ok());
   Channel& c = **ch;
-  // Dead path (no server): without a budget every call would burn
-  // max_attempts - 1 retries. The token bucket caps total retries at
-  // ratio * calls + burst.
+  // Dead path (no server): every call would burn max_attempts - 1
+  // retries. The token bucket caps total retries at ratio * calls + burst.
   RetryPolicy::Options ro;
   ro.max_attempts = 4;
   ro.initial_backoff = 2 * kMicrosecond;
@@ -1129,12 +1072,6 @@ TEST_F(MsgTest, RetryBudgetCapsAmplification) {
   EXPECT_LE(static_cast<double>(PolicyCount("policy", "retries")),
             ro.budget_ratio * kCalls + ro.budget_burst);
   EXPECT_GT(PolicyCount("policy", "budget_denied"), 0u);
-  // Unbudgeted control: every call burns its full attempt allowance.
-  RetryPolicy::Options unlimited = ro;
-  unlimited.budget_ratio = 0.0;
-  RetryPolicy free_policy(PolicyScope("free_policy"), unlimited);
-  RunBlocking(loop_, drive(free_policy, client, loop_));
-  EXPECT_EQ(PolicyCount("free_policy", "retries"), static_cast<uint64_t>(kCalls * 3));
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -1302,11 +1239,10 @@ struct RingLog {
   }
 };
 
-TEST_F(MsgTest, CoalescerWatermarkBeatsDeadline) {
+TEST_F(MsgTest, CoalescerFlushesAtWatermark) {
   RingLog log{&loop_, {}};
-  DoorbellCoalescer co(
-      loop_, [&log](uint64_t v) { return log.Ring(v); },
-      {.watermark = 3, .max_delay = 5 * kMicrosecond}, obs::Scope(pod_.metrics()));
+  DoorbellCoalescer co([&log](uint64_t v) { return log.Ring(v); },
+                       /*watermark=*/3, obs::Scope(pod_.metrics()));
   auto t = [](DoorbellCoalescer& c) -> Task<> {
     CXLPOOL_CHECK_OK(co_await c.Offer(1));
     CXLPOOL_CHECK_OK(co_await c.Offer(2));
@@ -1315,45 +1251,19 @@ TEST_F(MsgTest, CoalescerWatermarkBeatsDeadline) {
   RunBlocking(loop_, t(co));
   ASSERT_EQ(log.rung.size(), 1u);
   EXPECT_EQ(log.rung[0].first, 3u);          // the folded max, once
-  EXPECT_LT(log.rung[0].second, 5 * kMicrosecond);  // before the deadline
-  // The armed timer lapses on already-clean state: no second ring, no
-  // deadline flush counted.
+  EXPECT_LT(log.rung[0].second, 5 * kMicrosecond);  // rung by the third offer
+  // Nothing is left pending: time passing rings nothing more.
   loop_.RunFor(20 * kMicrosecond);
   EXPECT_EQ(log.rung.size(), 1u);
   EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.watermark_flushes"), 1u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.deadline_flushes"), 0u);
   EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.rings"), 1u);
   EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.coalesced"), 2u);
 }
 
-TEST_F(MsgTest, CoalescerDeadlineBoundsTrickle) {
-  RingLog log{&loop_, {}};
-  DoorbellCoalescer co(
-      loop_, [&log](uint64_t v) { return log.Ring(v); },
-      {.watermark = 100, .max_delay = 5 * kMicrosecond}, obs::Scope(pod_.metrics()));
-  auto t = [](DoorbellCoalescer& c, sim::EventLoop& loop) -> Task<> {
-    CXLPOOL_CHECK_OK(co_await c.Offer(1));  // arms the timer at t=0
-    co_await sim::Delay(loop, kMicrosecond);
-    CXLPOOL_CHECK_OK(co_await c.Offer(2));  // folded into the same batch
-  };
-  RunBlocking(loop_, t(co, loop_));
-  EXPECT_TRUE(co.dirty());
-  EXPECT_EQ(log.rung.size(), 0u);  // still pending: watermark far away
-  loop_.RunFor(20 * kMicrosecond);
-  ASSERT_EQ(log.rung.size(), 1u);
-  EXPECT_EQ(log.rung[0].first, 2u);  // max of the folded values
-  // max_delay is the hard latency bound, anchored at the FIRST offer.
-  EXPECT_EQ(log.rung[0].second, 5 * kMicrosecond);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.deadline_flushes"), 1u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.watermark_flushes"), 0u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.coalesced"), 1u);
-  EXPECT_FALSE(co.dirty());
-}
-
 TEST_F(MsgTest, CoalescerRungValuesStayMonotone) {
   RingLog log{&loop_, {}};
-  DoorbellCoalescer co(loop_, [&log](uint64_t v) { return log.Ring(v); },
-                       {.watermark = 1}, obs::Scope(pod_.metrics()));
+  DoorbellCoalescer co([&log](uint64_t v) { return log.Ring(v); },
+                       /*watermark=*/1, obs::Scope(pod_.metrics()));
   auto t = [](DoorbellCoalescer& c) -> Task<> {
     CXLPOOL_CHECK_OK(co_await c.Offer(5));
     CXLPOOL_CHECK_OK(co_await c.Offer(3));  // behind the last rung value
@@ -1418,7 +1328,7 @@ TEST_F(MsgTest, MpscSubmitterFairnessUnderSaturation) {
   RingConfig rc = MakeRing();
   RingSender tx(pod_.host(0), rc);
   RingReceiver rx(pod_.host(1), rc);
-  MpscSubmitter sub(tx, {.watermark = 8});
+  MpscSubmitter sub(tx);
   constexpr uint32_t kProducers = 4;
   constexpr uint32_t kPer = 25;
 
@@ -1473,7 +1383,8 @@ TEST_F(MsgTest, MpscSubmitterFairnessUnderSaturation) {
   EXPECT_EQ(std::llround(batches->mean() * static_cast<double>(batches->count())),
             kProducers * kPer);           // every frame rode some batch
   EXPECT_GE(batches->max(), 2);           // real folding happened
-  EXPECT_LE(batches->max(), 8);           // and respected the watermark
+  EXPECT_LE(batches->max(),               // and respected the watermark
+            static_cast<int64_t>(MpscSubmitter::kWatermark));
   EXPECT_GE(Count(0, "submit.handoffs"), 1u);  // no head-of-line combiner
   EXPECT_GE(Count(0, "ring.batch_sends"), 1u);
 }

@@ -254,7 +254,7 @@ TEST_F(OverloadTest, InflightBoundShedsDataKeepsControl) {
     // from the inflight bound, it must land despite the stall.
     auto* fwd = static_cast<ForwardedMmioPath*>(path2->get());
     auto req = mmio_wire::EncodeRead(PcieDeviceId(53), fwd->epoch(),
-                                     /*client_id=*/0, /*seq=*/1, 0x8);
+                                     fwd->client_id(), /*seq=*/1, 0x8);
     auto resp = co_await fwd->rpc_client().Call(
         kMethodMmioRead, req, loop.now() + 500 * kMicrosecond, {},
         msg::kPriorityControl);

@@ -279,10 +279,10 @@ def _find_body_after_params(model, close_paren):
                     m = model.brace_match.get(j)
                     if m is None:
                         return None
-                    # Initializer brace iff a `,` or another initializer
-                    # follows; otherwise this is the body.
-                    if m + 1 < n and (toks[m + 1].is_punct(",")
-                                      or toks[m + 1].is_id()):
+                    # An initializer brace follows its member or base name
+                    # (`x_{x}`, `Base<T>{}`); the body brace follows the
+                    # `)` or `}` that closed the last initializer.
+                    if toks[j - 1].is_id() or toks[j - 1].is_punct(">"):
                         j = m + 1
                         continue
                     return j
@@ -327,10 +327,16 @@ def _find_functions(model):
         first, qualifier = _leading_name_index(toks, i)
         if first > 0:
             prev = toks[first - 1]
+            # `public: A(...)` is a constructor head, not an initializer.
+            if first > 1 and prev.is_punct(":") and toks[first - 2].is_id(
+                    "public", "protected", "private"):
+                prev = toks[first - 2]
             # NB: `>` stays allowed — it closes template return types
             # (`Task<Status> Ring(...)`); expression contexts like
             # `a > b(c)` are rejected later by the body-brace scan.
-            if prev.is_punct(".", "->", "(", "!", "&&", "||", "=", "+",
+            # `,` precedes a member initializer (`: a_(x), b_(y) {`),
+            # never a definition.
+            if prev.is_punct(".", "->", "(", ",", "!", "&&", "||", "=", "+",
                              "-", "*", "/", "%", "==", "!=",
                              "<=", ">=", "?", ":", "[", "return"):
                 continue

@@ -54,9 +54,26 @@ class FunctionDetection(unittest.TestCase):
             };
         """)
         # The ctor body must be found (not the `x_(x)` initializer).
-        self.assertEqual(len(m.functions), 1)
+        self.assertEqual([f.name for f in m.functions], ["A"])
         body = m.tokens[m.functions[0].body_start:m.functions[0].body_end]
         self.assertIn("Init", [t.text for t in body])
+
+    def test_out_of_line_constructor_keeps_its_own_body(self):
+        # The body brace follows the `)` or `}` closing the last
+        # initializer, even when the next definition starts with a name.
+        for init in ("config_{config}", "config_(config)"):
+            m = build("""
+                Agent::Agent(Host& host, Config config)
+                    : host_(host), %s { Init(); }
+                sim::Task<> Agent::Serve(int x) { co_await Delay(x); }
+            """ % init)
+            self.assertEqual([f.qualified_name for f in m.functions],
+                             ["Agent::Agent", "Agent::Serve"], init)
+            ctor, serve = m.functions
+            body = m.tokens[ctor.body_start:ctor.body_end]
+            self.assertIn("Init", [t.text for t in body], init)
+            self.assertFalse(ctor.is_coroutine, init)
+            self.assertTrue(serve.is_coroutine, init)
 
     def test_control_flow_is_not_a_function(self):
         m = build("void F() { if (x) { y(); } while (z) { w(); } }")
