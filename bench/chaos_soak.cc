@@ -168,6 +168,7 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
   auto enabled = [&fault_filter](const char* cls) {
     return fault_filter.empty() || fault_filter.count(cls) != 0;
   };
+  const int64_t wall_start = obs::WallNanos();
   sim::EventLoop loop;
   RackConfig rc;
   rc.pod.num_hosts = 4;
@@ -564,8 +565,11 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
     reg.GetCounter("traffic.ops_ok")->Add(r.traffic.ops_ok);
     reg.GetCounter("traffic.ops_failed")->Add(r.traffic.ops_failed);
     reg.GetCounter("traffic.reacquires")->Add(r.traffic.reacquires);
-    Status st = obs::WriteBenchJson(json_path, "chaos_soak", loop.now(), reg);
-    CXLPOOL_CHECK_OK(st);
+    CXLPOOL_CHECK_OK(obs::WriteBenchJson(
+        json_path, "chaos_soak",
+        {.sim_ns = loop.now(), .events = loop.executed(),
+         .wall_ns = obs::WallNanos() - wall_start},
+        reg));
     if (print) {
       std::printf("metrics snapshot:  %s (%zu series)\n", json_path.c_str(),
                   reg.series_count());

@@ -85,7 +85,7 @@ std::string FormatMpps(double mpps) {
 // {placement, payload_b, offered_mpps} labels; the table below and the
 // --json snapshot both read from the same series.
 Point RunPoint(Placement server_buffers, uint32_t payload, double offered_pps,
-               obs::Registry& registry, int64_t* total_sim_ns) {
+               obs::Registry& registry, obs::BenchRun* run) {
   sim::EventLoop loop;
   RackConfig rc;
   rc.pod.num_hosts = 2;
@@ -120,7 +120,8 @@ Point RunPoint(Placement server_buffers, uint32_t payload, double offered_pps,
               RunUdpLoad(cli_sock, server.stack->mac(), 7, lg, registry, labels));
   rack.Shutdown();
   loop.RunFor(500 * kMicrosecond);
-  *total_sim_ns += loop.now();
+  run->sim_ns += loop.now();
+  run->events += loop.executed();
   // Latency must not come from skipped write-backs: any unpublished dirty
   // line silently destroyed would mean the datapath cheated the protocol.
   CXLPOOL_CHECK(rack.pod().TotalLostDirtyLines() == 0);
@@ -163,8 +164,9 @@ int main(int argc, char** argv) {
     loads_mpps = {0.75, 2.25, 4.0};
   }
 
+  const int64_t wall_start = obs::WallNanos();
   obs::Registry registry;
-  int64_t total_sim_ns = 0;
+  obs::BenchRun run;
   for (uint32_t payload : payloads) {
     std::printf("\n--- payload %u B ---\n", payload);
     std::printf("%12s | %21s | %21s\n", "", "local DDR5 (solid)",
@@ -173,17 +175,16 @@ int main(int argc, char** argv) {
                 "p50us", "p99us", "Gbps", "p50us", "p99us");
     for (double mpps : loads_mpps) {
       Point local = RunPoint(Placement::kLocalDram, payload, mpps * 1e6,
-                             registry, &total_sim_ns);
-      Point cxl = RunPoint(Placement::kCxlPool, payload, mpps * 1e6, registry,
-                           &total_sim_ns);
+                             registry, &run);
+      Point cxl = RunPoint(Placement::kCxlPool, payload, mpps * 1e6, registry, &run);
       std::printf("%9.2f M | %7.2f %6.1f %6.1f | %7.2f %6.1f %6.1f\n", mpps,
                   local.achieved_gbps, local.p50 / 1000.0, local.p99 / 1000.0,
                   cxl.achieved_gbps, cxl.p50 / 1000.0, cxl.p99 / 1000.0);
     }
   }
   if (!json_path.empty()) {
-    CXLPOOL_CHECK_OK(
-        obs::WriteBenchJson(json_path, "fig3_udp_latency", total_sim_ns, registry));
+    run.wall_ns = obs::WallNanos() - wall_start;
+    CXLPOOL_CHECK_OK(obs::WriteBenchJson(json_path, "fig3_udp_latency", run, registry));
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   std::printf("\nexpected shape: curves overlap (<~5%% latency gap at moderate\n"

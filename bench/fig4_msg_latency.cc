@@ -104,6 +104,7 @@ int main(int argc, char** argv) {
   std::printf("ping-pong over 64 B-slot rings in the CXL pool; both hosts on\n");
   std::printf("PCIe-5.0 x16 links; software coherence (nt-store / inval+load)\n\n");
 
+  const int64_t wall_start = obs::WallNanos();
   sim::EventLoop loop;
   cxl::CxlPodConfig pc;
   pc.num_hosts = 2;
@@ -157,8 +158,11 @@ int main(int argc, char** argv) {
         ->Set(static_cast<int64_t>(rate1));
     reg.GetGauge("fig4.msgs_per_sec", {{"producers", "8"}})
         ->Set(static_cast<int64_t>(rate8));
-    CXLPOOL_CHECK_OK(
-        obs::WriteBenchJson(json_path, "fig4_msg_latency", loop.now(), reg));
+    CXLPOOL_CHECK_OK(obs::WriteBenchJson(
+        json_path, "fig4_msg_latency",
+        {.sim_ns = loop.now(), .events = loop.executed(),
+         .wall_ns = obs::WallNanos() - wall_start},
+        reg));
     std::printf("metrics snapshot: %s\n", json_path.c_str());
   }
   CXLPOOL_CHECK(pod.TotalLostDirtyLines() == 0);

@@ -684,6 +684,7 @@ Task<> Soak::Run() {
 SoakResult RunSoak(bool short_mode, const std::set<std::string>& classes,
                    obs::Observability* obs, const std::string& json_path,
                    bool print) {
+  const int64_t wall_start = obs::WallNanos();
   sim::EventLoop loop;
   RackConfig rc;
   rc.pod.num_hosts = 4;
@@ -730,7 +731,11 @@ SoakResult RunSoak(bool short_mode, const std::set<std::string>& classes,
                                               r.audit_b.checked);
     reg.GetCounter("soak.audit_present_ok")->Add(r.audit_a.present_ok +
                                                  r.audit_b.present_ok);
-    CXLPOOL_CHECK_OK(obs::WriteBenchJson(json_path, "kv_soak", loop.now(), reg));
+    CXLPOOL_CHECK_OK(obs::WriteBenchJson(
+        json_path, "kv_soak",
+        {.sim_ns = loop.now(), .events = loop.executed(),
+         .wall_ns = obs::WallNanos() - wall_start},
+        reg));
     if (print) {
       std::printf("metrics snapshot:  %s (%zu series)\n", json_path.c_str(),
                   reg.series_count());

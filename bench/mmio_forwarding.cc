@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
   }
   std::printf("=== MMIO path ablation: local vs forwarded over CXL channel ===\n\n");
 
+  const int64_t wall_start = obs::WallNanos();
   sim::EventLoop loop;
   obs::Observability obs;
   RackConfig rc;
@@ -264,8 +265,11 @@ int main(int argc, char** argv) {
     for (const auto& [name, hist] : phase_hists) {
       reg.GetHistogram("mmio.phase_ns", {{"phase", name}})->MergeFrom(hist);
     }
-    CXLPOOL_CHECK_OK(
-        obs::WriteBenchJson(json_path, "mmio_forwarding", loop.now(), reg));
+    CXLPOOL_CHECK_OK(obs::WriteBenchJson(
+        json_path, "mmio_forwarding",
+        {.sim_ns = loop.now(), .events = loop.executed(),
+         .wall_ns = obs::WallNanos() - wall_start},
+        reg));
     std::printf("metrics snapshot:  %s (%zu series)\n", json_path.c_str(),
                 reg.series_count());
   }

@@ -182,6 +182,7 @@ int main(int argc, char** argv) {
   std::printf("=== Overload soak: open-loop saturation of the forwarded-MMIO "
               "path ===\n\n");
 
+  const int64_t wall_start = obs::WallNanos();
   sim::EventLoop loop;
   obs::Observability obs;
   RackConfig rc;
@@ -399,8 +400,11 @@ int main(int argc, char** argv) {
     reg.GetCounter("overload.agent_expired")
         ->Add(rpc_expired + expired_at_device);
     reg.GetCounter("overload.breaker_opens")->Add(breaker_opens);
-    CXLPOOL_CHECK_OK(
-        obs::WriteBenchJson(json_path, "overload_soak", loop.now(), reg));
+    CXLPOOL_CHECK_OK(obs::WriteBenchJson(
+        json_path, "overload_soak",
+        {.sim_ns = loop.now(), .events = loop.executed(),
+         .wall_ns = obs::WallNanos() - wall_start},
+        reg));
     std::printf("\nmetrics snapshot:  %s (%zu series)\n", json_path.c_str(),
                 reg.series_count());
   }

@@ -1,9 +1,9 @@
 #include "src/cxl/host_adapter.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 
 #include "src/common/check.h"
 
@@ -18,6 +18,46 @@ Nanos PipelinedLatency(Nanos first, Nanos per_line, uint64_t lines) {
   }
   return first + static_cast<Nanos>(lines - 1) * per_line;
 }
+
+// Bytes one access moves over each CXL link, in the order the links were
+// first touched. An access reaches one link, or a few on an interleaved
+// segment, so up to eight links are tallied without allocating.
+class LinkTally {
+ public:
+  struct Entry {
+    CxlLink* link;
+    uint64_t bytes;
+  };
+
+  void Add(CxlLink* link, uint64_t bytes) {
+    for (Entry& e : entries()) {
+      if (e.link == link) {
+        e.bytes += bytes;
+        return;
+      }
+    }
+    if (size_ < kInline) {
+      inline_[size_] = Entry{link, bytes};
+    } else {
+      if (size_ == kInline) {
+        spill_.assign(inline_.begin(), inline_.end());
+      }
+      spill_.push_back(Entry{link, bytes});
+    }
+    ++size_;
+  }
+
+  std::span<Entry> entries() {
+    return size_ <= kInline ? std::span<Entry>(inline_.data(), size_)
+                            : std::span<Entry>(spill_);
+  }
+
+ private:
+  static constexpr size_t kInline = 8;
+  std::array<Entry, kInline> inline_{};
+  std::vector<Entry> spill_;
+  size_t size_ = 0;
+};
 }  // namespace
 
 HostAdapter::HostAdapter(HostId id, sim::EventLoop& loop, mem::AddressMap& map,
@@ -140,18 +180,6 @@ void HostAdapter::WritebackEvicted(const mem::WriteBackCache::EvictedLine& ev) {
   EmitCoherence(CoherenceOp::kEvictWriteback, ev.line_addr);
 }
 
-sim::Task<Status> HostAdapter::WaitForWriteHorizon(uint64_t addr, uint64_t len) {
-  // Same-address ordering for posted writes: a read of a line whose posted
-  // write has not yet committed is served from the controller's write
-  // buffer — it completes no earlier than the commit and then observes the
-  // new data. Reads of unrelated lines are unaffected.
-  Nanos commit = pool_.PendingCommitTime(addr, len);
-  if (commit > loop_.now()) {
-    co_await sim::WaitUntil(loop_, commit);
-  }
-  co_return OkStatus();
-}
-
 sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
   loads_->Inc();
   load_bytes_->Add(out.size());
@@ -175,15 +203,21 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
     co_return OkStatus();
   }
 
-  CO_RETURN_IF_ERROR(co_await WaitForWriteHorizon(addr, out.size()));
-  now = loop_.now();
+  // Same-address ordering for posted writes: a read of a line whose posted
+  // write has not yet committed is served from the controller's write
+  // buffer — it completes no earlier than the commit and then observes the
+  // new data. Reads of unrelated lines are unaffected.
+  if (Nanos commit = pool_.PendingCommitTime(addr, out.size()); commit > now) {
+    co_await sim::WaitUntil(loop_, commit);
+    now = loop_.now();
+  }
 
   // CXL pool access, line by line through the cache.
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, out.size());
   uint64_t hits = 0;
   uint64_t misses = 0;
-  std::unordered_map<CxlLink*, uint64_t> miss_bytes;
+  LinkTally miss_bytes;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
@@ -211,7 +245,7 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
       co_return p;
     }
     ++misses;
-    miss_bytes[link_or.value()] += kCachelineSize;
+    miss_bytes.Add(link_or.value(), kCachelineSize);
     std::array<std::byte, kCachelineSize> buf;
     map_.ReadBytes(laddr, buf);
     std::memcpy(out.data() + (lo - addr), buf.data() + (lo - laddr), hi - lo);
@@ -231,7 +265,7 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
     // CPU pipelines them at per_line_pipelined.
     Nanos latency_done = now;
     Nanos serial_done = now;
-    for (auto& [link, bytes] : miss_bytes) {
+    for (auto [link, bytes] : miss_bytes.entries()) {
       uint64_t lines = bytes / kCachelineSize;
       latency_done = std::max(
           latency_done,
@@ -262,8 +296,11 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
     co_return OkStatus();
   }
 
-  CO_RETURN_IF_ERROR(co_await WaitForWriteHorizon(addr, in.size()));
-  now = loop_.now();
+  // Posted writes to these lines commit first (see Load).
+  if (Nanos commit = pool_.PendingCommitTime(addr, in.size()); commit > now) {
+    co_await sim::WaitUntil(loop_, commit);
+    now = loop_.now();
+  }
 
   // Write-back cached store: read-for-ownership on miss, dirty the line.
   // The pool backend is NOT updated — that is the cross-host hazard.
@@ -271,7 +308,7 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
   uint64_t n_lines = CachelinesTouched(addr, in.size());
   uint64_t hits = 0;
   uint64_t misses = 0;
-  std::unordered_map<CxlLink*, uint64_t> miss_bytes;
+  LinkTally miss_bytes;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
@@ -298,7 +335,7 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
       co_return p;
     }
     ++misses;
-    miss_bytes[link_or.value()] += kCachelineSize;
+    miss_bytes.Add(link_or.value(), kCachelineSize);
     std::array<std::byte, kCachelineSize> buf;
     map_.ReadBytes(laddr, buf);  // RFO fetch
     std::memcpy(buf.data() + (lo - laddr), in.data() + (lo - addr), hi - lo);
@@ -318,7 +355,7 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
     // CPU pipelines them at per_line_pipelined.
     Nanos latency_done = now;
     Nanos serial_done = now;
-    for (auto& [link, bytes] : miss_bytes) {
+    for (auto [link, bytes] : miss_bytes.entries()) {
       uint64_t lines = bytes / kCachelineSize;
       latency_done = std::max(
           latency_done,
@@ -354,14 +391,14 @@ sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte>
   // Health-check every touched line's route before mutating anything.
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, in.size());
-  std::unordered_map<CxlLink*, uint64_t> bytes_per_link;
+  LinkTally bytes_per_link;
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
     auto link_or = RouteCxl(laddr);
     if (!link_or.ok()) {
       co_return link_or.status();
     }
-    bytes_per_link[link_or.value()] += kCachelineSize;
+    bytes_per_link.Add(link_or.value(), kCachelineSize);
   }
 
   // Drop any cached copies (an nt-store over a dirty line discards the
@@ -375,7 +412,7 @@ sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte>
   }
 
   Nanos serial_done = now;
-  for (auto& [link, bytes] : bytes_per_link) {
+  for (auto [link, bytes] : bytes_per_link.entries()) {
     serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
   }
   // Posted-write semantics: the CPU only drains its write-combining buffer
@@ -422,7 +459,7 @@ sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool inval
 
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, len);
-  std::unordered_map<CxlLink*, uint64_t> dirty_bytes;
+  LinkTally dirty_bytes;
   std::vector<mem::WriteBackCache::EvictedLine> writebacks;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
@@ -448,15 +485,15 @@ sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool inval
       }
       co_return link_or.status();
     }
-    dirty_bytes[link_or.value()] += kCachelineSize;
+    dirty_bytes.Add(link_or.value(), kCachelineSize);
     writebacks.push_back(*ev);
   }
 
   Nanos issue_cost = static_cast<Nanos>(n_lines) * (invalidate ? t.invalidate : t.flush_issue);
   Nanos done = now + issue_cost;
-  if (!dirty_bytes.empty()) {
+  if (!writebacks.empty()) {
     Nanos serial_done = now;
-    for (auto& [link, bytes] : dirty_bytes) {
+    for (auto [link, bytes] : dirty_bytes.entries()) {
       serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
     }
     done = std::max(done, serial_done + JitterCxl(t.cxl_write));
@@ -491,15 +528,18 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
     co_return OkStatus();
   }
 
-  CO_RETURN_IF_ERROR(co_await WaitForWriteHorizon(addr, out.size()));
-  now = loop_.now();
+  // Posted writes to these lines commit first (see Load).
+  if (Nanos commit = pool_.PendingCommitTime(addr, out.size()); commit > now) {
+    co_await sim::WaitUntil(loop_, commit);
+    now = loop_.now();
+  }
 
   // Inbound DMA through this host's root complex snoops THIS host's cache
   // (local I/O is coherent) but goes to pool media otherwise. Other hosts'
   // caches are never snooped.
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, out.size());
-  std::unordered_map<CxlLink*, uint64_t> bytes_per_link;
+  LinkTally bytes_per_link;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
@@ -509,7 +549,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
     if (!link_or.ok()) {
       co_return link_or.status();
     }
-    bytes_per_link[link_or.value()] += kCachelineSize;
+    bytes_per_link.Add(link_or.value(), kCachelineSize);
     // Snoop own cache (no LRU/stat churn — this is the device, not the CPU).
     if (const mem::WriteBackCache::Line* line = cache_.Peek(laddr)) {
       EmitCoherence(CoherenceOp::kDmaReadHit, laddr);
@@ -529,7 +569,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
 
   Nanos latency_done = now;
   Nanos serial_done = now;
-  for (auto& [link, bytes] : bytes_per_link) {
+  for (auto [link, bytes] : bytes_per_link.entries()) {
     uint64_t lines = bytes / kCachelineSize;
     latency_done = std::max(
         latency_done,
@@ -559,14 +599,14 @@ sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte
 
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, in.size());
-  std::unordered_map<CxlLink*, uint64_t> bytes_per_link;
+  LinkTally bytes_per_link;
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
     auto link_or = RouteCxl(laddr);
     if (!link_or.ok()) {
       co_return link_or.status();
     }
-    bytes_per_link[link_or.value()] += kCachelineSize;
+    bytes_per_link.Add(link_or.value(), kCachelineSize);
   }
 
   // Invalidate this host's cached copies (root-complex snoop). Cached
@@ -581,7 +621,7 @@ sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte
   }
 
   Nanos serial_done = now;
-  for (auto& [link, bytes] : bytes_per_link) {
+  for (auto [link, bytes] : bytes_per_link.entries()) {
     serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
   }
   // Device DMA writes are posted like nt-stores: the engine moves on after

@@ -146,10 +146,6 @@ class HostAdapter {
   // Health-checked link for a pool address.
   Result<CxlLink*> RouteCxl(uint64_t addr);
 
-  // Delays until pending posted writes on the involved links have
-  // committed to media (PCIe ordering: reads do not pass writes).
-  sim::Task<Status> WaitForWriteHorizon(uint64_t addr, uint64_t len);
-
   // Applies the configured lognormal jitter to a CXL base latency.
   Nanos JitterCxl(Nanos base);
 

@@ -12,9 +12,8 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/obs/registry.h"
@@ -60,18 +59,46 @@ class WriteBackCache {
   // tests, so it intentionally loses dirty data.
   void DropAll();
 
-  size_t size() const { return lines_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_lines_; }
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // A resident line in the slab, linked into the LRU list.
   struct Entry {
     Line line;
-    std::list<uint64_t>::iterator lru_it;
+    uint64_t addr = 0;
+    uint32_t prev = kNil;  // towards the most recent
+    uint32_t next = kNil;  // towards the least recent; free-list link
+  };
+  // An open-addressed directory bucket: a line address and its slab index
+  // (kNil when the bucket is empty).
+  struct Bucket {
+    uint64_t addr = 0;
+    uint32_t entry = kNil;
   };
 
+  // Index of `line_addr`'s bucket, or of the empty bucket ending its probe
+  // chain.
+  size_t Probe(uint64_t line_addr) const;
+  // Empties bucket `b`, shifting later members of its probe chain back.
+  void EraseBucket(size_t b);
+  void Unlink(uint32_t e);
+  void PushFront(uint32_t e);
+  // Makes slab entry `e` the most recent line.
+  void Touch(uint32_t e);
+  // Removes the line in bucket `b` from the directory and returns its
+  // content; its slab entry goes on the free list.
+  EvictedLine Take(size_t b);
+
   size_t capacity_lines_;
-  std::unordered_map<uint64_t, Entry> lines_;
-  std::list<uint64_t> lru_;  // front = most recent
+  size_t size_ = 0;
+  std::vector<Entry> slab_;
+  uint32_t free_ = kNil;
+  std::vector<Bucket> buckets_;  // power-of-two size, load <= 1/2
+  uint32_t head_ = kNil;         // most recent
+  uint32_t tail_ = kNil;         // least recent: the next victim
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* writebacks_;

@@ -1,6 +1,7 @@
 #include "src/obs/registry.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "src/common/check.h"
@@ -142,22 +143,36 @@ Status Registry::WriteJson(const std::string& path) const {
   return OkStatus();
 }
 
-std::string BenchJson(const std::string& bench, int64_t sim_ns,
+int64_t WallNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+std::string BenchJson(const std::string& bench, const BenchRun& run,
                       const Registry& registry) {
+  uint64_t events_per_wall_sec =
+      run.wall_ns > 0 ? static_cast<uint64_t>(static_cast<double>(run.events) * 1e9 /
+                                              static_cast<double>(run.wall_ns))
+                      : 0;
   // Registry::ToJson() is "{\"metrics\":[...]}" — splice the bench identity
-  // in front of its first key.
+  // and host cost in front of its first key.
   std::string body = registry.ToJson();
   return "{\"bench\":\"" + JsonEscape(bench) +
-         "\",\"sim_ns\":" + std::to_string(sim_ns) + "," + body.substr(1);
+         "\",\"sim_ns\":" + std::to_string(run.sim_ns) +
+         ",\"events\":" + std::to_string(run.events) +
+         ",\"host\":{\"wall_ns\":" + std::to_string(run.wall_ns) +
+         ",\"events_per_wall_sec\":" + std::to_string(events_per_wall_sec) + "}," +
+         body.substr(1);
 }
 
 Status WriteBenchJson(const std::string& path, const std::string& bench,
-                      int64_t sim_ns, const Registry& registry) {
+                      const BenchRun& run, const Registry& registry) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     return Internal("cannot open bench output file: " + path);
   }
-  std::string json = BenchJson(bench, sim_ns, registry);
+  std::string json = BenchJson(bench, run, registry);
   std::fwrite(json.data(), 1, json.size(), f);
   std::fputc('\n', f);
   std::fclose(f);

@@ -114,14 +114,27 @@ class Scope {
   Labels labels_;
 };
 
+// One bench run as its snapshot reports it: the simulated time it covered,
+// the events its event loop(s) executed, and the host wall time it took.
+// Wall time is measured, not simulated, so it must never feed a digest.
+struct BenchRun {
+  int64_t sim_ns = 0;
+  uint64_t events = 0;
+  int64_t wall_ns = 0;
+};
+
+// Monotonic host clock in nanoseconds, for BenchRun::wall_ns.
+int64_t WallNanos();
+
 // BENCH_<name>.json snapshot: the registry snapshot wrapped with bench
-// identity — {"bench": name, "sim_ns": N, "metrics": [...]}. Every bench's
-// --json flag writes this shape and tools/check_obs_json.py validates it
-// in CI.
-std::string BenchJson(const std::string& bench, int64_t sim_ns,
+// identity and host cost — {"bench": name, "sim_ns": N, "events": E,
+// "host": {"wall_ns": W, "events_per_wall_sec": R}, "metrics": [...]}.
+// Every bench's --json flag writes this shape and tools/check_obs_json.py
+// validates it in CI.
+std::string BenchJson(const std::string& bench, const BenchRun& run,
                       const Registry& registry);
 Status WriteBenchJson(const std::string& path, const std::string& bench,
-                      int64_t sim_ns, const Registry& registry);
+                      const BenchRun& run, const Registry& registry);
 
 }  // namespace cxlpool::obs
 

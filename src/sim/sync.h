@@ -55,7 +55,7 @@ class Event {
     std::vector<std::coroutine_handle<>> batch;
     batch.swap(waiters_);
     for (auto h : batch) {
-      loop_.Schedule(0, [h] { h.resume(); });
+      loop_.ResumeAt(loop_.now(), h);
     }
   }
 

@@ -168,7 +168,7 @@ struct DelayAwaiter {
   Nanos delay;
   bool await_ready() const { return delay <= 0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    loop.Schedule(delay, [h] { h.resume(); });
+    loop.ResumeAt(loop.now() + delay, h);
   }
   void await_resume() const {}
 };

@@ -397,6 +397,53 @@ TEST_F(CxlPodTest, InterleavingAggregatesLinkBandwidth) {
   EXPECT_LT(speedup, 2.4);
 }
 
+// An access striped over more links than a host adapter tallies inline
+// (eight) still charges every link exactly its own bytes, on every path
+// that tallies per-link traffic, and moves the right bytes.
+TEST(CxlStripingTest, AccessOverTenLinksChargesEachLink) {
+  constexpr int kMhds = 10;
+  sim::EventLoop loop;
+  CxlPodConfig c;
+  c.num_hosts = 1;
+  c.num_mhds = kMhds;
+  c.mhd_capacity = 1 * kMiB;
+  c.dram_per_host = 1 * kMiB;
+  CxlPod pod(loop, c);
+  std::vector<MhdId> mhds;
+  for (int m = 0; m < kMhds; ++m) {
+    mhds.push_back(MhdId(m));
+  }
+  auto seg = pod.pool().AllocateInterleaved(64 * kKiB, mhds);
+  ASSERT_TRUE(seg.ok());
+  HostAdapter& h = pod.host(0);
+
+  // One granule per link: StoreNt, Load (all misses), DmaRead, Store (all
+  // hits), Flush (all dirty), DmaWrite.
+  auto run = [](HostAdapter& host, uint64_t a, uint64_t n) -> Task<> {
+    std::vector<std::byte> out(n);
+    CXLPOOL_CHECK_OK(co_await host.StoreNt(a, Fill(n, 0x11)));
+    CXLPOOL_CHECK_OK(co_await host.Load(a, out));
+    CXLPOOL_CHECK(out == Fill(n, 0x11));
+    CXLPOOL_CHECK_OK(co_await host.DmaRead(a, out));
+    CXLPOOL_CHECK(out == Fill(n, 0x11));
+    CXLPOOL_CHECK_OK(co_await host.Store(a, Fill(n, 0x22)));
+    CXLPOOL_CHECK_OK(co_await host.Flush(a, n));
+    CXLPOOL_CHECK_OK(co_await host.DmaWrite(a, Fill(n, 0x33)));
+  };
+  RunBlocking(loop, run(h, seg->base, kMhds * kInterleaveGranule));
+  loop.Run();  // the posted DmaWrite commits
+
+  for (int m = 0; m < kMhds; ++m) {
+    CxlLink* link = h.LinkTo(MhdId(m));
+    ASSERT_NE(link, nullptr);
+    EXPECT_EQ(link->to_device().total_bytes(), 3 * kInterleaveGranule) << "MHD " << m;
+    EXPECT_EQ(link->from_device().total_bytes(), 2 * kInterleaveGranule) << "MHD " << m;
+  }
+  std::vector<std::byte> media(kMhds * kInterleaveGranule);
+  h.PeekBackend(seg->base, media);
+  EXPECT_EQ(media, Fill(media.size(), 0x33));
+}
+
 TEST_F(CxlPodTest, StatsAccumulate) {
   auto seg = pod_.pool().Allocate(4096);
   ASSERT_TRUE(seg.ok());

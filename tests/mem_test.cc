@@ -2,10 +2,14 @@
 #include "src/common/check.h"
 
 #include <cstring>
+#include <list>
+#include <map>
+#include <vector>
 
 #include "src/mem/address_map.h"
 #include "src/mem/backend.h"
 #include "src/mem/cache.h"
+#include "src/sim/random.h"
 #include "tests/test_metrics.h"
 
 namespace cxlpool::mem {
@@ -437,6 +441,180 @@ TEST(CacheTest, DropAllCountsNoWritebacksOrInvalidations) {
   EXPECT_EQ(cache.Find(0), nullptr);  // gone, and the miss still counts
   EXPECT_EQ(counted.count("cache.misses"), misses + 1);
 }
+
+// The LRU semantics WriteBackCache must reproduce, kept deliberately naive:
+// a recency list plus an ordered map, with the same counters.
+class ReferenceLru {
+ public:
+  using Line = WriteBackCache::Line;
+  using EvictedLine = WriteBackCache::EvictedLine;
+
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  const Line* Find(uint64_t addr) {
+    auto it = lines_.find(addr);
+    if (it == lines_.end()) {
+      ++misses;
+      return nullptr;
+    }
+    ++hits;
+    lru_.splice(lru_.begin(), lru_, it->second.pos);
+    return &it->second.line;
+  }
+
+  const Line* Peek(uint64_t addr) const {
+    auto it = lines_.find(addr);
+    return it == lines_.end() ? nullptr : &it->second.line;
+  }
+
+  std::optional<EvictedLine> Install(uint64_t addr, const std::byte* data, bool dirty) {
+    if (capacity_ == 0) {
+      return std::nullopt;
+    }
+    if (auto it = lines_.find(addr); it != lines_.end()) {
+      std::memcpy(it->second.line.data.data(), data, kCachelineSize);
+      it->second.line.dirty = it->second.line.dirty || dirty;
+      lru_.splice(lru_.begin(), lru_, it->second.pos);
+      return std::nullopt;
+    }
+    std::optional<EvictedLine> victim;
+    if (lines_.size() == capacity_) {
+      victim = Take(lru_.back());
+      writebacks += victim->dirty ? 1 : 0;
+    }
+    lru_.push_front(addr);
+    Resident& r = lines_[addr];
+    std::memcpy(r.line.data.data(), data, kCachelineSize);
+    r.line.dirty = dirty;
+    r.pos = lru_.begin();
+    return victim;
+  }
+
+  std::optional<EvictedLine> Remove(uint64_t addr) {
+    if (!lines_.contains(addr)) {
+      return std::nullopt;
+    }
+    EvictedLine ev = Take(addr);
+    writebacks += ev.dirty ? 1 : 0;
+    ++invalidations;
+    return ev;
+  }
+
+  void DropAll() {
+    lines_.clear();
+    lru_.clear();
+  }
+
+  size_t size() const { return lines_.size(); }
+  // Resident addresses, most recent first.
+  const std::list<uint64_t>& lru() const { return lru_; }
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t writebacks = 0;
+  uint64_t invalidations = 0;
+
+ private:
+  struct Resident {
+    Line line;
+    std::list<uint64_t>::iterator pos;
+  };
+
+  EvictedLine Take(uint64_t addr) {
+    auto it = lines_.find(addr);
+    EvictedLine ev;
+    ev.line_addr = addr;
+    ev.dirty = it->second.line.dirty;
+    ev.data = it->second.line.data;
+    lru_.erase(it->second.pos);
+    lines_.erase(it);
+    return ev;
+  }
+
+  size_t capacity_;
+  std::map<uint64_t, Resident> lines_;
+  std::list<uint64_t> lru_;
+};
+
+void ExpectSameLine(const WriteBackCache::Line* got, const WriteBackCache::Line* want,
+                    const std::string& where) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << where;
+  if (got != nullptr) {
+    EXPECT_EQ(got->dirty, want->dirty) << where;
+    EXPECT_EQ(got->data, want->data) << where;
+  }
+}
+
+void ExpectSameVictim(const std::optional<WriteBackCache::EvictedLine>& got,
+                      const std::optional<WriteBackCache::EvictedLine>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (got) {
+    EXPECT_EQ(got->line_addr, want->line_addr) << where;
+    EXPECT_EQ(got->dirty, want->dirty) << where;
+    EXPECT_EQ(got->data, want->data) << where;
+  }
+}
+
+// A seeded random mix of every operation, compared with the reference LRU at
+// each step. The addresses come from a small set so that lines are evicted,
+// re-installed and removed often; it mixes neighbouring lines, lines a large
+// power-of-two stride apart and lines at the top of the address space, so
+// probe chains form, wrap around the directory and are shortened by removal.
+class CacheReferenceTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CacheReferenceTest, MatchesReferenceLru) {
+  const size_t capacity = GetParam();
+  CountedCache counted(capacity);
+  WriteBackCache& cache = counted.cache;
+  ReferenceLru ref(capacity);
+  sim::Rng rng(capacity * 7919 + 1);
+
+  std::vector<uint64_t> addrs;
+  for (uint64_t i = 0; i < 3 * capacity + 8; ++i) {
+    addrs.push_back(i * kCachelineSize);
+    addrs.push_back((i << 20) * kCachelineSize);
+    addrs.push_back(UINT64_MAX - kCachelineSize + 1 - i * kCachelineSize);
+  }
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::string where = "capacity " + std::to_string(capacity) + " step " +
+                              std::to_string(step);
+    uint64_t addr = addrs[rng.UniformInt(addrs.size())];
+    uint64_t op = rng.UniformInt(uint64_t{100});
+    if (op < 30) {
+      ExpectSameLine(cache.Find(addr), ref.Find(addr), where + " Find");
+    } else if (op < 45) {
+      ExpectSameLine(cache.Peek(addr), ref.Peek(addr), where + " Peek");
+    } else if (op < 84) {
+      if (op < 55 && ref.size() > 0) {
+        // Install over a resident line.
+        auto pos = ref.lru().begin();
+        std::advance(pos, rng.UniformInt(ref.size()));
+        addr = *pos;
+      }
+      auto data = LinePattern(static_cast<uint8_t>(rng.UniformInt(uint64_t{256})));
+      bool dirty = rng.Bernoulli(0.4);
+      ExpectSameVictim(cache.Install(addr, data.data(), dirty),
+                       ref.Install(addr, data.data(), dirty), where + " Install");
+    } else if (op < 99) {
+      ExpectSameVictim(cache.Remove(addr), ref.Remove(addr), where + " Remove");
+    } else {
+      cache.DropAll();
+      ref.DropAll();
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << where;
+    ASSERT_EQ(counted.count("cache.hits"), ref.hits) << where;
+    ASSERT_EQ(counted.count("cache.misses"), ref.misses) << where;
+    ASSERT_EQ(counted.count("cache.writebacks"), ref.writebacks) << where;
+    ASSERT_EQ(counted.count("cache.invalidations"), ref.invalidations) << where;
+    if (HasFailure()) {
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, CacheReferenceTest, ::testing::Values(1, 7, 64));
 
 // Parameterized capacity sweep: occupancy never exceeds capacity and the
 // cache stays internally consistent under a deterministic access pattern.

@@ -138,8 +138,11 @@ TEST(RegistryTest, JsonExportCarriesKindsAndHistogramPercentiles) {
 TEST(RegistryTest, BenchJsonWrapsRegistrySnapshot) {
   Registry reg;
   reg.GetCounter("n")->Add(1);
-  std::string json = BenchJson("my_bench", 12345, reg);
-  EXPECT_EQ(json.find("{\"bench\":\"my_bench\",\"sim_ns\":12345,\"metrics\":["),
+  std::string json =
+      BenchJson("my_bench", {.sim_ns = 12345, .events = 7, .wall_ns = 2000}, reg);
+  EXPECT_EQ(json.find("{\"bench\":\"my_bench\",\"sim_ns\":12345,\"events\":7,"
+                      "\"host\":{\"wall_ns\":2000,\"events_per_wall_sec\":3500000},"
+                      "\"metrics\":["),
             0u);
   EXPECT_EQ(json.back(), '}');
 }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/bandwidth.h"
@@ -84,6 +88,235 @@ TEST(EventLoopTest, StopInterruptsRun) {
   loop.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.pending(), 1u);
+}
+
+// Same-instant events run in scheduling order even when one of them was
+// scheduled beyond the loop's near horizon and the other within it.
+TEST(EventLoopTest, FarAndNearEventsForOneInstantRunInSchedulingOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.ScheduleAt(5000, [&] { order.push_back(1); });  // far at now == 0
+  loop.RunUntil(1000);
+  loop.ScheduleAt(5000, [&] { order.push_back(2); });  // near at now == 1000
+  // The same again with the clock advanced by an event instead of RunUntil.
+  loop.ScheduleAt(20000, [&] { order.push_back(3); });
+  loop.ScheduleAt(17000, [&] {
+    loop.ScheduleAt(20000, [&] { order.push_back(4); });
+  });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(loop.now(), 20000);
+}
+
+// The event order EventLoop must reproduce: a binary heap on (time,
+// scheduling sequence), with the same clamping, Stop and RunUntil rules.
+class ReferenceLoop {
+ public:
+  Nanos now() const { return now_; }
+  size_t pending() const { return heap_.size(); }
+  uint64_t executed() const { return executed_; }
+  bool empty() const { return heap_.empty(); }
+  void Stop() { stopped_ = true; }
+
+  void ScheduleAt(Nanos when, std::function<void()> fn) {
+    heap_.push(Item{std::max(when, now_), seq_++, std::move(fn)});
+  }
+
+  void Run() {
+    stopped_ = false;
+    while (!heap_.empty() && !stopped_) {
+      RunOne();
+    }
+  }
+
+  void RunUntil(Nanos deadline) {
+    stopped_ = false;
+    while (!heap_.empty() && !stopped_ && heap_.top().when <= deadline) {
+      RunOne();
+    }
+    if (!stopped_ && now_ < deadline) {
+      now_ = deadline;
+    }
+  }
+
+ private:
+  struct Item {
+    Nanos when;
+    uint64_t seq;
+    std::function<void()> fn;
+    bool operator>(const Item& o) const {
+      return when != o.when ? when > o.when : seq > o.seq;
+    }
+  };
+
+  void RunOne() {
+    Item item = std::move(const_cast<Item&>(heap_.top()));
+    heap_.pop();
+    now_ = item.when;
+    ++executed_;
+    item.fn();
+  }
+
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap_;
+  Nanos now_ = 0;
+  uint64_t seq_ = 0;
+  uint64_t executed_ = 0;
+  bool stopped_ = false;
+};
+
+// What one step of a randomized run observed. Event steps carry the event's
+// id; control steps (after each Run/RunUntil the test makes) carry
+// kControlStep.
+struct LoopStep {
+  static constexpr uint64_t kControlStep = UINT64_MAX;
+  uint64_t id;
+  Nanos now;
+  size_t pending;
+  uint64_t executed;
+  bool operator==(const LoopStep&) const = default;
+};
+
+// Resumes the awaiting coroutine at an absolute time, including now().
+struct ResumeAtAwaiter {
+  EventLoop& loop;
+  Nanos when;
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> h) const { loop.ResumeAt(when, h); }
+  void await_resume() const {}
+};
+
+// A seeded random workload over `Loop` (EventLoop or ReferenceLoop). Each
+// event's behaviour depends only on its id, so both loops see the same
+// program as long as they run events in the same order.
+template <typename Loop>
+class LoopScenario {
+ public:
+  LoopScenario(Loop& loop, uint64_t seed) : loop_(loop), seed_(seed) {}
+
+  // Schedules the next event as a coroutine resumption or a callback, at a
+  // delay around the near horizon (4096 ns) or far beyond it; `far` picks
+  // only [10 us, 10 ms].
+  void AddRandom(Rng& rng, bool far = false) {
+    Nanos delay = far ? FarDelay(rng) : DrawDelay(rng);
+    bool coroutine = rng.Bernoulli(0.5);
+    uint64_t id = next_id_++;
+    Nanos when = loop_.now() + delay;
+    if constexpr (std::is_same_v<Loop, EventLoop>) {
+      if (coroutine) {
+        Spawn(Resumed(loop_, when, [this, id] { Fire(id); }));
+        return;
+      }
+    }
+    loop_.ScheduleAt(when, [this, id] { Fire(id); });
+  }
+
+  void MarkControlStep() {
+    steps_.push_back({LoopStep::kControlStep, loop_.now(), loop_.pending(),
+                      loop_.executed()});
+  }
+
+  const std::vector<LoopStep>& steps() const { return steps_; }
+
+ private:
+  static Nanos FarDelay(Rng& rng) {
+    return rng.UniformInt(10 * kMicrosecond, 10 * kMillisecond);
+  }
+
+  static Nanos DrawDelay(Rng& rng) {
+    switch (rng.UniformInt(uint64_t{8})) {
+      case 0: return 0;
+      case 1: return 4095;
+      case 2: return 4096;
+      case 3: return 4097;
+      case 4: return FarDelay(rng);
+      default: return rng.UniformInt(1, 4094);
+    }
+  }
+
+  static Task<> Resumed(EventLoop& loop, Nanos when, std::function<void()> fn) {
+    co_await ResumeAtAwaiter{loop, when};
+    fn();
+  }
+
+  // Records the step, then re-entrantly schedules 0-2 children (0.7 on
+  // average, so every run drains) and sometimes stops the loop.
+  void Fire(uint64_t id) {
+    steps_.push_back({id, loop_.now(), loop_.pending(), loop_.executed()});
+    Rng rng(seed_ * 1'000'003 + id);
+    uint64_t roll = rng.UniformInt(uint64_t{10});
+    int children = roll < 5 ? 0 : roll < 8 ? 1 : 2;
+    for (int i = 0; i < children && next_id_ < kMaxEvents; ++i) {
+      AddRandom(rng);
+    }
+    if (rng.Bernoulli(0.02)) {
+      loop_.Stop();
+    }
+  }
+
+  static constexpr uint64_t kMaxEvents = 20000;
+  Loop& loop_;
+  uint64_t seed_;
+  uint64_t next_id_ = 0;
+  std::vector<LoopStep> steps_;
+};
+
+template <typename Loop>
+std::vector<LoopStep> RunRandomLoop(uint64_t seed) {
+  Loop loop;
+  LoopScenario<Loop> scenario(loop, seed);
+  Rng rng(seed);
+  for (int round = 0; round < 300; ++round) {
+    uint64_t adds = rng.UniformInt(uint64_t{5});
+    for (uint64_t i = 0; i < adds; ++i) {
+      scenario.AddRandom(rng);
+    }
+    switch (rng.UniformInt(uint64_t{5})) {
+      case 0:
+        loop.RunUntil(loop.now() + rng.UniformInt(0, 8192));
+        break;
+      case 1:
+        loop.RunUntil(loop.now() + rng.UniformInt(10 * kMicrosecond, 20 * kMillisecond));
+        break;
+      case 2:
+        // Only far events pending, then a deadline past the horizon: the
+        // loop must jump straight to them.
+        loop.Run();
+        scenario.AddRandom(rng, /*far=*/true);
+        scenario.AddRandom(rng, /*far=*/true);
+        loop.RunUntil(loop.now() + 20 * kMillisecond);
+        break;
+      case 3:
+        // An idle jump past the horizon, then near events at the new time.
+        loop.Run();
+        loop.RunUntil(loop.now() + rng.UniformInt(4096, 3 * kMillisecond));
+        break;
+      default:
+        loop.Run();
+        break;
+    }
+    scenario.MarkControlStep();
+  }
+  while (!loop.empty()) {
+    loop.Run();
+  }
+  scenario.MarkControlStep();
+  return scenario.steps();
+}
+
+TEST(EventLoopTest, MatchesReferenceOrderUnderRandomSchedules) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    std::vector<LoopStep> got = RunRandomLoop<EventLoop>(seed);
+    std::vector<LoopStep> want = RunRandomLoop<ReferenceLoop>(seed);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i])
+          << "seed " << seed << " step " << i << ": id " << got[i].id << " vs "
+          << want[i].id << ", now " << got[i].now << " vs " << want[i].now
+          << ", pending " << got[i].pending << " vs " << want[i].pending
+          << ", executed " << got[i].executed << " vs " << want[i].executed;
+    }
+    EXPECT_GT(got.size(), 1000u) << "seed " << seed;
+  }
 }
 
 // --- Task / coroutines ---

@@ -4,7 +4,9 @@
 Two artifact shapes, both produced by src/obs/:
 
   BENCH_*.json  (obs::WriteBenchJson)
-    {"bench": str, "sim_ns": int >= 0, "metrics": [series...]}
+    {"bench": str, "sim_ns": int >= 0, "events": int >= 0,
+     "host": {"wall_ns": int >= 0, "events_per_wall_sec": int >= 0},
+     "metrics": [series...]}
     where each series is
       {"name": str, "labels": {str: str}, "kind": "counter",   "value": int>=0}
       {"name": str, "labels": {str: str}, "kind": "gauge",     "value": int}
@@ -45,6 +47,10 @@ HIST_FIELDS = ("count", "mean", "min", "max", "p50", "p90", "p99", "p999")
 
 def _err(errors, path, where, msg):
     errors.append("%s: %s: %s" % (path, where, msg))
+
+
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def check_series(path, i, s, seen_keys, errors):
@@ -114,8 +120,17 @@ def check_bench(path, doc, errors):
     if not isinstance(doc.get("bench"), str) or not doc.get("bench"):
         _err(errors, path, "top level", "missing/empty 'bench'")
     sim_ns = doc.get("sim_ns")
-    if not isinstance(sim_ns, int) or isinstance(sim_ns, bool) or sim_ns < 0:
+    if not _is_count(sim_ns):
         _err(errors, path, "top level", "'sim_ns' must be int >= 0")
+    if not _is_count(doc.get("events")):
+        _err(errors, path, "top level", "'events' must be int >= 0")
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        _err(errors, path, "top level", "missing 'host' object")
+    else:
+        for f in ("wall_ns", "events_per_wall_sec"):
+            if not _is_count(host.get(f)):
+                _err(errors, path, "host", "'%s' must be int >= 0" % f)
     metrics = doc.get("metrics")
     if not isinstance(metrics, list):
         _err(errors, path, "top level", "'metrics' must be a list")

@@ -24,6 +24,13 @@ a regression — that is how a refactor silently stops measuring something.
 A series only in the fresh run is reported but tolerated (new phases and
 new counters land before their snapshot is refreshed).
 
+The envelope's "events" (events the simulation executed) is exact: the
+simulator is deterministic, so any difference is drift — a change to host
+code alone must never move it. The "host" block (wall_ns,
+events_per_wall_sec) is the simulator's own cost on whatever machine ran
+it; it is printed as a fresh/snapshot ratio and never counts as drift.
+Snapshots written before these fields existed still compare.
+
 This is a SOFT gate in CI (continue-on-error): its job is to put a diff in
 front of a reviewer, not to block merges on a re-tuned constant. Refresh
 a snapshot deliberately by re-running the bench and committing the JSON.
@@ -56,14 +63,14 @@ def series_key(s):
             tuple(sorted((s.get("labels") or {}).items())))
 
 
-def load_series(path):
+def load_doc(path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    out = {}
+    series = {}
     for s in doc.get("metrics", []):
         if isinstance(s, dict):
-            out[series_key(s)] = s
-    return doc.get("bench", "?"), out
+            series[series_key(s)] = s
+    return doc, series
 
 
 def fmt_key(key):
@@ -121,6 +128,24 @@ def compare(snap, fresh, tol, floor):
     return drifts, missing, extra, gains
 
 
+def compare_envelope(snap_doc, fresh_doc):
+    """Drift lines for the exact event count, and ratio lines for the host
+    block. A field absent from either side is skipped."""
+    drifts, host = [], []
+    se, fe = snap_doc.get("events"), fresh_doc.get("events")
+    if isinstance(se, int) and isinstance(fe, int) and se != fe:
+        drifts.append("events: %d -> %d (the event count is exact; only a "
+                      "change to the simulation may move it)" % (se, fe))
+    sh, fh = snap_doc.get("host"), fresh_doc.get("host")
+    if isinstance(sh, dict) and isinstance(fh, dict):
+        for field in ("wall_ns", "events_per_wall_sec"):
+            sv, fv = sh.get(field), fh.get(field)
+            if isinstance(sv, (int, float)) and isinstance(fv, (int, float)):
+                ratio = "x%.3f" % (fv / sv) if sv else "n/a"
+                host.append("%s %s -> %s (%s)" % (field, sv, fv, ratio))
+    return drifts, host
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("snapshot", help="committed BENCH_*.json baseline")
@@ -132,17 +157,21 @@ def main():
     args = ap.parse_args()
 
     try:
-        snap_name, snap = load_series(args.snapshot)
-        fresh_name, fresh = load_series(args.fresh)
+        snap_doc, snap = load_doc(args.snapshot)
+        fresh_doc, fresh = load_doc(args.fresh)
     except (OSError, ValueError) as e:
         print("compare_bench: %s" % e, file=sys.stderr)
         return 2
+    snap_name = snap_doc.get("bench", "?")
+    fresh_name = fresh_doc.get("bench", "?")
     if snap_name != fresh_name:
         print("compare_bench: bench name mismatch: snapshot=%r fresh=%r"
               % (snap_name, fresh_name), file=sys.stderr)
         return 2
 
     drifts, missing, extra, gains = compare(snap, fresh, args.tol, args.floor)
+    event_drifts, host = compare_envelope(snap_doc, fresh_doc)
+    drifts += event_drifts
     for m in missing:
         print("MISSING  %s  (in snapshot, absent from fresh run)" % m)
     for d in drifts:
@@ -152,6 +181,8 @@ def main():
     for e in extra:
         print("NEW      %s  (not in snapshot — refresh it when this lands)"
               % e)
+    for h in host:
+        print("HOST     %s  (host time — informational, never drift)" % h)
     print("compare_bench: %s: %d series, %d drift(s), %d missing, "
           "%d gain(s), %d new"
           % (snap_name, len(snap), len(drifts), len(missing), len(gains),
