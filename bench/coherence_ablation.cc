@@ -44,8 +44,9 @@ Task<> PublishCosts(CxlPod& pod, sim::EventLoop& loop) {
               "writeback)\n\n");
 }
 
-// Consuming: invalidate+load vs plain (possibly stale) load.
-Task<> ConsumeCosts(CxlPod& pod, sim::EventLoop& loop) {
+// Consuming: ReadFresh (invalidate+load) vs plain (possibly stale) load.
+// Returns the fresh read's cost.
+Task<Nanos> ConsumeCosts(CxlPod& pod, sim::EventLoop& loop) {
   auto seg = pod.pool().Allocate(8 * kKiB);
   CXLPOOL_CHECK_OK(seg.status());
   HostAdapter& reader = pod.host(1);
@@ -58,13 +59,13 @@ Task<> ConsumeCosts(CxlPod& pod, sim::EventLoop& loop) {
   Nanos cached = loop.now() - t0;
 
   t0 = loop.now();
-  CXLPOOL_CHECK_OK(co_await reader.Invalidate(seg->base, 64));
-  CXLPOOL_CHECK_OK(co_await reader.Load(seg->base, buf));
+  CXLPOOL_CHECK_OK(co_await reader.ReadFresh(seg->base, buf));
   Nanos fresh = loop.now() - t0;
 
   std::printf("consume one line: cached load %lld ns (STALE-PRONE) vs "
               "invalidate+load %lld ns (fresh)\n\n",
               static_cast<long long>(cached), static_cast<long long>(fresh));
+  co_return fresh;
 }
 
 // What actually breaks: a flag written without the protocol is never
@@ -99,8 +100,7 @@ Task<> CorrectnessDemo(CxlPod& pod, sim::EventLoop& loop) {
   polls = 0;
   seen = 0;
   for (; polls < 1000 && seen != 2; ++polls) {
-    CXLPOOL_CHECK_OK(co_await reader.Invalidate(seg->base, 8));
-    CXLPOOL_CHECK_OK(co_await reader.Load(seg->base, buf));
+    CXLPOOL_CHECK_OK(co_await reader.ReadFresh(seg->base, buf));
     seen = msg::wire::GetU64(buf.data());
     if (seen != 2) {
       co_await sim::Delay(loop, 100);
@@ -115,8 +115,9 @@ Task<> CorrectnessDemo(CxlPod& pod, sim::EventLoop& loop) {
 // What CXL 3.0 Back-Invalidate would buy (paper Sec. 3: "Neither CPUs nor
 // CXL memory pool devices support BI today"): consumers keep plain cached
 // polls (3 ns) and the hardware snoops copies away on writes, for a snoop
-// charge on the writer.
-Task<> BackInvalidatePreview(sim::EventLoop& loop) {
+// charge on the writer. `fresh_read` is the software-coherent consume cost
+// ConsumeCosts measured.
+Task<> BackInvalidatePreview(sim::EventLoop& loop, Nanos fresh_read) {
   CxlPodConfig pc;
   pc.num_hosts = 2;
   pc.num_mhds = 1;
@@ -147,9 +148,9 @@ Task<> BackInvalidatePreview(sim::EventLoop& loop) {
   bool fresh = msg::wire::GetU64(buf.data()) == 1;
 
   std::printf("CXL 3.0 Back-Invalidate preview (hypothetical hardware):\n");
-  std::printf("  reader poll: %lld ns cached load (vs %d ns invalidate+load "
+  std::printf("  reader poll: %lld ns cached load (vs %lld ns invalidate+load "
               "under sw coherence)\n",
-              static_cast<long long>(poll_cost), 285);
+              static_cast<long long>(poll_cost), static_cast<long long>(fresh_read));
   std::printf("  writer nt-store with 1 sharer: %lld ns (includes the BI "
               "snoop round)\n", static_cast<long long>(write_cost));
   std::printf("  plain cached poll after write: %s (hardware invalidated the "
@@ -167,9 +168,9 @@ int main() {
   CxlPod pod(loop, pc);
 
   RunBlocking(loop, PublishCosts(pod, loop));
-  RunBlocking(loop, ConsumeCosts(pod, loop));
+  Nanos fresh_read = RunBlocking(loop, ConsumeCosts(pod, loop));
   RunBlocking(loop, CorrectnessDemo(pod, loop));
-  RunBlocking(loop, BackInvalidatePreview(loop));
+  RunBlocking(loop, BackInvalidatePreview(loop, fresh_read));
 
   // This bench deliberately breaks the protocol exactly once: case 1 of the
   // correctness demo leaves a dirty cached flag that the case-2 nt-store

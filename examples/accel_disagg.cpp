@@ -67,10 +67,7 @@ int main() {
     // Verify the transform end to end (real bytes flowed through the pool).
     std::vector<std::byte> output(input.size());
     CXLPOOL_CHECK_OK(
-        co_await rack.pod().host(host).Invalidate(seg->base + 64 * kKiB,
-                                                  output.size()));
-    CXLPOOL_CHECK_OK(
-        co_await rack.pod().host(host).Load(seg->base + 64 * kKiB, output));
+        co_await rack.pod().host(host).ReadFresh(seg->base + 64 * kKiB, output));
     for (size_t i = 0; i < output.size(); ++i) {
       CXLPOOL_CHECK(output[i] == (input[i] ^ std::byte{0x5a}));
     }

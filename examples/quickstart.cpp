@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
     co_await sim::Delay(pod.loop(), kMicrosecond);  // posted-write commit
 
     std::vector<std::byte> seen(sizeof(msg));
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Invalidate(addr, seen.size()));
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Load(addr, seen));
+    CXLPOOL_CHECK_OK(co_await pod.host(1).ReadFresh(addr, seen));
     std::printf("host 1 read: \"%s\" (t=%lld ns)\n",
                 reinterpret_cast<const char*>(seen.data()),
                 static_cast<long long>(pod.loop().now()));

@@ -167,7 +167,7 @@ void CoherenceChecker::OnLineEvent(const cxl::CoherenceEvent& ev) {
                 std::string(CoherenceOpName(line.last_publish_op)) + " by host " +
                 std::to_string(line.last_publisher.value()) + " at t=" +
                 std::to_string(line.last_publish_time) +
-                "ns); missing Invalidate-before-Load");
+                "ns); consume with ReadFresh, not a cached Load");
       }
       break;
     }

@@ -2,8 +2,8 @@
 // coherence protocol over the non-coherent CXL pool (paper §4.1).
 //
 // Nothing in the hardware model catches a missed publish/consume step —
-// a forgotten Invalidate silently reads stale bytes, an unflushed Store
-// silently loses a write. This checker turns those bugs into typed,
+// a cached Load where ReadFresh belongs silently reads stale bytes, an
+// unflushed Store silently loses a write. This checker turns those bugs into typed,
 // deterministic reports. It keeps shadow state per 64 B pool line:
 //
 //   - a monotonic *line version*, bumped by every publish (nt-store,
@@ -19,7 +19,7 @@
 //
 //   stale-read           a cached Load (or DMA snoop hit) observed a copy
 //                        older than the latest publish, with no
-//                        intervening Invalidate — the consume half of the
+//                        intervening ReadFresh — the consume half of the
 //                        protocol was skipped.
 //   unpublished-handoff  a doorbell/RPC/ownership transfer announced a
 //                        region while the announcing host still held

@@ -3,9 +3,10 @@
 //
 // Descriptor rings and completion structures shared with a DMA device
 // through the non-coherent CXL pool must be published with non-temporal
-// stores and consumed with invalidate+load (paper §4.1). When the same
-// structures live in local DRAM those fences are pure overhead. Drivers
-// write against this interface and stay placement-agnostic.
+// stores and consumed with HostAdapter::ReadFresh, which invalidates and
+// then loads (paper §4.1). When the same structures live in local DRAM
+// those fences are pure overhead. Drivers write against this interface
+// and stay placement-agnostic.
 #ifndef SRC_CORE_PLACED_MEMORY_H_
 #define SRC_CORE_PLACED_MEMORY_H_
 
@@ -42,15 +43,10 @@ class PlacedMemory {
     if (!sw_coherence_) {
       return host_.Load(addr, out);
     }
-    return InvalidateAndLoad(addr, out);
+    return host_.ReadFresh(addr, out);
   }
 
  private:
-  sim::Task<Status> InvalidateAndLoad(uint64_t addr, std::span<std::byte> out) {
-    CO_RETURN_IF_ERROR(co_await host_.Invalidate(addr, out.size()));
-    co_return co_await host_.Load(addr, out);
-  }
-
   cxl::HostAdapter& host_;
   bool sw_coherence_;
 };

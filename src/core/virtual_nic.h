@@ -6,7 +6,7 @@
 // physical NIC DMAs to them identically. Doorbells go through an MmioPath:
 // direct MMIO when the NIC is local, forwarded over the sub-microsecond
 // CXL message channel when it is remote. Software coherence (nt-store
-// publish / invalidate+load consume) is applied exactly where the pool is
+// publish / ReadFresh consume) is applied exactly where the pool is
 // non-coherent.
 //
 // Rebind() retargets the handle to a replacement NIC after a failure or a

@@ -26,7 +26,7 @@ enum class CoherenceOp : uint8_t {
   kStoreHit,         // cached write-back store dirtied an existing copy
   kStoreMiss,        // RFO fetch + dirty (unpublished write begins)
   kStoreNt,          // non-temporal store: publish to the pool
-  kFlushWriteback,   // Flush/Invalidate wrote a dirty line back (publish)
+  kFlushWriteback,   // Flush/ReadFresh wrote a dirty line back (publish)
   kInvalidateDrop,   // clean private copy dropped (next load refetches)
   kEvictClean,       // capacity eviction of a clean copy
   kEvictWriteback,   // capacity eviction wrote a dirty line back (publish)

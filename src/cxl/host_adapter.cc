@@ -18,11 +18,12 @@ Nanos PipelinedLatency(Nanos first, Nanos per_line, uint64_t lines) {
   }
   return first + static_cast<Nanos>(lines - 1) * per_line;
 }
+}  // namespace
 
 // Bytes one access moves over each CXL link, in the order the links were
 // first touched. An access reaches one link, or a few on an interleaved
 // segment, so up to eight links are tallied without allocating.
-class LinkTally {
+class HostAdapter::LinkTally {
  public:
   struct Entry {
     CxlLink* link;
@@ -52,13 +53,22 @@ class LinkTally {
                             : std::span<Entry>(spill_);
   }
 
+  // Serializes each link's bytes toward the device from `now`; returns
+  // when the last link has drained.
+  Nanos Drain(Nanos now) {
+    Nanos done = now;
+    for (auto [link, bytes] : entries()) {
+      done = std::max(done, link->to_device().Acquire(now, bytes));
+    }
+    return done;
+  }
+
  private:
   static constexpr size_t kInline = 8;
   std::array<Entry, kInline> inline_{};
   std::vector<Entry> spill_;
   size_t size_ = 0;
 };
-}  // namespace
 
 HostAdapter::HostAdapter(HostId id, sim::EventLoop& loop, mem::AddressMap& map,
                          CxlPool& pool, obs::Registry& metrics, Config config)
@@ -180,360 +190,104 @@ void HostAdapter::WritebackEvicted(const mem::WriteBackCache::EvictedLine& ev) {
   EmitCoherence(CoherenceOp::kEvictWriteback, ev.line_addr);
 }
 
-sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
-  loads_->Inc();
-  load_bytes_->Add(out.size());
-  auto region_or = ResolveAccess(addr, out.size());
-  if (!region_or.ok()) {
-    co_return region_or.status();
-  }
-  const mem::Region* region = region_or.value();
-  const CxlTiming& t = config_.timing;
+Result<Nanos> HostAdapter::Begin(AccessKind kind, uint64_t addr, uint64_t len,
+                                 std::span<std::byte> out,
+                                 std::span<const std::byte> in, bool* in_dram) {
+  ASSIGN_OR_RETURN(const mem::Region* region, ResolveAccess(addr, len));
   Nanos now = loop_.now();
-
-  if (region->kind == mem::MemoryKind::kLocalDram) {
-    // Coherent local memory: no staleness modeling, latency + channel bw.
-    if (Status p = map_.CheckPoison(addr, out.size()); !p.ok()) {
-      poisoned_reads_->Inc();
-      co_return p;
-    }
-    map_.ReadBytes(addr, out);
-    Nanos done = dram_bw_.Acquire(now + t.dram_load, out.size());
-    co_await sim::WaitUntil(loop_, done);
-    co_return OkStatus();
+  *in_dram = region->kind == mem::MemoryKind::kLocalDram;
+  if (!*in_dram) {
+    // Same-address ordering for posted writes: a read or cached store of a
+    // line whose posted write has not yet committed is served from the
+    // controller's write buffer — it completes no earlier than the commit
+    // and then observes the new data. Accesses to unrelated lines, and
+    // posted writes themselves, are unaffected.
+    bool ordered = kind == AccessKind::kRead || kind == AccessKind::kStore;
+    return ordered ? pool_.PendingCommitTime(addr, len) : now;
   }
-
-  // Same-address ordering for posted writes: a read of a line whose posted
-  // write has not yet committed is served from the controller's write
-  // buffer — it completes no earlier than the commit and then observes the
-  // new data. Reads of unrelated lines are unaffected.
-  if (Nanos commit = pool_.PendingCommitTime(addr, out.size()); commit > now) {
-    co_await sim::WaitUntil(loop_, commit);
-    now = loop_.now();
-  }
-
-  // CXL pool access, line by line through the cache.
-  uint64_t first_line = CachelineFloor(addr);
-  uint64_t n_lines = CachelinesTouched(addr, out.size());
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  LinkTally miss_bytes;
-
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    // Byte range of this line that intersects [addr, addr+size).
-    uint64_t lo = std::max(laddr, addr);
-    uint64_t hi = std::min(laddr + kCachelineSize, addr + out.size());
-
-    mem::WriteBackCache::Line* line = cache_.Find(laddr);
-    if (line != nullptr) {
-      ++hits;
-      EmitCoherence(CoherenceOp::kLoadHit, laddr);
-      std::memcpy(out.data() + (lo - addr), line->data.data() + (lo - laddr),
-                  hi - lo);
-      continue;
-    }
-    auto link_or = RouteCxl(laddr);
-    if (!link_or.ok()) {
-      co_return link_or.status();
-    }
-    // Uncorrectable media error: the MHD returns poison, not bytes. Cached
-    // copies (hits above) legitimately still serve — the CPU has its own
-    // good copy of the line.
-    if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
-      poisoned_reads_->Inc();
-      co_return p;
-    }
-    ++misses;
-    miss_bytes.Add(link_or.value(), kCachelineSize);
-    std::array<std::byte, kCachelineSize> buf;
-    map_.ReadBytes(laddr, buf);
-    std::memcpy(out.data() + (lo - addr), buf.data() + (lo - laddr), hi - lo);
-    if (auto ev = cache_.Install(laddr, buf.data(), /*dirty=*/false)) {
-      WritebackEvicted(*ev);
-    }
-    pool_.TrackCacher(laddr, id_);
-    EmitCoherence(CoherenceOp::kLoadMiss, laddr);
-  }
-
-  Nanos done = now;
-  if (hits > 0) {
-    done += PipelinedLatency(t.cache_hit, 1, hits);
-  }
-  if (misses > 0) {
-    // Misses on different links proceed in parallel; within a link the
-    // CPU pipelines them at per_line_pipelined.
-    Nanos latency_done = now;
-    Nanos serial_done = now;
-    for (auto [link, bytes] : miss_bytes.entries()) {
-      uint64_t lines = bytes / kCachelineSize;
-      latency_done = std::max(
-          latency_done,
-          now + PipelinedLatency(JitterCxl(t.cxl_read), t.per_line_pipelined, lines));
-      serial_done = std::max(serial_done, link->from_device().Acquire(now, bytes));
-    }
-    done = std::max({done, latency_done, serial_done + t.per_line_pipelined});
-  }
-  co_await sim::WaitUntil(loop_, done);
-  co_return OkStatus();
-}
-
-sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> in) {
-  stores_->Inc();
-  store_bytes_->Add(in.size());
-  auto region_or = ResolveAccess(addr, in.size());
-  if (!region_or.ok()) {
-    co_return region_or.status();
-  }
-  const mem::Region* region = region_or.value();
+  // Coherent local memory: no staleness modeling, latency + channel bw.
+  // A non-temporal store is modeled as a plain DRAM store, and a flush is
+  // a no-op.
   const CxlTiming& t = config_.timing;
-  Nanos now = loop_.now();
-
-  if (region->kind == mem::MemoryKind::kLocalDram) {
-    map_.WriteBytes(addr, in);
-    Nanos done = dram_bw_.Acquire(now + t.dram_store, in.size());
-    co_await sim::WaitUntil(loop_, done);
-    co_return OkStatus();
+  switch (kind) {
+    case AccessKind::kRead:
+      if (Status p = map_.CheckPoison(addr, len); !p.ok()) {
+        poisoned_reads_->Inc();
+        return p;
+      }
+      map_.ReadBytes(addr, out);
+      return dram_bw_.Acquire(now + t.dram_load, len);
+    case AccessKind::kStore:
+    case AccessKind::kPostedWrite:
+      map_.WriteBytes(addr, in);
+      return dram_bw_.Acquire(now + t.dram_store, len);
+    case AccessKind::kFlush:
+      break;
   }
-
-  // Posted writes to these lines commit first (see Load).
-  if (Nanos commit = pool_.PendingCommitTime(addr, in.size()); commit > now) {
-    co_await sim::WaitUntil(loop_, commit);
-    now = loop_.now();
-  }
-
-  // Write-back cached store: read-for-ownership on miss, dirty the line.
-  // The pool backend is NOT updated — that is the cross-host hazard.
-  uint64_t first_line = CachelineFloor(addr);
-  uint64_t n_lines = CachelinesTouched(addr, in.size());
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  LinkTally miss_bytes;
-
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    uint64_t lo = std::max(laddr, addr);
-    uint64_t hi = std::min(laddr + kCachelineSize, addr + in.size());
-
-    mem::WriteBackCache::Line* line = cache_.Find(laddr);
-    if (line != nullptr) {
-      ++hits;
-      EmitCoherence(CoherenceOp::kStoreHit, laddr);
-      std::memcpy(line->data.data() + (lo - laddr), in.data() + (lo - addr), hi - lo);
-      line->dirty = true;
-      continue;
-    }
-    auto link_or = RouteCxl(laddr);
-    if (!link_or.ok()) {
-      co_return link_or.status();
-    }
-    // The read-for-ownership fetch pulls the line from media, so a
-    // poisoned line fails the cached store too (a full-line StoreNt is the
-    // way to overwrite — and thereby heal — poison).
-    if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
-      poisoned_reads_->Inc();
-      co_return p;
-    }
-    ++misses;
-    miss_bytes.Add(link_or.value(), kCachelineSize);
-    std::array<std::byte, kCachelineSize> buf;
-    map_.ReadBytes(laddr, buf);  // RFO fetch
-    std::memcpy(buf.data() + (lo - laddr), in.data() + (lo - addr), hi - lo);
-    if (auto ev = cache_.Install(laddr, buf.data(), /*dirty=*/true)) {
-      WritebackEvicted(*ev);
-    }
-    pool_.TrackCacher(laddr, id_);
-    EmitCoherence(CoherenceOp::kStoreMiss, laddr);
-  }
-
-  Nanos done = now;
-  if (hits > 0) {
-    done += PipelinedLatency(t.cache_hit, 1, hits);
-  }
-  if (misses > 0) {
-    // Misses on different links proceed in parallel; within a link the
-    // CPU pipelines them at per_line_pipelined.
-    Nanos latency_done = now;
-    Nanos serial_done = now;
-    for (auto [link, bytes] : miss_bytes.entries()) {
-      uint64_t lines = bytes / kCachelineSize;
-      latency_done = std::max(
-          latency_done,
-          now + PipelinedLatency(JitterCxl(t.cxl_read), t.per_line_pipelined, lines));
-      serial_done = std::max(serial_done, link->from_device().Acquire(now, bytes));
-    }
-    done = std::max({done, latency_done, serial_done + t.per_line_pipelined});
-  }
-  co_await sim::WaitUntil(loop_, done);
-  co_return OkStatus();
+  return now;
 }
 
-sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte> in) {
-  nt_stores_->Inc();
-  nt_store_bytes_->Add(in.size());
-  auto region_or = ResolveAccess(addr, in.size());
-  if (!region_or.ok()) {
-    co_return region_or.status();
-  }
-  const mem::Region* region = region_or.value();
-  const CxlTiming& t = config_.timing;
-  Nanos now = loop_.now();
-
-  if (region->kind == mem::MemoryKind::kLocalDram) {
-    // Non-temporal store to local DRAM: same visibility, slightly cheaper
-    // than a cached store followed by eviction; model as plain DRAM store.
-    map_.WriteBytes(addr, in);
-    Nanos done = dram_bw_.Acquire(now + t.dram_store, in.size());
-    co_await sim::WaitUntil(loop_, done);
-    co_return OkStatus();
-  }
-
-  // Health-check every touched line's route before mutating anything.
-  uint64_t first_line = CachelineFloor(addr);
-  uint64_t n_lines = CachelinesTouched(addr, in.size());
-  LinkTally bytes_per_link;
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    auto link_or = RouteCxl(laddr);
-    if (!link_or.ok()) {
-      co_return link_or.status();
-    }
-    bytes_per_link.Add(link_or.value(), kCachelineSize);
-  }
-
-  // Drop any cached copies (an nt-store over a dirty line discards the
-  // cached bytes in favour of the streamed ones).
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    if (auto ev = cache_.Remove(laddr); ev && ev->dirty) {
-      lost_dirty_lines_->Inc();
-      EmitCoherence(CoherenceOp::kDirtyLost, laddr);
-    }
-  }
-
-  Nanos serial_done = now;
-  for (auto [link, bytes] : bytes_per_link.entries()) {
-    serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
-  }
-  // Posted-write semantics: the CPU only drains its write-combining buffer
-  // onto the link (serial_done); the bytes commit to pool media one write
-  // latency later. Same-line readers in the meantime are held to the
-  // commit time (controller write buffer); other hosts simply cannot
-  // observe the bytes before the commit.
-  Nanos visible_at = pool_.RecordPendingCommit(
-      addr, in.size(), serial_done + JitterCxl(t.cxl_write), now);
-  // CXL 3.0 BI emulation: the device invalidates remote cached copies;
-  // the writer pays one snoop round.
-  int snoops = pool_.BackInvalidate(addr, in.size(), id_);
-  loop_.ScheduleAt(visible_at,
-                   [this, addr, data = std::vector<std::byte>(in.begin(), in.end())] {
-                     map_.WriteBytes(addr, data);
-                   });
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    EmitCoherence(CoherenceOp::kStoreNt, first_line + i * kCachelineSize);
-  }
-  co_await sim::WaitUntil(loop_, serial_done + (snoops > 0 ? t.bi_snoop : 0));
-  co_return OkStatus();
-}
-
-sim::Task<Status> HostAdapter::Flush(uint64_t addr, uint64_t len) {
-  flushes_->Inc();
-  return FlushImpl(addr, len, /*invalidate=*/false);
-}
-
-sim::Task<Status> HostAdapter::Invalidate(uint64_t addr, uint64_t len) {
-  invalidates_->Inc();
-  return FlushImpl(addr, len, /*invalidate=*/true);
-}
-
-sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool invalidate) {
-  auto region_or = ResolveAccess(addr, len);
-  if (!region_or.ok()) {
-    co_return region_or.status();
-  }
-  if (region_or.value()->kind == mem::MemoryKind::kLocalDram) {
-    co_return OkStatus();  // local DRAM is coherent; flush is a no-op
-  }
-  const CxlTiming& t = config_.timing;
-  Nanos now = loop_.now();
-
+Result<Nanos> HostAdapter::CachedAccess(AccessKind kind, uint64_t addr, uint64_t len,
+                                        std::span<std::byte> out,
+                                        std::span<const std::byte> in) {
+  // A store is write-back: read-for-ownership on a miss, then dirty the
+  // line. The pool backend is NOT updated — that is the cross-host hazard.
+  const bool store = kind == AccessKind::kStore;
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, len);
-  LinkTally dirty_bytes;
-  std::vector<mem::WriteBackCache::EvictedLine> writebacks;
+  uint64_t hits = 0;
+  LinkTally misses;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
-    auto ev = cache_.Remove(laddr);
-    if (!ev) {
-      continue;
-    }
-    if (!ev->dirty) {
-      EmitCoherence(CoherenceOp::kInvalidateDrop, laddr);
-      continue;
-    }
-    flushed_dirty_lines_->Inc();
-    auto link_or = RouteCxl(laddr);
-    if (!link_or.ok()) {
-      // This line — and every dirty line already pulled out of the cache
-      // for this flush — has lost its only copy: nothing writes it back.
-      lost_dirty_lines_->Inc();
-      EmitCoherence(CoherenceOp::kDirtyLost, laddr);
-      for (const auto& dropped : writebacks) {
-        lost_dirty_lines_->Inc();
-        EmitCoherence(CoherenceOp::kDirtyLost, dropped.line_addr);
+    // Byte range of this line that intersects [addr, addr+len).
+    uint64_t lo = std::max(laddr, addr);
+    uint64_t hi = std::min(laddr + kCachelineSize, addr + len);
+    auto copy = [&](std::byte* line_bytes) {
+      if (store) {
+        std::memcpy(line_bytes + (lo - laddr), in.data() + (lo - addr), hi - lo);
+      } else {
+        std::memcpy(out.data() + (lo - addr), line_bytes + (lo - laddr), hi - lo);
       }
-      co_return link_or.status();
+    };
+
+    mem::WriteBackCache::Line* line = cache_.Find(laddr);
+    if (line != nullptr) {
+      ++hits;
+      EmitCoherence(store ? CoherenceOp::kStoreHit : CoherenceOp::kLoadHit, laddr);
+      copy(line->data.data());
+      if (store) {
+        line->dirty = true;
+      }
+      continue;
     }
-    dirty_bytes.Add(link_or.value(), kCachelineSize);
-    writebacks.push_back(*ev);
+    ASSIGN_OR_RETURN(CxlLink* link, RouteCxl(laddr));
+    // Uncorrectable media error: the MHD returns poison, not bytes. Cached
+    // copies (hits above) legitimately still serve — the CPU has its own
+    // good copy of the line. A store's read-for-ownership fails too (a
+    // full-line StoreNt is the way to overwrite — and thereby heal —
+    // poison).
+    if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
+      poisoned_reads_->Inc();
+      return p;
+    }
+    misses.Add(link, kCachelineSize);
+    std::array<std::byte, kCachelineSize> buf;
+    map_.ReadBytes(laddr, buf);
+    copy(buf.data());
+    if (auto ev = cache_.Install(laddr, buf.data(), /*dirty=*/store)) {
+      WritebackEvicted(*ev);
+    }
+    pool_.TrackCacher(laddr, id_);
+    EmitCoherence(store ? CoherenceOp::kStoreMiss : CoherenceOp::kLoadMiss, laddr);
   }
 
-  Nanos issue_cost = static_cast<Nanos>(n_lines) * (invalidate ? t.invalidate : t.flush_issue);
-  Nanos done = now + issue_cost;
-  if (!writebacks.empty()) {
-    Nanos serial_done = now;
-    for (auto [link, bytes] : dirty_bytes.entries()) {
-      serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
-    }
-    done = std::max(done, serial_done + JitterCxl(t.cxl_write));
-  }
-  co_await sim::WaitUntil(loop_, done);
-  // Dirty data becomes pool-visible when the writeback completes.
-  for (const auto& ev : writebacks) {
-    map_.WriteBytes(ev.line_addr, std::span<const std::byte>(ev.data));
-    EmitCoherence(CoherenceOp::kFlushWriteback, ev.line_addr);
-  }
-  co_return OkStatus();
+  const CxlTiming& t = config_.timing;
+  Nanos hits_done = loop_.now() + PipelinedLatency(t.cache_hit, 1, hits);
+  return std::max(hits_done, FetchDone(misses, t.per_line_pipelined));
 }
 
-sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) {
-  dma_reads_->Inc();
-  auto region_or = ResolveAccess(addr, out.size());
-  if (!region_or.ok()) {
-    co_return region_or.status();
-  }
-  const mem::Region* region = region_or.value();
-  const CxlTiming& t = config_.timing;
-  Nanos now = loop_.now();
-
-  if (region->kind == mem::MemoryKind::kLocalDram) {
-    if (Status p = map_.CheckPoison(addr, out.size()); !p.ok()) {
-      poisoned_reads_->Inc();
-      co_return p;
-    }
-    map_.ReadBytes(addr, out);
-    Nanos done = dram_bw_.Acquire(now + t.dram_load, out.size());
-    co_await sim::WaitUntil(loop_, done);
-    co_return OkStatus();
-  }
-
-  // Posted writes to these lines commit first (see Load).
-  if (Nanos commit = pool_.PendingCommitTime(addr, out.size()); commit > now) {
-    co_await sim::WaitUntil(loop_, commit);
-    now = loop_.now();
-  }
-
+Result<Nanos> HostAdapter::SnoopedRead(uint64_t addr, std::span<std::byte> out) {
   // Inbound DMA through this host's root complex snoops THIS host's cache
   // (local I/O is coherent) but goes to pool media otherwise. Other hosts'
   // caches are never snooped.
@@ -545,11 +299,8 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
     uint64_t laddr = first_line + i * kCachelineSize;
     uint64_t lo = std::max(laddr, addr);
     uint64_t hi = std::min(laddr + kCachelineSize, addr + out.size());
-    auto link_or = RouteCxl(laddr);
-    if (!link_or.ok()) {
-      co_return link_or.status();
-    }
-    bytes_per_link.Add(link_or.value(), kCachelineSize);
+    ASSIGN_OR_RETURN(CxlLink* link, RouteCxl(laddr));
+    bytes_per_link.Add(link, kCachelineSize);
     // Snoop own cache (no LRU/stat churn — this is the device, not the CPU).
     if (const mem::WriteBackCache::Line* line = cache_.Peek(laddr)) {
       EmitCoherence(CoherenceOp::kDmaReadHit, laddr);
@@ -558,7 +309,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
       // Poison travels to the device as a DMA completion error.
       if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
         poisoned_reads_->Inc();
-        co_return p;
+        return p;
       }
       EmitCoherence(CoherenceOp::kDmaReadMiss, laddr);
       std::array<std::byte, kCachelineSize> buf;
@@ -566,78 +317,253 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
       std::memcpy(out.data() + (lo - addr), buf.data() + (lo - laddr), hi - lo);
     }
   }
+  return FetchDone(bytes_per_link, /*serial_tail=*/0);
+}
 
+Nanos HostAdapter::FetchDone(LinkTally& fetched, Nanos serial_tail) {
+  Nanos now = loop_.now();
+  if (fetched.entries().empty()) {
+    return now;
+  }
+  // Fetches on different links proceed in parallel; within a link they
+  // pipeline at per_line_pipelined.
+  const CxlTiming& t = config_.timing;
   Nanos latency_done = now;
   Nanos serial_done = now;
-  for (auto [link, bytes] : bytes_per_link.entries()) {
+  for (auto [link, bytes] : fetched.entries()) {
     uint64_t lines = bytes / kCachelineSize;
     latency_done = std::max(
         latency_done,
         now + PipelinedLatency(JitterCxl(t.cxl_read), t.per_line_pipelined, lines));
     serial_done = std::max(serial_done, link->from_device().Acquire(now, bytes));
   }
-  co_await sim::WaitUntil(loop_, std::max(latency_done, serial_done));
-  co_return OkStatus();
+  return std::max(latency_done, serial_done + serial_tail);
 }
 
-sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte> in) {
-  dma_writes_->Inc();
-  auto region_or = ResolveAccess(addr, in.size());
-  if (!region_or.ok()) {
-    co_return region_or.status();
-  }
-  const mem::Region* region = region_or.value();
+Result<Nanos> HostAdapter::PostWrite(CoherenceOp op, uint64_t addr,
+                                     std::span<const std::byte> in) {
   const CxlTiming& t = config_.timing;
   Nanos now = loop_.now();
 
-  if (region->kind == mem::MemoryKind::kLocalDram) {
-    map_.WriteBytes(addr, in);
-    Nanos done = dram_bw_.Acquire(now + t.dram_store, in.size());
-    co_await sim::WaitUntil(loop_, done);
-    co_return OkStatus();
-  }
-
+  // Health-check every touched line's route before mutating anything.
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, in.size());
   LinkTally bytes_per_link;
   for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    auto link_or = RouteCxl(laddr);
-    if (!link_or.ok()) {
-      co_return link_or.status();
-    }
-    bytes_per_link.Add(link_or.value(), kCachelineSize);
+    ASSIGN_OR_RETURN(CxlLink* link, RouteCxl(first_line + i * kCachelineSize));
+    bytes_per_link.Add(link, kCachelineSize);
   }
 
-  // Invalidate this host's cached copies (root-complex snoop). Cached
-  // copies on OTHER hosts go stale — the cross-host hazard.
+  // Drop this host's cached copies. The written bytes replace a dirty
+  // copy's, which is lost. A DMA write's root-complex snoop reports the
+  // clean copies it drops; an nt-store drops them silently. Cached copies
+  // on OTHER hosts go stale — the cross-host hazard.
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
-    if (auto ev = cache_.Remove(laddr)) {
-      EmitCoherence(ev->dirty ? CoherenceOp::kDirtyLost
-                              : CoherenceOp::kInvalidateDrop,
-                    laddr);
+    auto ev = cache_.Remove(laddr);
+    if (!ev) {
+      continue;
+    }
+    if (ev->dirty) {
+      lost_dirty_lines_->Inc();
+      EmitCoherence(CoherenceOp::kDirtyLost, laddr);
+    } else if (op == CoherenceOp::kDmaWrite) {
+      EmitCoherence(CoherenceOp::kInvalidateDrop, laddr);
     }
   }
 
-  Nanos serial_done = now;
-  for (auto [link, bytes] : bytes_per_link.entries()) {
-    serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
-  }
-  // Device DMA writes are posted like nt-stores: the engine moves on after
-  // link serialization; media commit follows one write latency later and
-  // same-line readers are held to the commit time.
+  Nanos serial_done = bytes_per_link.Drain(now);
+  // Posted-write semantics: the writer only drains its bytes onto the link
+  // (serial_done); they commit to pool media one write latency later.
+  // Same-line readers in the meantime are held to the commit time
+  // (controller write buffer); other hosts simply cannot observe the bytes
+  // before the commit.
   Nanos visible_at = pool_.RecordPendingCommit(
       addr, in.size(), serial_done + JitterCxl(t.cxl_write), now);
+  // CXL 3.0 BI emulation: the device invalidates remote cached copies;
+  // the writer pays one snoop round.
   int snoops = pool_.BackInvalidate(addr, in.size(), id_);
   loop_.ScheduleAt(visible_at,
                    [this, addr, data = std::vector<std::byte>(in.begin(), in.end())] {
                      map_.WriteBytes(addr, data);
                    });
   for (uint64_t i = 0; i < n_lines; ++i) {
-    EmitCoherence(CoherenceOp::kDmaWrite, first_line + i * kCachelineSize);
+    EmitCoherence(op, first_line + i * kCachelineSize);
   }
-  co_await sim::WaitUntil(loop_, serial_done + (snoops > 0 ? t.bi_snoop : 0));
+  return serial_done + (snoops > 0 ? t.bi_snoop : 0);
+}
+
+Result<Nanos> HostAdapter::TakeLines(
+    uint64_t addr, uint64_t len, Nanos per_line,
+    std::vector<mem::WriteBackCache::EvictedLine>* writebacks) {
+  const CxlTiming& t = config_.timing;
+  Nanos now = loop_.now();
+  uint64_t first_line = CachelineFloor(addr);
+  uint64_t n_lines = CachelinesTouched(addr, len);
+  LinkTally dirty_bytes;
+
+  for (uint64_t i = 0; i < n_lines; ++i) {
+    uint64_t laddr = first_line + i * kCachelineSize;
+    auto ev = cache_.Remove(laddr);
+    if (!ev) {
+      continue;
+    }
+    if (!ev->dirty) {
+      EmitCoherence(CoherenceOp::kInvalidateDrop, laddr);
+      continue;
+    }
+    auto link_or = RouteCxl(laddr);
+    if (!link_or.ok()) {
+      // This line — and every dirty line already pulled out of the cache
+      // for this flush — has lost its only copy: nothing writes it back.
+      lost_dirty_lines_->Inc();
+      EmitCoherence(CoherenceOp::kDirtyLost, laddr);
+      for (const auto& dropped : *writebacks) {
+        lost_dirty_lines_->Inc();
+        EmitCoherence(CoherenceOp::kDirtyLost, dropped.line_addr);
+      }
+      return link_or.status();
+    }
+    dirty_bytes.Add(link_or.value(), kCachelineSize);
+    writebacks->push_back(*ev);
+  }
+
+  Nanos done = now + static_cast<Nanos>(n_lines) * per_line;
+  if (!writebacks->empty()) {
+    done = std::max(done, dirty_bytes.Drain(now) + JitterCxl(t.cxl_write));
+  }
+  return done;
+}
+
+void HostAdapter::WriteBack(
+    std::span<const mem::WriteBackCache::EvictedLine> writebacks) {
+  // Dirty data becomes pool-visible when the writeback completes.
+  for (const auto& ev : writebacks) {
+    map_.WriteBytes(ev.line_addr, std::span<const std::byte>(ev.data));
+    flushed_dirty_lines_->Inc();
+    EmitCoherence(CoherenceOp::kFlushWriteback, ev.line_addr);
+  }
+}
+
+sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
+  loads_->Inc();
+  load_bytes_->Add(out.size());
+  bool in_dram = false;
+  Result<Nanos> at = Begin(AccessKind::kRead, addr, out.size(), out, {}, &in_dram);
+  if (at.ok() && !in_dram) {
+    co_await sim::WaitUntil(loop_, *at);
+    at = CachedAccess(AccessKind::kRead, addr, out.size(), out, {});
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+  co_await sim::WaitUntil(loop_, *at);
+  co_return OkStatus();
+}
+
+sim::Task<Status> HostAdapter::ReadFresh(uint64_t addr, std::span<std::byte> out) {
+  invalidates_->Inc();
+  bool in_dram = false;
+  std::vector<mem::WriteBackCache::EvictedLine> writebacks;
+  Result<Nanos> at = Begin(AccessKind::kFlush, addr, out.size(), {}, {}, &in_dram);
+  if (at.ok() && !in_dram) {
+    at = TakeLines(addr, out.size(), config_.timing.invalidate, &writebacks);
+    if (at.ok()) {
+      co_await sim::WaitUntil(loop_, *at);
+      WriteBack(writebacks);
+    }
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+
+  loads_->Inc();
+  load_bytes_->Add(out.size());
+  at = Begin(AccessKind::kRead, addr, out.size(), out, {}, &in_dram);
+  if (at.ok() && !in_dram) {
+    co_await sim::WaitUntil(loop_, *at);
+    at = CachedAccess(AccessKind::kRead, addr, out.size(), out, {});
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+  co_await sim::WaitUntil(loop_, *at);
+  co_return OkStatus();
+}
+
+sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> in) {
+  stores_->Inc();
+  store_bytes_->Add(in.size());
+  bool in_dram = false;
+  Result<Nanos> at = Begin(AccessKind::kStore, addr, in.size(), {}, in, &in_dram);
+  if (at.ok() && !in_dram) {
+    co_await sim::WaitUntil(loop_, *at);
+    at = CachedAccess(AccessKind::kStore, addr, in.size(), {}, in);
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+  co_await sim::WaitUntil(loop_, *at);
+  co_return OkStatus();
+}
+
+sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte> in) {
+  nt_stores_->Inc();
+  nt_store_bytes_->Add(in.size());
+  bool in_dram = false;
+  Result<Nanos> at = Begin(AccessKind::kPostedWrite, addr, in.size(), {}, in, &in_dram);
+  if (at.ok() && !in_dram) {
+    at = PostWrite(CoherenceOp::kStoreNt, addr, in);
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+  co_await sim::WaitUntil(loop_, *at);
+  co_return OkStatus();
+}
+
+sim::Task<Status> HostAdapter::Flush(uint64_t addr, uint64_t len) {
+  flushes_->Inc();
+  bool in_dram = false;
+  std::vector<mem::WriteBackCache::EvictedLine> writebacks;
+  Result<Nanos> at = Begin(AccessKind::kFlush, addr, len, {}, {}, &in_dram);
+  if (at.ok() && !in_dram) {
+    at = TakeLines(addr, len, config_.timing.flush_issue, &writebacks);
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+  co_await sim::WaitUntil(loop_, *at);
+  WriteBack(writebacks);
+  co_return OkStatus();
+}
+
+sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) {
+  dma_reads_->Inc();
+  bool in_dram = false;
+  Result<Nanos> at = Begin(AccessKind::kRead, addr, out.size(), out, {}, &in_dram);
+  if (at.ok() && !in_dram) {
+    co_await sim::WaitUntil(loop_, *at);
+    at = SnoopedRead(addr, out);
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+  co_await sim::WaitUntil(loop_, *at);
+  co_return OkStatus();
+}
+
+sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte> in) {
+  dma_writes_->Inc();
+  bool in_dram = false;
+  Result<Nanos> at = Begin(AccessKind::kPostedWrite, addr, in.size(), {}, in, &in_dram);
+  if (at.ok() && !in_dram) {
+    at = PostWrite(CoherenceOp::kDmaWrite, addr, in);
+  }
+  if (!at.ok()) {
+    co_return at.status();
+  }
+  co_await sim::WaitUntil(loop_, *at);
   co_return OkStatus();
 }
 

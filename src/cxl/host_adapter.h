@@ -1,12 +1,12 @@
 // HostAdapter: one host's view of the simulated memory system.
 //
-// CPU-side operations (Load/Store/StoreNt/Flush/Invalidate) route through a
+// CPU-side operations (Load/Store/StoreNt/Flush/ReadFresh) route through a
 // per-host write-back cache for CXL pool addresses, charging calibrated
 // latency plus link-bandwidth serialization in simulated time. Pool memory
 // is NOT coherent across hosts: cached loads can return stale bytes and
 // dirty stores stay invisible to the pool until flushed — the software
-// coherence protocol (paper §4.1) uses StoreNt to publish and
-// Invalidate-before-Load to consume.
+// coherence protocol (paper §4.1) uses StoreNt to publish and ReadFresh
+// (invalidate, then load) to consume.
 //
 // Device-side operations (DmaRead/DmaWrite) model inbound PCIe DMA through
 // this host's root complex: coherent with THIS host's cache (snooped) but
@@ -93,10 +93,11 @@ class HostAdapter {
   sim::Task<Status> StoreNt(uint64_t addr, std::span<const std::byte> in);
   // clwb + fence over [addr, addr+len): writes back dirty lines, drops them.
   sim::Task<Status> Flush(uint64_t addr, uint64_t len);
-  // Self-invalidate [addr, addr+len) so the next Load refetches from the
-  // pool. The consume primitive of the software coherence protocol.
-  // (Dirty lines are written back first, like clflush.)
-  sim::Task<Status> Invalidate(uint64_t addr, uint64_t len);
+  // Self-invalidates [addr, addr+out.size()), then loads it, so the bytes
+  // come from the pool rather than a stale cached copy. The consume
+  // primitive of the software coherence protocol. Dirty lines are written
+  // back first, like clflush; an invalidation error skips the load.
+  sim::Task<Status> ReadFresh(uint64_t addr, std::span<std::byte> out);
 
   // --- Device-side (inbound PCIe DMA through this host's root complex).
   sim::Task<Status> DmaRead(uint64_t addr, std::span<std::byte> out);
@@ -149,8 +150,54 @@ class HostAdapter {
   // Applies the configured lognormal jitter to a CXL base latency.
   Nanos JitterCxl(Nanos base);
 
-  // Shared flush/invalidate implementation.
-  sim::Task<Status> FlushImpl(uint64_t addr, uint64_t len, bool invalidate);
+  // The accessors share the plain helpers below; each accessor coroutine
+  // keeps only what crosses its awaits.
+
+  // Bytes per CXL link for one access (defined in the .cc).
+  class LinkTally;
+
+  enum class AccessKind : uint8_t {
+    kRead,         // Load, DmaRead, ReadFresh's load: fills `out`
+    kStore,        // cached Store: copies `in`
+    kPostedWrite,  // StoreNt, DmaWrite: copies `in`
+    kFlush,        // Flush, ReadFresh's invalidation: moves no bytes
+  };
+
+  // The start every accessor shares. Resolves [addr, addr+len). A local
+  // DRAM access is served here and completes at the returned time
+  // (*in_dram is set). A pool access may go on to its lines at the
+  // returned time: reads and cached stores wait there for same-line
+  // posted writes to commit.
+  Result<Nanos> Begin(AccessKind kind, uint64_t addr, uint64_t len,
+                      std::span<std::byte> out, std::span<const std::byte> in,
+                      bool* in_dram);
+
+  // Walks a Load (kRead) or Store (kStore) through this host's cache line
+  // by line, fetching misses from pool media. Returns its completion time.
+  Result<Nanos> CachedAccess(AccessKind kind, uint64_t addr, uint64_t len,
+                             std::span<std::byte> out, std::span<const std::byte> in);
+
+  // DmaRead's line walk: snoops this host's cache, else reads pool media.
+  // Returns its completion time.
+  Result<Nanos> SnoopedRead(uint64_t addr, std::span<std::byte> out);
+
+  // When the line fetches tallied in `fetched`, all issued now, complete:
+  // the later of the pipelined read latency and each link's serialization
+  // plus `serial_tail`. Draws one jitter sample per link.
+  Nanos FetchDone(LinkTally& fetched, Nanos serial_tail);
+
+  // The posted write shared by StoreNt (`op` kStoreNt) and DmaWrite
+  // (kDmaWrite): drops this host's cached copies, schedules the media
+  // commit and returns when the writer may move on.
+  Result<Nanos> PostWrite(CoherenceOp op, uint64_t addr, std::span<const std::byte> in);
+
+  // Takes this host's copies of [addr, addr+len) out of the cache, moving
+  // dirty ones to `writebacks`, and returns when those writebacks land;
+  // the issue cost is `per_line` for each touched line.
+  Result<Nanos> TakeLines(uint64_t addr, uint64_t len, Nanos per_line,
+                          std::vector<mem::WriteBackCache::EvictedLine>* writebacks);
+  // Applies the writebacks TakeLines collected once they have landed.
+  void WriteBack(std::span<const mem::WriteBackCache::EvictedLine> writebacks);
 
   // Writes an evicted dirty line back to the pool (async with respect to
   // the evicting operation). Drops the data if the path is unhealthy.
@@ -194,13 +241,15 @@ class HostAdapter {
   obs::Counter* nt_stores_ = metrics_.GetCounter("host.nt_stores");
   obs::Counter* nt_store_bytes_ = metrics_.GetCounter("host.nt_store_bytes");
   obs::Counter* flushes_ = metrics_.GetCounter("host.flushes");
+  // Dirty lines a Flush or ReadFresh wrote back, counted as each lands.
   obs::Counter* flushed_dirty_lines_ = metrics_.GetCounter("host.flushed_dirty_lines");
+  // ReadFresh calls; each whose invalidation succeeds also counts a load.
   obs::Counter* invalidates_ = metrics_.GetCounter("host.invalidates");
   obs::Counter* dma_reads_ = metrics_.GetCounter("host.dma_reads");
   obs::Counter* dma_writes_ = metrics_.GetCounter("host.dma_writes");
-  // Dirty lines dropped because an nt-store overwrote them or a writeback
-  // target was unreachable. Nonzero values indicate a protocol bug in the
-  // code under test.
+  // Dirty lines dropped because an nt-store or DMA write overwrote them or
+  // a writeback target was unreachable. Nonzero values indicate a protocol
+  // bug in the code under test.
   obs::Counter* lost_dirty_lines_ = metrics_.GetCounter("host.lost_dirty_lines");
   // Loads / DMA reads that hit a poisoned media line and returned kDataLoss
   // instead of bytes (media RAS, paper §5 gray failures).

@@ -120,10 +120,7 @@ sim::Task<Status> ReplicatedRegion::ReadFresh(HostAdapter& host, uint64_t offset
   Status last_error = Internal("no replicas");
   for (size_t i = 0; i < segments_.size(); ++i) {
     uint64_t addr = segments_[i].base + offset;
-    Status st = co_await host.Invalidate(addr, out.size());
-    if (st.ok()) {
-      st = co_await host.Load(addr, out);
-    }
+    Status st = co_await host.ReadFresh(addr, out);
     if (st.ok()) {
       if (i > 0) {
         failover_reads_->Inc();
@@ -147,10 +144,7 @@ sim::Task<Status> ReplicatedRegion::ScrubOnce(HostAdapter& host) {
       // The allocator rounds segments to 4 KiB, so a full-line access past
       // size_ on the final line stays inside the segment.
       uint64_t addr = segments_[i].base + line * kCachelineSize;
-      read_status[i] = co_await host.Invalidate(addr, kCachelineSize);
-      if (read_status[i].ok()) {
-        read_status[i] = co_await host.Load(addr, data[i]);
-      }
+      read_status[i] = co_await host.ReadFresh(addr, data[i]);
       if (read_status[i].code() == StatusCode::kDataLoss) {
         any_poison = true;
       }

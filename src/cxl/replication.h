@@ -62,8 +62,8 @@ class ReplicatedRegion {
   sim::Task<Status> Publish(HostAdapter& host, uint64_t offset,
                             std::span<const std::byte> in);
 
-  // Reads from the first reachable replica (primary first). Fresh
-  // (invalidate+load) semantics, like any cross-host consume.
+  // Reads from the first reachable replica (primary first) with
+  // HostAdapter::ReadFresh, like any cross-host consume.
   sim::Task<Status> ReadFresh(HostAdapter& host, uint64_t offset,
                               std::span<std::byte> out);
 

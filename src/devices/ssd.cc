@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/msg/wire.h"
@@ -18,7 +18,7 @@ Ssd::Ssd(PcieDeviceId id, std::string name, sim::EventLoop& loop, SsdConfig conf
     : pcie::PcieDevice(id, std::move(name), loop, config.pcie_link,
                        config.pcie_timing),
       config_(config),
-      media_(config.capacity_bytes),
+      media_(this->name() + "-flash", config.capacity_bytes),
       rng_(config.seed),
       channels_(std::make_unique<sim::Semaphore>(loop, config.channels)),
       kick_(loop) {}
@@ -149,7 +149,7 @@ sim::Task<> Ssd::ExecuteCommand(std::array<std::byte, kSsdCmdSize> cmd) {
     std::vector<std::byte> buf(bytes);
     st = co_await DmaRead(buf_addr, buf);
     if (st.ok()) {
-      std::memcpy(media_.data() + offset, buf.data(), bytes);
+      media_.Write(offset, buf);
     }
     writes_->Inc();
     write_bytes_->Add(bytes);

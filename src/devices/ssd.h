@@ -7,8 +7,7 @@
 #ifndef SRC_DEVICES_SSD_H_
 #define SRC_DEVICES_SSD_H_
 
-#include <vector>
-
+#include "src/mem/backend.h"
 #include "src/pcie/device.h"
 #include "src/sim/random.h"
 #include "src/sim/sync.h"
@@ -74,7 +73,7 @@ class Ssd : public pcie::PcieDevice {
   sim::Task<> WriteCompletion(uint64_t cookie, uint16_t status);
 
   SsdConfig config_;
-  std::vector<std::byte> media_;
+  mem::MemoryBackend media_;  // flash
   sim::Rng rng_;
   std::unique_ptr<sim::Semaphore> channels_;
 

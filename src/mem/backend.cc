@@ -1,5 +1,7 @@
 #include "src/mem/backend.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
 #include <utility>
 
@@ -9,24 +11,39 @@
 namespace cxlpool::mem {
 
 MemoryBackend::MemoryBackend(std::string name, uint64_t size_bytes)
-    : name_(std::move(name)), data_(size_bytes) {}
+    : name_(std::move(name)), size_(size_bytes) {
+  if (size_ == 0) {
+    return;
+  }
+  void* p = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                 -1, 0);
+  CXLPOOL_CHECK_MSG(p != MAP_FAILED, "backend '%s': cannot map %zu bytes",
+                    name_.c_str(), size_);
+  data_ = static_cast<std::byte*>(p);
+}
+
+MemoryBackend::~MemoryBackend() {
+  if (data_ != nullptr) {
+    munmap(data_, size_);
+  }
+}
 
 void MemoryBackend::Read(uint64_t offset, std::span<std::byte> out) const {
-  CXLPOOL_CHECK_MSG(offset + out.size() <= data_.size(),
+  CXLPOOL_CHECK_MSG(offset + out.size() <= size_,
                     "backend '%s': read of %zu bytes at offset %llu exceeds "
                     "backend size %zu",
                     name_.c_str(), out.size(),
-                    static_cast<unsigned long long>(offset), data_.size());
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+                    static_cast<unsigned long long>(offset), size_);
+  std::memcpy(out.data(), data_ + offset, out.size());
 }
 
 void MemoryBackend::Write(uint64_t offset, std::span<const std::byte> in) {
-  CXLPOOL_CHECK_MSG(offset + in.size() <= data_.size(),
+  CXLPOOL_CHECK_MSG(offset + in.size() <= size_,
                     "backend '%s': write of %zu bytes at offset %llu exceeds "
                     "backend size %zu",
                     name_.c_str(), in.size(),
-                    static_cast<unsigned long long>(offset), data_.size());
-  std::memcpy(data_.data() + offset, in.data(), in.size());
+                    static_cast<unsigned long long>(offset), size_);
+  std::memcpy(data_ + offset, in.data(), in.size());
   if (!poisoned_lines_.empty()) {
     // A write that fully covers a poisoned line lays down fresh ECC and
     // clears the poison; a partial write would have to read-modify-write
@@ -42,10 +59,10 @@ void MemoryBackend::Write(uint64_t offset, std::span<const std::byte> in) {
 }
 
 void MemoryBackend::PoisonLine(uint64_t offset) {
-  CXLPOOL_CHECK_MSG(offset < data_.size(),
+  CXLPOOL_CHECK_MSG(offset < size_,
                     "backend '%s': poison at offset %llu exceeds size %zu",
                     name_.c_str(), static_cast<unsigned long long>(offset),
-                    data_.size());
+                    size_);
   poisoned_lines_.insert(CachelineFloor(offset));
 }
 

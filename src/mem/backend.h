@@ -1,6 +1,8 @@
 // MemoryBackend: the actual bytes behind a memory region (a host's local
-// DRAM or a CXL multi-headed device's media). Purely functional storage —
-// all timing lives in the adapters and links that route accesses here.
+// DRAM, a CXL multi-headed device's media, an SSD's flash). Purely
+// functional storage — all timing lives in the adapters and links that
+// route accesses here. The bytes are an anonymous memory mapping, not heap
+// memory: they read as zero and take no host RAM until first written.
 //
 // RAS model: media can carry per-64B-line *poison* (uncorrectable ECC).
 // Poison is injected by the fault model (CxlPod::PoisonLine) and cleared
@@ -17,7 +19,6 @@
 #include <span>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 namespace cxlpool::mem {
 
@@ -25,8 +26,11 @@ class MemoryBackend {
  public:
   // `name` is for diagnostics ("host0-dram", "mhd2-media").
   MemoryBackend(std::string name, uint64_t size_bytes);
+  ~MemoryBackend();
+  MemoryBackend(const MemoryBackend&) = delete;
+  MemoryBackend& operator=(const MemoryBackend&) = delete;
 
-  uint64_t size() const { return data_.size(); }
+  uint64_t size() const { return size_; }
   const std::string& name() const { return name_; }
 
   // Copies bytes out of / into the backing store. Offsets are
@@ -47,12 +51,13 @@ class MemoryBackend {
   size_t poisoned_line_count() const { return poisoned_lines_.size(); }
 
   // Direct pointer for tests and zero-copy internals.
-  std::byte* data() { return data_.data(); }
-  const std::byte* data() const { return data_.data(); }
+  std::byte* data() { return data_; }
+  const std::byte* data() const { return data_; }
 
  private:
   std::string name_;
-  std::vector<std::byte> data_;
+  size_t size_;
+  std::byte* data_ = nullptr;  // mapped; nullptr when size_ is 0
   // 64B-line-aligned offsets of poisoned lines. Empty in the common case,
   // so the healthy-path overhead is one empty() check per access.
   std::unordered_set<uint64_t> poisoned_lines_;

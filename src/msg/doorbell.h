@@ -1,7 +1,8 @@
 // A shared-memory doorbell: one 64 B pool line carrying a monotonically
-// increasing u64. Ringing is a single non-temporal store; watching is an
-// invalidate+load poll. Cheaper than a ring when the only information is
-// "progress advanced to N" — e.g. queue tail pointers mirrored into CXL.
+// increasing u64. Ringing is a single non-temporal store; watching is a
+// ReadFresh (invalidate, then load) poll. Cheaper than a ring when the
+// only information is "progress advanced to N" — e.g. queue tail
+// pointers mirrored into CXL.
 #ifndef SRC_MSG_DOORBELL_H_
 #define SRC_MSG_DOORBELL_H_
 
@@ -71,12 +72,8 @@ class DoorbellWatcher {
 
   // Single fresh read of the doorbell value.
   sim::Task<Result<uint64_t>> ReadValue() {
-    Status st = co_await host_.Invalidate(addr_, 8);
-    if (!st.ok()) {
-      co_return st;
-    }
     std::array<std::byte, 8> buf;
-    st = co_await host_.Load(addr_, buf);
+    Status st = co_await host_.ReadFresh(addr_, buf);
     if (!st.ok()) {
       co_return st;
     }

@@ -49,9 +49,8 @@ sim::Task<Status> RingSender::WaitForSpace(uint32_t chunks_needed) {
   while (head_ + chunks_needed - cached_tail_ > config_.slots) {
     // Ring looks full: refresh the consumer cursor from the pool.
     cursor_refreshes_->Inc();
-    CO_RETURN_IF_ERROR(co_await host_.Invalidate(cursor_addr_, 8));
     std::array<std::byte, 8> buf;
-    CO_RETURN_IF_ERROR(co_await host_.Load(cursor_addr_, buf));
+    CO_RETURN_IF_ERROR(co_await host_.ReadFresh(cursor_addr_, buf));
     cached_tail_ = wire::GetU64(buf.data());
     if (head_ + chunks_needed - cached_tail_ <= config_.slots) {
       backoff_.Reset();
@@ -205,17 +204,13 @@ sim::Task<Result<uint32_t>> RingReceiver::LoadSlot(
   if (window_.size() < static_cast<size_t>(window) * kSlotSize) {
     window_.resize(static_cast<size_t>(window) * kSlotSize);
   }
-  // Software coherence: drop any cached copy before loading, or we would
-  // spin on a stale line forever. One invalidate+load covers the whole
-  // window — the CXL read pipelines the extra lines instead of paying the
-  // full first-line latency per slot.
-  Status st = co_await host_.Invalidate(slot_addr, window * kSlotSize);
-  if (!st.ok()) {
-    co_return st;
-  }
+  // Software coherence: read fresh, dropping any cached copy, or we would
+  // spin on a stale line forever. One ReadFresh covers the whole window —
+  // the CXL read pipelines the extra lines instead of paying the full
+  // first-line latency per slot.
   std::span<std::byte> bytes(window_.data(),
                              static_cast<size_t>(window) * kSlotSize);
-  st = co_await host_.Load(slot_addr, bytes);
+  Status st = co_await host_.ReadFresh(slot_addr, bytes);
   if (!st.ok()) {
     co_return st;
   }

@@ -21,9 +21,9 @@
 //
 // Coherence protocol:
 //   sender:   StoreNt(slot)                      -> immediately visible
-//   receiver: Invalidate(slot); Load(slot)       -> never reads stale seq
+//   receiver: ReadFresh(slot)                    -> never reads stale seq
 //   receiver: StoreNt(cursor) every N/4 messages -> flow control
-//   sender:   Invalidate(cursor); Load(cursor) when the ring looks full
+//   sender:   ReadFresh(cursor) when the ring looks full
 #ifndef SRC_MSG_RING_H_
 #define SRC_MSG_RING_H_
 
@@ -119,7 +119,7 @@ class RingSender {
   obs::Counter* batched_messages_ = host_.metrics().GetCounter("ring.batched_messages");
   // Write-combined StoreNt issues.
   obs::Counter* nt_store_runs_ = host_.metrics().GetCounter("ring.nt_store_runs");
-  // Consumer-cursor invalidate+loads.
+  // Consumer-cursor ReadFresh calls.
   obs::Counter* cursor_refreshes_ = host_.metrics().GetCounter("ring.cursor_refreshes");
   // Sends refused with kOverloaded: the ring stayed full past full_wait.
   obs::Counter* full_rejects_ = host_.metrics().GetCounter("ring.full_rejects");
@@ -137,7 +137,7 @@ class RingReceiver {
   sim::Task<Status> Recv(std::vector<std::byte>* out, Nanos deadline);
 
   // Non-blocking single poll: kNotFound if no message is ready right now.
-  // (Still charges the invalidate+load cost of inspecting the head slot.)
+  // (Still charges the ReadFresh cost of inspecting the head slot.)
   sim::Task<Status> TryRecv(std::vector<std::byte>* out);
 
   uint64_t messages_received() const { return messages_; }
@@ -145,8 +145,8 @@ class RingReceiver {
 
  private:
   // Reads slot `index`'s line, serving from the cached burst window when
-  // it covers the index; otherwise does a fresh windowed invalidate+load
-  // and caches the valid prefix. Returns seq.
+  // it covers the index; otherwise does one windowed ReadFresh and caches
+  // the valid prefix. Returns seq.
   sim::Task<Result<uint32_t>> LoadSlot(uint64_t index,
                                        std::array<std::byte, kSlotSize>* line);
   sim::Task<Status> PublishCursor();
@@ -191,8 +191,7 @@ class RingReceiver {
   std::vector<std::byte> scratch_;
   std::deque<std::vector<std::byte>> dup_pending_;
   std::vector<std::pair<Nanos, std::vector<std::byte>>> delayed_;
-  // Fresh windowed invalidate+load rounds, and slots consumed from the
-  // cached window.
+  // Windowed ReadFresh rounds, and slots consumed from the cached window.
   obs::Counter* window_loads_ = host_.metrics().GetCounter("ring.window_loads");
   obs::Counter* window_hits_ = host_.metrics().GetCounter("ring.window_hits");
   // Fault-plane outcomes this receiver applied.

@@ -67,14 +67,12 @@ TEST_F(CoherenceCheckerTest, PublishConsumeProtocolIsClean) {
   auto t = [](CxlPod& pod, uint64_t addr) -> Task<> {
     auto data = Fill(256, 0xab);
     auto out = Fill(256, 0);
-    // Publisher: nt-store. Consumer: invalidate-before-load. Repeat with
+    // Publisher: nt-store. Consumer: ReadFresh. Repeat with
     // roles swapped to exercise both directions.
     CXLPOOL_CHECK_OK(co_await pod.host(0).StoreNt(addr, data));
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Invalidate(addr, out.size()));
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Load(addr, out));
+    CXLPOOL_CHECK_OK(co_await pod.host(1).ReadFresh(addr, out));
     CXLPOOL_CHECK_OK(co_await pod.host(1).StoreNt(addr, data));
-    CXLPOOL_CHECK_OK(co_await pod.host(0).Invalidate(addr, out.size()));
-    CXLPOOL_CHECK_OK(co_await pod.host(0).Load(addr, out));
+    CXLPOOL_CHECK_OK(co_await pod.host(0).ReadFresh(addr, out));
   };
   RunBlocking(loop_, t(pod_, base_));
   EXPECT_EQ(checker_.violation_count(), 0u) << checker_.Report();
@@ -136,7 +134,7 @@ TEST_F(CoherenceCheckerTest, MissedInvalidateFiresStaleRead) {
     auto out = Fill(64, 0);
     CXLPOOL_CHECK_OK(co_await pod.host(1).Load(addr, out));      // caches v0
     CXLPOOL_CHECK_OK(co_await pod.host(0).StoreNt(addr, data));  // publishes v1
-    // BUG: no Invalidate — this load is served from the stale copy.
+    // BUG: a plain Load, not ReadFresh — served from the stale copy.
     CXLPOOL_CHECK_OK(co_await pod.host(1).Load(addr, out));
   };
   RunBlocking(loop_, t(pod_, base_));

@@ -167,8 +167,7 @@ TEST_F(CoreTest, FrameDeliveryLocalNics) {
     CXLPOOL_CHECK(ev.ok());
     CXLPOOL_CHECK(ev->len == sizeof(msg));
     std::vector<std::byte> got(ev->len);
-    CXLPOOL_CHECK_OK(co_await host_b.Invalidate(ev->buf_addr, ev->len));
-    CXLPOOL_CHECK_OK(co_await host_b.Load(ev->buf_addr, got));
+    CXLPOOL_CHECK_OK(co_await host_b.ReadFresh(ev->buf_addr, got));
     co_return std::string(reinterpret_cast<const char*>(got.data()));
   };
   EXPECT_EQ(RunBlocking(loop_, t(*rack_)), "over the wire");
@@ -219,8 +218,7 @@ TEST_F(CoreTest, RemoteNicDatapathWorks) {
     auto ev = co_await (*rx_vnic)->PollRx(loop.now() + kMillisecond);
     CXLPOOL_CHECK(ev.ok());
     std::vector<std::byte> got(ev->len);
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(1).Invalidate(ev->buf_addr, ev->len));
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(1).Load(ev->buf_addr, got));
+    CXLPOOL_CHECK_OK(co_await rack.pod().host(1).ReadFresh(ev->buf_addr, got));
     co_return got.size() == 100 && got[0] == std::byte{0x42};
   };
   EXPECT_TRUE(RunBlocking(loop_, t(*rack_, loop_)));
@@ -266,8 +264,7 @@ TEST_F(CoreTest, SsdWriteReadRoundTrip) {
     CXLPOOL_CHECK(*rst == devices::kSsdStatusOk);
 
     std::vector<std::byte> got(data.size());
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(0).Invalidate(buf2, got.size()));
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(0).Load(buf2, got));
+    CXLPOOL_CHECK_OK(co_await rack.pod().host(0).ReadFresh(buf2, got));
     co_return std::memcmp(got.data(), data.data(), data.size()) == 0;
   };
   EXPECT_TRUE(RunBlocking(loop_, t(*rack_, loop_)));
@@ -327,8 +324,7 @@ TEST_F(CoreTest, AcceleratorTransformsData) {
     CXLPOOL_CHECK(*st == 0);
 
     std::vector<std::byte> output(1000);
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(2).Invalidate(out_addr, 1000));
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(2).Load(out_addr, output));
+    CXLPOOL_CHECK_OK(co_await rack.pod().host(2).ReadFresh(out_addr, output));
     for (size_t i = 0; i < output.size(); ++i) {
       if (output[i] != (input[i] ^ std::byte{0x5a})) {
         co_return false;

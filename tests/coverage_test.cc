@@ -91,8 +91,7 @@ TEST(EvictionTest, DirtyEvictionPublishesToPool) {
     }
     co_await sim::Delay(pod.loop(), kMicrosecond);
     std::array<std::byte, 64> seen{};
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Invalidate(base, 64));
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Load(base, seen));
+    CXLPOOL_CHECK_OK(co_await pod.host(1).ReadFresh(base, seen));
     co_return static_cast<int>(seen[0]);
   };
   EXPECT_EQ(RunBlocking(loop, t(pod, seg->base)), 0x77);
@@ -202,8 +201,7 @@ TEST(QueuePairConcurrencyTest, OutOfOrderCompletionsMatchCookies) {
                                             loop.now() + kSecond);
       CXLPOOL_CHECK(st.ok() && *st == devices::kSsdStatusOk);
       std::vector<std::byte> got(devices::kSsdSectorSize);
-      CXLPOOL_CHECK_OK(co_await rack.pod().host(0).Invalidate(buf, got.size()));
-      CXLPOOL_CHECK_OK(co_await rack.pod().host(0).Load(buf, got));
+      CXLPOOL_CHECK_OK(co_await rack.pod().host(0).ReadFresh(buf, got));
       if (got[0] == std::byte{static_cast<uint8_t>(i + 1)}) {
         ++good;
       }

@@ -235,13 +235,13 @@ TEST_F(CxlPodTest, NtStoreImmediatelyVisible) {
   EXPECT_EQ(RunBlocking(loop_, t(pod_.host(0), pod_.host(1), a, payload)), 9);
 }
 
-TEST_F(CxlPodTest, StaleCachedLoadNeedsInvalidate) {
+TEST_F(CxlPodTest, StaleCachedLoadNeedsReadFresh) {
   auto seg = pod_.pool().Allocate(4096);
   ASSERT_TRUE(seg.ok());
   uint64_t a = seg->base;
 
-  // Reader caches the old value; writer publishes with nt-store; reader
-  // still sees the stale copy until it self-invalidates.
+  // Reader caches the old value; writer publishes with nt-store; a cached
+  // Load still sees the stale copy, and ReadFresh sees the new one.
   auto t = [](HostAdapter& writer, HostAdapter& reader, uint64_t addr)
       -> Task<std::pair<int, int>> {
     std::array<std::byte, 4> seen{};
@@ -251,8 +251,7 @@ TEST_F(CxlPodTest, StaleCachedLoadNeedsInvalidate) {
     co_await sim::Delay(writer.loop(), kMicrosecond);  // media commit
     CXLPOOL_CHECK_OK(co_await reader.Load(addr, seen));
     int stale = static_cast<int>(seen[0]);
-    CXLPOOL_CHECK_OK(co_await reader.Invalidate(addr, 4));
-    CXLPOOL_CHECK_OK(co_await reader.Load(addr, seen));
+    CXLPOOL_CHECK_OK(co_await reader.ReadFresh(addr, seen));
     int fresh = static_cast<int>(seen[0]);
     co_return std::make_pair(stale, fresh);
   };
@@ -277,16 +276,15 @@ TEST_F(CxlPodTest, SameHostSeesOwnCachedStore) {
 
 // --- DMA semantics ---
 
-TEST_F(CxlPodTest, DmaWriteVisibleToRemoteHostAfterInvalidate) {
+TEST_F(CxlPodTest, DmaWriteVisibleToRemoteReadFresh) {
   auto seg = pod_.pool().Allocate(4096);
   ASSERT_TRUE(seg.ok());
   auto t = [](HostAdapter& dma_host, HostAdapter& reader, uint64_t addr) -> Task<int> {
     auto payload = Bytes({3, 3, 3, 3});
     CXLPOOL_CHECK_OK(co_await dma_host.DmaWrite(addr, payload));
     co_await sim::Delay(dma_host.loop(), kMicrosecond);  // posted-write commit
-    CXLPOOL_CHECK_OK(co_await reader.Invalidate(addr, 4));
     std::array<std::byte, 4> seen{};
-    CXLPOOL_CHECK_OK(co_await reader.Load(addr, seen));
+    CXLPOOL_CHECK_OK(co_await reader.ReadFresh(addr, seen));
     co_return static_cast<int>(seen[0]);
   };
   EXPECT_EQ(RunBlocking(loop_, t(pod_.host(0), pod_.host(1), seg->base)), 3);
@@ -322,6 +320,40 @@ TEST_F(CxlPodTest, DmaReadDoesNotSnoopRemoteHostCache) {
   EXPECT_EQ(RunBlocking(loop_, t(pod_.host(1), pod_.host(0), seg->base)), 0);
 }
 
+TEST_F(CxlPodTest, DmaWriteOverOwnDirtyLineCountsItLost) {
+  // The root-complex snoop drops this host's dirty copy for the device's
+  // bytes, exactly as an nt-store over a dirty line does.
+  auto seg = pod_.pool().Allocate(4096);
+  ASSERT_TRUE(seg.ok());
+  auto t = [](HostAdapter& h, uint64_t addr) -> Task<> {
+    CXLPOOL_CHECK_OK(co_await h.Store(addr, Fill(64, 0x11)));
+    CXLPOOL_CHECK_OK(co_await h.DmaWrite(addr, Fill(64, 0x22)));
+  };
+  RunBlocking(loop_, t(pod_.host(0), seg->base));
+  EXPECT_EQ(HostCount(0, "host.lost_dirty_lines"), 1u);
+}
+
+TEST_F(CxlPodTest, ReadFreshWritesOwnDirtyLineBackBeforeLoading) {
+  auto seg = pod_.pool().Allocate(4096);
+  ASSERT_TRUE(seg.ok());
+  auto t = [](HostAdapter& h, uint64_t addr) -> Task<int> {
+    CXLPOOL_CHECK_OK(co_await h.Store(addr, Fill(64, 0x6b)));  // dirty
+    std::array<std::byte, 64> seen{};
+    CXLPOOL_CHECK_OK(co_await h.ReadFresh(addr, seen));
+    co_return static_cast<int>(seen[0]);
+  };
+  // The load missed (the line was invalidated) and still saw the store:
+  // the writeback landed in media first.
+  EXPECT_EQ(RunBlocking(loop_, t(pod_.host(0), seg->base)), 0x6b);
+  std::vector<std::byte> media(64);
+  pod_.host(1).PeekBackend(seg->base, media);
+  EXPECT_EQ(media, Fill(64, 0x6b));
+  EXPECT_EQ(HostCount(0, "host.flushed_dirty_lines"), 1u);
+  EXPECT_EQ(HostCount(0, "host.invalidates"), 1u);
+  EXPECT_EQ(HostCount(0, "host.loads"), 1u);
+  EXPECT_EQ(HostCount(0, "cache.misses"), 2u);  // the store's RFO and the load
+}
+
 // --- Failure handling ---
 
 TEST_F(CxlPodTest, AccessFailsWhenMhdDown) {
@@ -352,6 +384,19 @@ TEST_F(CxlPodTest, AccessFailsWhenLinkDown) {
             StatusCode::kUnavailable);
   // Another host with a healthy link still reaches the segment.
   EXPECT_TRUE(RunBlocking(loop_, t(pod_.host(1), seg->base, buf)).ok());
+}
+
+TEST_F(CxlPodTest, FlushOverDeadLinkCountsLineLostNotFlushed) {
+  auto seg = pod_.pool().Allocate(4096, MhdId(0));
+  ASSERT_TRUE(seg.ok());
+  auto t = [](CxlPod& pod, uint64_t addr) -> Task<Status> {
+    CXLPOOL_CHECK_OK(co_await pod.host(0).Store(addr, Fill(64, 0x5c)));
+    pod.FailLink(HostId(0), MhdId(0));
+    co_return co_await pod.host(0).Flush(addr, 64);
+  };
+  EXPECT_EQ(RunBlocking(loop_, t(pod_, seg->base)).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(HostCount(0, "host.flushed_dirty_lines"), 0u);
+  EXPECT_EQ(HostCount(0, "host.lost_dirty_lines"), 1u);
 }
 
 TEST_F(CxlPodTest, HealthyPathsReflectFailures) {
@@ -418,7 +463,8 @@ TEST(CxlStripingTest, AccessOverTenLinksChargesEachLink) {
   HostAdapter& h = pod.host(0);
 
   // One granule per link: StoreNt, Load (all misses), DmaRead, Store (all
-  // hits), Flush (all dirty), DmaWrite.
+  // hits), Flush (all dirty), DmaWrite, Store (all misses), then ReadFresh
+  // (all dirty: writes back, then misses).
   auto run = [](HostAdapter& host, uint64_t a, uint64_t n) -> Task<> {
     std::vector<std::byte> out(n);
     CXLPOOL_CHECK_OK(co_await host.StoreNt(a, Fill(n, 0x11)));
@@ -429,19 +475,134 @@ TEST(CxlStripingTest, AccessOverTenLinksChargesEachLink) {
     CXLPOOL_CHECK_OK(co_await host.Store(a, Fill(n, 0x22)));
     CXLPOOL_CHECK_OK(co_await host.Flush(a, n));
     CXLPOOL_CHECK_OK(co_await host.DmaWrite(a, Fill(n, 0x33)));
+    CXLPOOL_CHECK_OK(co_await host.Store(a, Fill(n, 0x44)));
+    CXLPOOL_CHECK_OK(co_await host.ReadFresh(a, out));
+    CXLPOOL_CHECK(out == Fill(n, 0x44));
   };
   RunBlocking(loop, run(h, seg->base, kMhds * kInterleaveGranule));
-  loop.Run();  // the posted DmaWrite commits
+  loop.Run();  // nothing left pending: the Store waited for the DmaWrite
 
   for (int m = 0; m < kMhds; ++m) {
     CxlLink* link = h.LinkTo(MhdId(m));
     ASSERT_NE(link, nullptr);
-    EXPECT_EQ(link->to_device().total_bytes(), 3 * kInterleaveGranule) << "MHD " << m;
-    EXPECT_EQ(link->from_device().total_bytes(), 2 * kInterleaveGranule) << "MHD " << m;
+    EXPECT_EQ(link->to_device().total_bytes(), 4 * kInterleaveGranule) << "MHD " << m;
+    EXPECT_EQ(link->from_device().total_bytes(), 4 * kInterleaveGranule) << "MHD " << m;
   }
   std::vector<std::byte> media(kMhds * kInterleaveGranule);
   h.PeekBackend(seg->base, media);
-  EXPECT_EQ(media, Fill(media.size(), 0x33));
+  EXPECT_EQ(media, Fill(media.size(), 0x44));
+}
+
+// --- Golden trace of every accessor ---
+
+// Records each line event as "host op line@time", lines numbered from
+// `base`.
+class RecordingObserver : public CoherenceObserver {
+ public:
+  explicit RecordingObserver(uint64_t base) : base_(base) {}
+
+  void OnLineEvent(const CoherenceEvent& ev) override {
+    events.push_back(std::to_string(ev.host.value()) + " " +
+                     std::string(CoherenceOpName(ev.op)) + " L" +
+                     std::to_string((ev.line_addr - base_) / kCachelineSize) +
+                     "@" + std::to_string(ev.time));
+  }
+  void OnHandoff(HostId, uint64_t, uint64_t, std::string_view, Nanos) override {}
+
+  std::vector<std::string> events;
+
+ private:
+  uint64_t base_;
+};
+
+// Pins the coherence events (host, op, line, time) and the completion time
+// of every accessor on a fixed script. A change inside the adapter must
+// keep them bit for bit: the same events in the same order, with the same
+// jitter draws.
+TEST(HostAdapterGoldenTest, AccessorsKeepTheirEventsAndTiming) {
+  sim::EventLoop loop;
+  CxlPodConfig c;
+  c.num_hosts = 2;
+  c.num_mhds = 1;
+  c.mhd_capacity = 1 * kMiB;
+  c.dram_per_host = 1 * kMiB;
+  CxlPod pod(loop, c);
+  auto seg = pod.pool().Allocate(4096);
+  ASSERT_TRUE(seg.ok());
+  RecordingObserver rec(seg->base);
+  pod.SetCoherenceObserver(&rec);
+
+  auto script = [](CxlPod& pod, uint64_t b) -> Task<std::vector<Nanos>> {
+    constexpr uint64_t kL = kCachelineSize;
+    HostAdapter& h0 = pod.host(0);
+    HostAdapter& h1 = pod.host(1);
+    std::array<std::byte, 64> one{};
+    std::array<std::byte, 128> two{};
+    std::vector<Nanos> done;
+    // Load: two misses, then a hit.
+    CXLPOOL_CHECK_OK(co_await h0.Load(b, two));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK_OK(co_await h0.Load(b, one));
+    done.push_back(pod.loop().now());
+    // Store: a miss (read-for-ownership), then a hit.
+    CXLPOOL_CHECK_OK(co_await h0.Store(b + 2 * kL, Fill(64, 0x22)));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK_OK(co_await h0.Store(b + 2 * kL, Fill(32, 0x23)));
+    done.push_back(pod.loop().now());
+    // StoreNt over the clean copy of line 0, then a load of that line,
+    // which the pending commit holds back.
+    CXLPOOL_CHECK_OK(co_await h0.StoreNt(b, Fill(64, 0x33)));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK_OK(co_await h0.Load(b, one));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK(one[0] == std::byte{0x33});
+    // DmaWrite over the clean copy of line 1.
+    CXLPOOL_CHECK_OK(co_await h0.DmaWrite(b + kL, Fill(64, 0x44)));
+    done.push_back(pod.loop().now());
+    // DmaRead: a snoop hit on dirty line 2, then a miss on line 3.
+    CXLPOOL_CHECK_OK(co_await h0.DmaRead(b + 2 * kL, one));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK_OK(co_await h0.DmaRead(b + 3 * kL, one));
+    done.push_back(pod.loop().now());
+    // Flush writes dirty line 2 back.
+    CXLPOOL_CHECK_OK(co_await h0.Flush(b + 2 * kL, 64));
+    done.push_back(pod.loop().now());
+    // ReadFresh over dirty line 4 and clean line 5 on the other host:
+    // write line 4 back, drop line 5, then load both.
+    CXLPOOL_CHECK_OK(co_await h1.Load(b + 5 * kL, one));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK_OK(co_await h1.Store(b + 4 * kL, Fill(64, 0x55)));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK_OK(co_await h1.ReadFresh(b + 4 * kL, two));
+    done.push_back(pod.loop().now());
+    CXLPOOL_CHECK(two[0] == std::byte{0x55});
+    co_return done;
+  };
+  std::vector<Nanos> done = RunBlocking(loop, script(pod, seg->base));
+  pod.SetCoherenceObserver(nullptr);
+
+  EXPECT_EQ(done, (std::vector<Nanos>{291, 294, 549, 552, 555, 1148, 1151, 1522,
+                                       1820, 2056, 2361, 2623, 3236}));
+  EXPECT_EQ(rec.events, (std::vector<std::string>{
+                            "0 load-miss L0@0",
+                            "0 load-miss L1@0",
+                            "0 load-hit L0@291",
+                            "0 store-miss L2@294",
+                            "0 store-hit L2@549",
+                            "0 nt-store L0@552",
+                            "0 load-miss L0@801",
+                            "0 invalidate-drop L1@1148",
+                            "0 dma-write L1@1148",
+                            "0 dma-read-hit L2@1151",
+                            "0 dma-read-miss L3@1522",
+                            "0 flush-writeback L2@2056",
+                            "1 load-miss L5@2056",
+                            "1 store-miss L4@2361",
+                            "1 invalidate-drop L5@2623",
+                            "1 flush-writeback L4@2874",
+                            "1 load-miss L4@2874",
+                            "1 load-miss L5@2874",
+                        }));
 }
 
 TEST_F(CxlPodTest, StatsAccumulate) {
@@ -604,13 +765,11 @@ TEST_F(CxlPodTest, PoisonedLineReturnsDataLossOnFreshLoad) {
     co_await sim::Delay(pod.loop(), kMicrosecond);
     pod.PoisonLine(base);
     std::array<std::byte, 64> out{};
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Invalidate(base, 64));
-    Status poisoned = co_await pod.host(1).Load(base, out);
+    Status poisoned = co_await pod.host(1).ReadFresh(base, out);
     // A full-line overwrite is fresh data + fresh ECC: the line heals.
     CXLPOOL_CHECK_OK(co_await pod.host(0).StoreNt(base, payload));
     co_await sim::Delay(pod.loop(), kMicrosecond);
-    CXLPOOL_CHECK_OK(co_await pod.host(1).Invalidate(base, 64));
-    Status healed = co_await pod.host(1).Load(base, out);
+    Status healed = co_await pod.host(1).ReadFresh(base, out);
     co_return std::make_pair(poisoned, healed);
   };
   auto [poisoned, healed] = RunBlocking(loop_, t(pod_, seg->base));
@@ -637,8 +796,7 @@ TEST_F(CxlPodTest, ScrubberRepairsPoisonedReplicaByteIdentically) {
     CXLPOOL_CHECK_OK(co_await r.ScrubOnce(pod.host(1)));
     // Read back the PRIMARY copy directly: repair must be byte-identical.
     std::vector<std::byte> seen(256);
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Invalidate(r.segment(0).base, 256));
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Load(r.segment(0).base, seen));
+    CXLPOOL_CHECK_OK(co_await pod.host(2).ReadFresh(r.segment(0).base, seen));
     co_return seen;
   };
   std::vector<std::byte> seen = RunBlocking(loop_, t(*region, pod_));
@@ -666,8 +824,7 @@ TEST_F(CxlPodTest, ScrubberRepairsDivergentReplica) {
     CXLPOOL_CHECK_OK(co_await pod.host(2).StoreNt(r.segment(1).base, garbage));
     CXLPOOL_CHECK_OK(co_await r.ScrubOnce(pod.host(1)));
     std::array<std::byte, 64> seen{};
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Invalidate(r.segment(1).base, 64));
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Load(r.segment(1).base, seen));
+    CXLPOOL_CHECK_OK(co_await pod.host(2).ReadFresh(r.segment(1).base, seen));
     co_return static_cast<int>(seen[0]);
   };
   EXPECT_EQ(RunBlocking(loop_, t(*region, pod_)), 0x44);
@@ -694,10 +851,8 @@ TEST_F(CxlPodTest, ScrubberFlagsBothReplicasDivergedAsConflict) {
     CXLPOOL_CHECK_OK(co_await r.ScrubOnce(pod.host(1)));
     std::array<std::byte, 64> rep0{};
     std::array<std::byte, 64> rep1{};
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Invalidate(r.segment(0).base, 64));
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Load(r.segment(0).base, rep0));
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Invalidate(r.segment(1).base, 64));
-    CXLPOOL_CHECK_OK(co_await pod.host(2).Load(r.segment(1).base, rep1));
+    CXLPOOL_CHECK_OK(co_await pod.host(2).ReadFresh(r.segment(0).base, rep0));
+    CXLPOOL_CHECK_OK(co_await pod.host(2).ReadFresh(r.segment(1).base, rep1));
     co_return std::make_pair(static_cast<int>(rep0[0]),
                              static_cast<int>(rep1[0]));
   };

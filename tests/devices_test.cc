@@ -227,8 +227,7 @@ TEST(SsdDeviceTest, DataPersistsAcrossCommands) {
     st = co_await (*ssd)->ReadBlocks(0, 1, readback, loop.now() + kSecond);
     CXLPOOL_CHECK(st.ok() && *st == kSsdStatusOk);
     std::vector<std::byte> got(kSsdSectorSize);
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(0).Invalidate(readback, got.size()));
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(0).Load(readback, got));
+    CXLPOOL_CHECK_OK(co_await rack.pod().host(0).ReadFresh(readback, got));
     co_return got == x;
   };
   EXPECT_TRUE(RunBlocking(loop, t(rack, loop)));
@@ -304,8 +303,7 @@ TEST(AccelDeviceTest, TwoHostsConcurrentQueuePairs) {
     CXLPOOL_CHECK(st.ok() && *st == 0);
     std::vector<std::byte> out(4096);
     CXLPOOL_CHECK_OK(
-        co_await rack.pod().host(host).Invalidate(seg->base + 16 * kKiB, 4096));
-    CXLPOOL_CHECK_OK(co_await rack.pod().host(host).Load(seg->base + 16 * kKiB, out));
+        co_await rack.pod().host(host).ReadFresh(seg->base + 16 * kKiB, out));
     co_return out[0] == (std::byte{fill} ^ std::byte{0x5a});
   };
 

@@ -298,8 +298,7 @@ TEST_F(IntegrationTest, MhdFailureIsContainedAndRecoverable) {
   // is only observable on lines that miss.
   auto probe = [](Rack& rack, uint64_t addr) -> Task<Status> {
     std::array<std::byte, 64> buf;
-    CO_RETURN_IF_ERROR(co_await rack.pod().host(0).Invalidate(addr, 64));
-    co_return co_await rack.pod().host(0).Load(addr, buf);
+    co_return co_await rack.pod().host(0).ReadFresh(addr, buf);
   };
   EXPECT_TRUE(RunBlocking(loop_, probe(rack, seg0->base)).ok());
   rack.pod().FailMhd(MhdId(0));

@@ -491,7 +491,7 @@ TEST(ObsEndToEndTest, CoherenceViolationTriggersFlightDumpWithOffendingOp) {
     std::vector<std::byte> out(64);
     CXLPOOL_CHECK_OK(co_await pod.host(1).Load(addr, out));      // caches v0
     CXLPOOL_CHECK_OK(co_await pod.host(0).StoreNt(addr, data));  // publishes v1
-    // BUG (deliberate): no Invalidate — stale read fires the checker.
+    // BUG (deliberate): Load, not ReadFresh — stale read fires the checker.
     CXLPOOL_CHECK_OK(co_await pod.host(1).Load(addr, out));
   };
   RunBlocking(loop, t());

@@ -68,8 +68,7 @@ TEST_P(CoherencePropertyTest, PublishConsumeNeverTearsOrCorrupts) {
     for (int r = 0; r < rounds; ++r) {
       for (uint64_t slot = 0; slot < 16; ++slot) {
         std::array<std::byte, 64> line;
-        CXLPOOL_CHECK_OK(co_await h.Invalidate(base + slot * 64, 64));
-        CXLPOOL_CHECK_OK(co_await h.Load(base + slot * 64, line));
+        CXLPOOL_CHECK_OK(co_await h.ReadFresh(base + slot * 64, line));
         uint64_t first;
         std::memcpy(&first, line.data(), 8);
         for (int i = 1; i < 8; ++i) {

@@ -43,7 +43,8 @@ class FixedDoorbellSender {
 inline sim::Task<Status> ConsumeProperly(cxl::HostAdapter& host,
                                          uint64_t addr) {
   CO_RETURN_IF_ERROR(co_await host.Flush(addr, 64));
-  Status st = co_await host.Invalidate(addr, 64);
+  std::array<std::byte, 64> line;
+  Status st = co_await host.ReadFresh(addr, line);
   if (!st.ok()) {
     co_return st;
   }
