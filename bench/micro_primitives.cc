@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the simulator's hot primitives:
 // wall-clock throughput of the event loop, coroutine scheduling, the HDR
-// histogram, the write-back cache model, and the shared-memory ring.
+// histogram, the write-back cache model, the shared-memory ring and its
+// idle poll.
 // These bound how big an experiment the harness can run per CPU-second.
 #include <benchmark/benchmark.h>
 
@@ -142,6 +143,49 @@ void BM_RingMessageRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RingMessageRoundTrip);
+
+// One idle poll of a pool-resident ring: the windowed ReadFresh of the
+// head slot that TryRecv makes on an empty ring. A single Recv waits out
+// the whole run, polling at a fixed cadence the way a serve loop does, so
+// the loop runs nothing but polls (TryRecv would add its own frame per
+// call). Items are polls; the ring's window_loads counter counts them.
+void BM_IdleRingPoll(benchmark::State& state) {
+  sim::EventLoop loop;
+  cxl::CxlPodConfig pc;
+  pc.num_hosts = 2;
+  pc.num_mhds = 1;
+  pc.mhd_capacity = 16 * kMiB;
+  pc.dram_per_host = 1 * kMiB;
+  cxl::CxlPod pod(loop, pc);
+  auto seg = pod.pool().Allocate(msg::RingFootprint(64));
+  CXLPOOL_CHECK_OK(seg.status());
+  msg::RingConfig rc;
+  rc.base = seg->base;
+  rc.slots = 64;
+  rc.poll_min = rc.poll_max = 100;
+  msg::RingReceiver rx(pod.host(1), rc);
+  const obs::Counter* polls =
+      pod.metrics().FindCounter("ring.window_loads", pod.host(1).metrics().labels());
+
+  // The Recv times out once the last iteration has run.
+  const Nanos end = static_cast<Nanos>(state.max_iterations) * kMicrosecond;
+  Status result;
+  auto wait = [](msg::RingReceiver& r, Nanos deadline, Status* out) -> sim::Task<> {
+    std::vector<std::byte> got;
+    *out = co_await r.Recv(&got, deadline);
+  };
+  sim::Spawn(wait(rx, end, &result));
+  CXLPOOL_CHECK(polls != nullptr);
+  const uint64_t first = polls->value();
+  for (auto _ : state) {
+    loop.RunFor(kMicrosecond);
+    benchmark::DoNotOptimize(polls->value());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(polls->value() - first));
+  loop.Run();
+  CXLPOOL_CHECK(result.code() == StatusCode::kDeadlineExceeded);
+}
+BENCHMARK(BM_IdleRingPoll);
 
 void BM_PoolAllocateRoute(benchmark::State& state) {
   sim::EventLoop loop;

@@ -6,7 +6,9 @@
 // stores and consumed with HostAdapter::ReadFresh, which invalidates and
 // then loads (paper §4.1). When the same structures live in local DRAM
 // those fences are pure overhead. Drivers write against this interface
-// and stay placement-agnostic.
+// and stay placement-agnostic. Both accessors pick the HostAdapter access
+// and return it unstarted: the caller co_awaits it in place, and the
+// caller's span must outlive that co_await.
 #ifndef SRC_CORE_PLACED_MEMORY_H_
 #define SRC_CORE_PLACED_MEMORY_H_
 
@@ -14,7 +16,6 @@
 
 #include "src/common/status.h"
 #include "src/cxl/host_adapter.h"
-#include "src/sim/task.h"
 
 namespace cxlpool::core {
 
@@ -30,7 +31,7 @@ class PlacedMemory {
   bool sw_coherence() const { return sw_coherence_; }
 
   // Makes `in` visible to DMA/other hosts at `addr`.
-  sim::Task<Status> Publish(uint64_t addr, std::span<const std::byte> in) {
+  cxl::HostAdapter::Access Publish(uint64_t addr, std::span<const std::byte> in) {
     if (sw_coherence_) {
       return host_.StoreNt(addr, in);
     }
@@ -39,7 +40,7 @@ class PlacedMemory {
 
   // Reads the current pool/DRAM contents of [addr, addr+out.size()),
   // bypassing any stale cached copy.
-  sim::Task<Status> ReadFresh(uint64_t addr, std::span<std::byte> out) {
+  cxl::HostAdapter::Access ReadFresh(uint64_t addr, std::span<std::byte> out) {
     if (!sw_coherence_) {
       return host_.Load(addr, out);
     }

@@ -81,11 +81,11 @@ sim::Task<Result<std::unique_ptr<VirtualNic>>> VirtualNic::Create(
 sim::Task<Status> VirtualNic::ProgramDevice() {
   // Zero the completion structures so stale sequence numbers from an
   // earlier binding can never be mistaken for fresh completions.
+  // The TX completion line first, then every RX completion entry.
   std::vector<std::byte> zeros(kCachelineSize, std::byte{0});
-  CO_RETURN_IF_ERROR(co_await mem_.Publish(tx_cpl_, zeros));
-  for (uint32_t i = 0; i < config_.rx_entries; ++i) {
-    CO_RETURN_IF_ERROR(
-        co_await mem_.Publish(rx_cpl_ + i * devices::kNicRxCplSize, zeros));
+  for (uint32_t i = 0; i <= config_.rx_entries; ++i) {
+    uint64_t addr = i == 0 ? tx_cpl_ : rx_cpl_ + (i - 1) * devices::kNicRxCplSize;
+    CO_RETURN_IF_ERROR(co_await mem_.Publish(addr, zeros));
   }
 
   CO_RETURN_IF_ERROR(co_await mmio_->Write(devices::kNicRegReset, 1));

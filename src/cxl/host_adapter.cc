@@ -144,22 +144,32 @@ void HostAdapter::RemoveCrashListener(const void* key) {
                 [key](const auto& entry) { return entry.first == key; });
 }
 
-Result<const mem::Region*> HostAdapter::ResolveAccess(uint64_t addr, uint64_t len) {
+Status HostAdapter::CheckAlive() const {
   if (crashed_) {
     return Unavailable("host " + std::to_string(id_.value()) + " crashed");
   }
-  ASSIGN_OR_RETURN(const mem::Region* region, map_.Resolve(addr, len));
-  if (region->kind == mem::MemoryKind::kLocalDram && region->dram_host != id_) {
-    return Status(StatusCode::kFailedPrecondition,
-                  "host " + std::to_string(id_.value()) +
-                      " cannot address host " +
-                      std::to_string(region->dram_host.value()) + "'s DRAM");
-  }
-  return region;
+  return OkStatus();
 }
 
-Result<CxlLink*> HostAdapter::RouteCxl(uint64_t addr) {
-  ASSIGN_OR_RETURN(MhdId mhd, pool_.RouteAddress(addr));
+Result<HostAdapter::Resolved> HostAdapter::ResolveAccess(uint64_t addr, uint64_t len) {
+  RETURN_IF_ERROR(CheckAlive());
+  ASSIGN_OR_RETURN(const mem::Region* region, map_.Resolve(addr, len));
+  if (region->kind == mem::MemoryKind::kLocalDram) {
+    if (region->dram_host != id_) {
+      return Status(StatusCode::kFailedPrecondition,
+                    "host " + std::to_string(id_.value()) + " cannot address host " +
+                        std::to_string(region->dram_host.value()) + "'s DRAM");
+    }
+    return Resolved{region, nullptr};
+  }
+  // Every pool region is registered together with its segment.
+  const PoolSegment* segment = pool_.SegmentAt(addr);
+  CXLPOOL_CHECK(segment != nullptr);
+  return Resolved{region, segment};
+}
+
+Result<CxlLink*> HostAdapter::RouteLine(const PoolSegment& segment, uint64_t addr) {
+  MhdId mhd = segment.MhdFor(addr);
   if (pool_.mhd(mhd).failed()) {
     return Unavailable("MHD " + std::to_string(mhd.value()) + " failed");
   }
@@ -179,7 +189,10 @@ void HostAdapter::WritebackEvicted(const mem::WriteBackCache::EvictedLine& ev) {
     EmitCoherence(CoherenceOp::kEvictClean, ev.line_addr);
     return;
   }
-  auto link = RouteCxl(ev.line_addr);
+  // The victim is any cached line, so it needs its own lookup.
+  const PoolSegment* segment = pool_.SegmentAt(ev.line_addr);
+  CXLPOOL_CHECK(segment != nullptr);
+  auto link = RouteLine(*segment, ev.line_addr);
   if (!link.ok()) {
     lost_dirty_lines_->Inc();
     EmitCoherence(CoherenceOp::kDirtyLost, ev.line_addr);
@@ -190,44 +203,34 @@ void HostAdapter::WritebackEvicted(const mem::WriteBackCache::EvictedLine& ev) {
   EmitCoherence(CoherenceOp::kEvictWriteback, ev.line_addr);
 }
 
-Result<Nanos> HostAdapter::Begin(AccessKind kind, uint64_t addr, uint64_t len,
-                                 std::span<std::byte> out,
-                                 std::span<const std::byte> in, bool* in_dram) {
-  ASSIGN_OR_RETURN(const mem::Region* region, ResolveAccess(addr, len));
-  Nanos now = loop_.now();
-  *in_dram = region->kind == mem::MemoryKind::kLocalDram;
-  if (!*in_dram) {
+Result<Nanos> HostAdapter::Begin(AccessKind kind, const Resolved& where, uint64_t addr,
+                                 uint64_t len, std::span<std::byte> out,
+                                 std::span<const std::byte> in) {
+  if (where.segment != nullptr) {
     // Same-address ordering for posted writes: a read or cached store of a
     // line whose posted write has not yet committed is served from the
     // controller's write buffer — it completes no earlier than the commit
-    // and then observes the new data. Accesses to unrelated lines, and
-    // posted writes themselves, are unaffected.
-    bool ordered = kind == AccessKind::kRead || kind == AccessKind::kStore;
-    return ordered ? pool_.PendingCommitTime(addr, len) : now;
+    // and then observes the new data. Accesses to unrelated lines are
+    // unaffected.
+    return pool_.PendingCommitTime(addr, len);
   }
   // Coherent local memory: no staleness modeling, latency + channel bw.
-  // A non-temporal store is modeled as a plain DRAM store, and a flush is
-  // a no-op.
+  Nanos now = loop_.now();
   const CxlTiming& t = config_.timing;
-  switch (kind) {
-    case AccessKind::kRead:
-      if (Status p = map_.CheckPoison(addr, len); !p.ok()) {
-        poisoned_reads_->Inc();
-        return p;
-      }
-      map_.ReadBytes(addr, out);
-      return dram_bw_.Acquire(now + t.dram_load, len);
-    case AccessKind::kStore:
-    case AccessKind::kPostedWrite:
-      map_.WriteBytes(addr, in);
-      return dram_bw_.Acquire(now + t.dram_store, len);
-    case AccessKind::kFlush:
-      break;
+  if (kind == AccessKind::kRead) {
+    if (Status p = where.region->CheckPoison(addr, len); !p.ok()) {
+      poisoned_reads_->Inc();
+      return p;
+    }
+    where.region->Read(addr, out);
+    return dram_bw_.Acquire(now + t.dram_load, len);
   }
-  return now;
+  where.region->Write(addr, in);
+  return dram_bw_.Acquire(now + t.dram_store, len);
 }
 
-Result<Nanos> HostAdapter::CachedAccess(AccessKind kind, uint64_t addr, uint64_t len,
+Result<Nanos> HostAdapter::CachedAccess(AccessKind kind, const Resolved& where,
+                                        uint64_t addr, uint64_t len,
                                         std::span<std::byte> out,
                                         std::span<const std::byte> in) {
   // A store is write-back: read-for-ownership on a miss, then dirty the
@@ -261,19 +264,19 @@ Result<Nanos> HostAdapter::CachedAccess(AccessKind kind, uint64_t addr, uint64_t
       }
       continue;
     }
-    ASSIGN_OR_RETURN(CxlLink* link, RouteCxl(laddr));
+    ASSIGN_OR_RETURN(CxlLink* link, RouteLine(*where.segment, laddr));
     // Uncorrectable media error: the MHD returns poison, not bytes. Cached
     // copies (hits above) legitimately still serve — the CPU has its own
     // good copy of the line. A store's read-for-ownership fails too (a
     // full-line StoreNt is the way to overwrite — and thereby heal —
     // poison).
-    if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
+    if (Status p = where.region->CheckPoison(laddr, kCachelineSize); !p.ok()) {
       poisoned_reads_->Inc();
       return p;
     }
     misses.Add(link, kCachelineSize);
     std::array<std::byte, kCachelineSize> buf;
-    map_.ReadBytes(laddr, buf);
+    where.region->Read(laddr, buf);
     copy(buf.data());
     if (auto ev = cache_.Install(laddr, buf.data(), /*dirty=*/store)) {
       WritebackEvicted(*ev);
@@ -287,7 +290,8 @@ Result<Nanos> HostAdapter::CachedAccess(AccessKind kind, uint64_t addr, uint64_t
   return std::max(hits_done, FetchDone(misses, t.per_line_pipelined));
 }
 
-Result<Nanos> HostAdapter::SnoopedRead(uint64_t addr, std::span<std::byte> out) {
+Result<Nanos> HostAdapter::SnoopedRead(const Resolved& where, uint64_t addr,
+                                       std::span<std::byte> out) {
   // Inbound DMA through this host's root complex snoops THIS host's cache
   // (local I/O is coherent) but goes to pool media otherwise. Other hosts'
   // caches are never snooped.
@@ -299,7 +303,7 @@ Result<Nanos> HostAdapter::SnoopedRead(uint64_t addr, std::span<std::byte> out) 
     uint64_t laddr = first_line + i * kCachelineSize;
     uint64_t lo = std::max(laddr, addr);
     uint64_t hi = std::min(laddr + kCachelineSize, addr + out.size());
-    ASSIGN_OR_RETURN(CxlLink* link, RouteCxl(laddr));
+    ASSIGN_OR_RETURN(CxlLink* link, RouteLine(*where.segment, laddr));
     bytes_per_link.Add(link, kCachelineSize);
     // Snoop own cache (no LRU/stat churn — this is the device, not the CPU).
     if (const mem::WriteBackCache::Line* line = cache_.Peek(laddr)) {
@@ -307,13 +311,13 @@ Result<Nanos> HostAdapter::SnoopedRead(uint64_t addr, std::span<std::byte> out) 
       std::memcpy(out.data() + (lo - addr), line->data.data() + (lo - laddr), hi - lo);
     } else {
       // Poison travels to the device as a DMA completion error.
-      if (Status p = map_.CheckPoison(laddr, kCachelineSize); !p.ok()) {
+      if (Status p = where.region->CheckPoison(laddr, kCachelineSize); !p.ok()) {
         poisoned_reads_->Inc();
         return p;
       }
       EmitCoherence(CoherenceOp::kDmaReadMiss, laddr);
       std::array<std::byte, kCachelineSize> buf;
-      map_.ReadBytes(laddr, buf);
+      where.region->Read(laddr, buf);
       std::memcpy(out.data() + (lo - addr), buf.data() + (lo - laddr), hi - lo);
     }
   }
@@ -340,8 +344,8 @@ Nanos HostAdapter::FetchDone(LinkTally& fetched, Nanos serial_tail) {
   return std::max(latency_done, serial_done + serial_tail);
 }
 
-Result<Nanos> HostAdapter::PostWrite(CoherenceOp op, uint64_t addr,
-                                     std::span<const std::byte> in) {
+Result<Nanos> HostAdapter::PostWrite(CoherenceOp op, const Resolved& where,
+                                     uint64_t addr, std::span<const std::byte> in) {
   const CxlTiming& t = config_.timing;
   Nanos now = loop_.now();
 
@@ -350,7 +354,8 @@ Result<Nanos> HostAdapter::PostWrite(CoherenceOp op, uint64_t addr,
   uint64_t n_lines = CachelinesTouched(addr, in.size());
   LinkTally bytes_per_link;
   for (uint64_t i = 0; i < n_lines; ++i) {
-    ASSIGN_OR_RETURN(CxlLink* link, RouteCxl(first_line + i * kCachelineSize));
+    ASSIGN_OR_RETURN(CxlLink* link,
+                     RouteLine(*where.segment, first_line + i * kCachelineSize));
     bytes_per_link.Add(link, kCachelineSize);
   }
 
@@ -378,15 +383,10 @@ Result<Nanos> HostAdapter::PostWrite(CoherenceOp op, uint64_t addr,
   // Same-line readers in the meantime are held to the commit time
   // (controller write buffer); other hosts simply cannot observe the bytes
   // before the commit.
-  Nanos visible_at = pool_.RecordPendingCommit(
-      addr, in.size(), serial_done + JitterCxl(t.cxl_write), now);
+  pool_.Post(*where.region, addr, in, serial_done + JitterCxl(t.cxl_write));
   // CXL 3.0 BI emulation: the device invalidates remote cached copies;
   // the writer pays one snoop round.
   int snoops = pool_.BackInvalidate(addr, in.size(), id_);
-  loop_.ScheduleAt(visible_at,
-                   [this, addr, data = std::vector<std::byte>(in.begin(), in.end())] {
-                     map_.WriteBytes(addr, data);
-                   });
   for (uint64_t i = 0; i < n_lines; ++i) {
     EmitCoherence(op, first_line + i * kCachelineSize);
   }
@@ -394,7 +394,7 @@ Result<Nanos> HostAdapter::PostWrite(CoherenceOp op, uint64_t addr,
 }
 
 Result<Nanos> HostAdapter::TakeLines(
-    uint64_t addr, uint64_t len, Nanos per_line,
+    const PoolSegment& segment, uint64_t addr, uint64_t len, Nanos per_line,
     std::vector<mem::WriteBackCache::EvictedLine>* writebacks) {
   const CxlTiming& t = config_.timing;
   Nanos now = loop_.now();
@@ -412,7 +412,7 @@ Result<Nanos> HostAdapter::TakeLines(
       EmitCoherence(CoherenceOp::kInvalidateDrop, laddr);
       continue;
     }
-    auto link_or = RouteCxl(laddr);
+    auto link_or = RouteLine(segment, laddr);
     if (!link_or.ok()) {
       // This line — and every dirty line already pulled out of the cache
       // for this flush — has lost its only copy: nothing writes it back.
@@ -436,135 +436,154 @@ Result<Nanos> HostAdapter::TakeLines(
 }
 
 void HostAdapter::WriteBack(
+    const mem::Region& region,
     std::span<const mem::WriteBackCache::EvictedLine> writebacks) {
   // Dirty data becomes pool-visible when the writeback completes.
   for (const auto& ev : writebacks) {
-    map_.WriteBytes(ev.line_addr, std::span<const std::byte>(ev.data));
+    region.Write(ev.line_addr, std::span<const std::byte>(ev.data));
     flushed_dirty_lines_->Inc();
     EmitCoherence(CoherenceOp::kFlushWriteback, ev.line_addr);
   }
 }
 
-sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
-  loads_->Inc();
-  load_bytes_->Add(out.size());
-  bool in_dram = false;
-  Result<Nanos> at = Begin(AccessKind::kRead, addr, out.size(), out, {}, &in_dram);
-  if (at.ok() && !in_dram) {
-    co_await sim::WaitUntil(loop_, *at);
-    at = CachedAccess(AccessKind::kRead, addr, out.size(), out, {});
-  }
-  if (!at.ok()) {
-    co_return at.status();
-  }
-  co_await sim::WaitUntil(loop_, *at);
-  co_return OkStatus();
-}
-
-sim::Task<Status> HostAdapter::ReadFresh(uint64_t addr, std::span<std::byte> out) {
-  invalidates_->Inc();
-  bool in_dram = false;
-  std::vector<mem::WriteBackCache::EvictedLine> writebacks;
-  Result<Nanos> at = Begin(AccessKind::kFlush, addr, out.size(), {}, {}, &in_dram);
-  if (at.ok() && !in_dram) {
-    at = TakeLines(addr, out.size(), config_.timing.invalidate, &writebacks);
-    if (at.ok()) {
-      co_await sim::WaitUntil(loop_, *at);
-      WriteBack(writebacks);
+bool HostAdapter::Access::Advance() {
+  sim::EventLoop& loop = host_->loop_;
+  while (stage_ != Stage::kDone) {
+    Nanos at = RunStage();
+    if (at > loop.now()) {
+      loop.WakeAt(at, this);
+      return false;
     }
   }
-  if (!at.ok()) {
-    co_return at.status();
-  }
-
-  loads_->Inc();
-  load_bytes_->Add(out.size());
-  at = Begin(AccessKind::kRead, addr, out.size(), out, {}, &in_dram);
-  if (at.ok() && !in_dram) {
-    co_await sim::WaitUntil(loop_, *at);
-    at = CachedAccess(AccessKind::kRead, addr, out.size(), out, {});
-  }
-  if (!at.ok()) {
-    co_return at.status();
-  }
-  co_await sim::WaitUntil(loop_, *at);
-  co_return OkStatus();
+  return true;
 }
 
-sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> in) {
-  stores_->Inc();
-  store_bytes_->Add(in.size());
-  bool in_dram = false;
-  Result<Nanos> at = Begin(AccessKind::kStore, addr, in.size(), {}, in, &in_dram);
-  if (at.ok() && !in_dram) {
-    co_await sim::WaitUntil(loop_, *at);
-    at = CachedAccess(AccessKind::kStore, addr, in.size(), {}, in);
+void HostAdapter::Access::Wake() {
+  // A wake-up for the final wait finds the access done; any other runs
+  // the stage it was queued for.
+  if (Advance()) {
+    waiter_.resume();  // the last use of `this`: the waiter may destroy it
   }
-  if (!at.ok()) {
-    co_return at.status();
-  }
-  co_await sim::WaitUntil(loop_, *at);
-  co_return OkStatus();
 }
 
-sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte> in) {
-  nt_stores_->Inc();
-  nt_store_bytes_->Add(in.size());
-  bool in_dram = false;
-  Result<Nanos> at = Begin(AccessKind::kPostedWrite, addr, in.size(), {}, in, &in_dram);
-  if (at.ok() && !in_dram) {
-    at = PostWrite(CoherenceOp::kStoreNt, addr, in);
-  }
-  if (!at.ok()) {
-    co_return at.status();
-  }
-  co_await sim::WaitUntil(loop_, *at);
-  co_return OkStatus();
+Nanos HostAdapter::Access::Fail(Status status) {
+  status_ = std::move(status);
+  stage_ = Stage::kDone;
+  return 0;
 }
 
-sim::Task<Status> HostAdapter::Flush(uint64_t addr, uint64_t len) {
-  flushes_->Inc();
-  bool in_dram = false;
-  std::vector<mem::WriteBackCache::EvictedLine> writebacks;
-  Result<Nanos> at = Begin(AccessKind::kFlush, addr, len, {}, {}, &in_dram);
-  if (at.ok() && !in_dram) {
-    at = TakeLines(addr, len, config_.timing.flush_issue, &writebacks);
-  }
+Nanos HostAdapter::Access::StartLines(AccessKind kind) {
+  Result<Nanos> at = host_->Begin(kind, where_, addr_, len_, out(), in());
   if (!at.ok()) {
-    co_return at.status();
+    return Fail(at.status());
   }
-  co_await sim::WaitUntil(loop_, *at);
-  WriteBack(writebacks);
-  co_return OkStatus();
+  stage_ = where_.segment != nullptr ? Stage::kLines : Stage::kDone;
+  return *at;
 }
 
-sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) {
-  dma_reads_->Inc();
-  bool in_dram = false;
-  Result<Nanos> at = Begin(AccessKind::kRead, addr, out.size(), out, {}, &in_dram);
-  if (at.ok() && !in_dram) {
-    co_await sim::WaitUntil(loop_, *at);
-    at = SnoopedRead(addr, out);
+Nanos HostAdapter::Access::RunStage() {
+  HostAdapter& h = *host_;
+  switch (stage_) {
+    case Stage::kIssue: {
+      switch (op_) {
+        case Op::kLoad:
+          h.loads_->Inc();
+          h.load_bytes_->Add(len_);
+          break;
+        case Op::kStore:
+          h.stores_->Inc();
+          h.store_bytes_->Add(len_);
+          break;
+        case Op::kStoreNt:
+          h.nt_stores_->Inc();
+          h.nt_store_bytes_->Add(len_);
+          break;
+        case Op::kFlush:
+          h.flushes_->Inc();
+          break;
+        case Op::kReadFresh:
+          h.invalidates_->Inc();
+          break;
+        case Op::kDmaRead:
+          h.dma_reads_->Inc();
+          break;
+        case Op::kDmaWrite:
+          h.dma_writes_->Inc();
+          break;
+      }
+      Result<Resolved> where = h.ResolveAccess(addr_, len_);
+      if (!where.ok()) {
+        return Fail(where.status());
+      }
+      where_ = *where;
+      switch (op_) {
+        case Op::kLoad:
+        case Op::kDmaRead:
+          return StartLines(AccessKind::kRead);
+        case Op::kStore:
+          return StartLines(AccessKind::kStore);
+        case Op::kStoreNt:
+        case Op::kDmaWrite: {
+          CoherenceOp post =
+              op_ == Op::kStoreNt ? CoherenceOp::kStoreNt : CoherenceOp::kDmaWrite;
+          Result<Nanos> at =
+              where_.segment != nullptr
+                  ? h.PostWrite(post, where_, addr_, in())
+                  : h.Begin(AccessKind::kStore, where_, addr_, len_, {}, in());
+          if (!at.ok()) {
+            return Fail(at.status());
+          }
+          stage_ = Stage::kDone;
+          return *at;
+        }
+        case Op::kFlush:
+        case Op::kReadFresh: {
+          stage_ = Stage::kWriteBack;
+          if (where_.segment == nullptr) {  // a flush of local DRAM is a no-op
+            return h.loop_.now();
+          }
+          const CxlTiming& t = h.config_.timing;
+          Result<Nanos> at =
+              h.TakeLines(*where_.segment, addr_, len_,
+                          op_ == Op::kFlush ? t.flush_issue : t.invalidate, &writebacks_);
+          if (!at.ok()) {
+            return Fail(at.status());
+          }
+          return *at;
+        }
+      }
+      break;
+    }
+    case Stage::kLines: {
+      Result<Nanos> at =
+          op_ == Op::kDmaRead
+              ? h.SnoopedRead(where_, addr_, out())
+              : h.CachedAccess(op_ == Op::kStore ? AccessKind::kStore : AccessKind::kRead,
+                               where_, addr_, len_, out(), in());
+      if (!at.ok()) {
+        return Fail(at.status());
+      }
+      stage_ = Stage::kDone;
+      return *at;
+    }
+    case Stage::kWriteBack:
+      h.WriteBack(*where_.region, writebacks_);
+      if (op_ == Op::kFlush) {
+        stage_ = Stage::kDone;
+        break;
+      }
+      // ReadFresh's load. The host may have crashed during the
+      // invalidation; the range resolved at issue still stands.
+      h.loads_->Inc();
+      h.load_bytes_->Add(len_);
+      if (Status alive = h.CheckAlive(); !alive.ok()) {
+        return Fail(std::move(alive));
+      }
+      return StartLines(AccessKind::kRead);
+    case Stage::kDone:
+      break;
   }
-  if (!at.ok()) {
-    co_return at.status();
-  }
-  co_await sim::WaitUntil(loop_, *at);
-  co_return OkStatus();
-}
-
-sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte> in) {
-  dma_writes_->Inc();
-  bool in_dram = false;
-  Result<Nanos> at = Begin(AccessKind::kPostedWrite, addr, in.size(), {}, in, &in_dram);
-  if (at.ok() && !in_dram) {
-    at = PostWrite(CoherenceOp::kDmaWrite, addr, in);
-  }
-  if (!at.ok()) {
-    co_return at.status();
-  }
-  co_await sim::WaitUntil(loop_, *at);
-  co_return OkStatus();
+  return h.loop_.now();
 }
 
 void HostAdapter::PeekBackend(uint64_t addr, std::span<std::byte> out) const {

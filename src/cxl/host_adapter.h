@@ -8,6 +8,11 @@
 // coherence protocol (paper §4.1) uses StoreNt to publish and ReadFresh
 // (invalidate, then load) to consume.
 //
+// Every accessor returns an Access: an awaitable the caller co_awaits in
+// place, with no coroutine frame. Its stages run as plain code, the first
+// when it is awaited and each later one at a wake-up the event loop
+// delivers, and the awaiting coroutine resumes once, when it completes.
+//
 // Device-side operations (DmaRead/DmaWrite) model inbound PCIe DMA through
 // this host's root complex: coherent with THIS host's cache (snooped) but
 // not with any other host's — which is exactly the asymmetry the paper's
@@ -15,6 +20,7 @@
 #ifndef SRC_CXL_HOST_ADAPTER_H_
 #define SRC_CXL_HOST_ADAPTER_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -32,8 +38,8 @@
 #include "src/mem/cache.h"
 #include "src/obs/registry.h"
 #include "src/sim/bandwidth.h"
+#include "src/sim/event_loop.h"
 #include "src/sim/random.h"
-#include "src/sim/task.h"
 
 namespace cxlpool::netsim {
 class FaultPlane;
@@ -43,6 +49,9 @@ namespace cxlpool::cxl {
 
 class HostAdapter {
  public:
+  // An access in flight; defined below.
+  class [[nodiscard]] Access;
+
   struct Config {
     CxlTiming timing;
     // Cache capacity (in 64 B lines) dedicated to CXL-mapped memory.
@@ -82,26 +91,29 @@ class HostAdapter {
   void AddCrashListener(const void* key, std::function<void(bool)> fn);
   void RemoveCrashListener(const void* key);
 
-  // --- CPU-side timed operations (coroutines; complete in simulated time).
+  // --- CPU-side timed operations (complete in simulated time). Each is
+  // lazy: it starts when awaited, and reads or fills its span then and at
+  // later stages, so the span must outlive the co_await.
   // Cached load; may return stale pool bytes if another agent wrote the
   // pool since this host cached the line.
-  sim::Task<Status> Load(uint64_t addr, std::span<std::byte> out);
+  Access Load(uint64_t addr, std::span<std::byte> out);
   // Cached write-back store; NOT visible to other hosts until flushed.
-  sim::Task<Status> Store(uint64_t addr, std::span<const std::byte> in);
+  Access Store(uint64_t addr, std::span<const std::byte> in);
   // Non-temporal store: bypasses the cache, immediately visible in the
   // pool. The publish primitive of the software coherence protocol.
-  sim::Task<Status> StoreNt(uint64_t addr, std::span<const std::byte> in);
+  Access StoreNt(uint64_t addr, std::span<const std::byte> in);
   // clwb + fence over [addr, addr+len): writes back dirty lines, drops them.
-  sim::Task<Status> Flush(uint64_t addr, uint64_t len);
+  Access Flush(uint64_t addr, uint64_t len);
   // Self-invalidates [addr, addr+out.size()), then loads it, so the bytes
   // come from the pool rather than a stale cached copy. The consume
   // primitive of the software coherence protocol. Dirty lines are written
-  // back first, like clflush; an invalidation error skips the load.
-  sim::Task<Status> ReadFresh(uint64_t addr, std::span<std::byte> out);
+  // back first, like clflush; an invalidation error skips the load, and a
+  // host that crashed during the invalidation fails the load.
+  Access ReadFresh(uint64_t addr, std::span<std::byte> out);
 
   // --- Device-side (inbound PCIe DMA through this host's root complex).
-  sim::Task<Status> DmaRead(uint64_t addr, std::span<std::byte> out);
-  sim::Task<Status> DmaWrite(uint64_t addr, std::span<const std::byte> in);
+  Access DmaRead(uint64_t addr, std::span<std::byte> out);
+  Access DmaWrite(uint64_t addr, std::span<const std::byte> in);
 
   // Untimed helpers for tests: direct backend access, no cache interaction.
   void PeekBackend(uint64_t addr, std::span<std::byte> out) const;
@@ -138,48 +150,58 @@ class HostAdapter {
   }
 
  private:
+  // Where an access's range lives, found once when the access is issued.
+  // The access keeps these pointers across its waits: regions and pool
+  // segments are never unregistered, so they stay valid.
+  struct Resolved {
+    const mem::Region* region = nullptr;
+    const PoolSegment* segment = nullptr;  // nullptr in local DRAM
+  };
+
   // Resolves + validates a CPU or DMA access. Local DRAM must belong to
   // this host (a CPU cannot load another host's DRAM; a device cannot DMA
   // into another host's DRAM — that is precisely what requires either a
   // PCIe switch or, per this paper, the CXL pool).
-  Result<const mem::Region*> ResolveAccess(uint64_t addr, uint64_t len);
+  Result<Resolved> ResolveAccess(uint64_t addr, uint64_t len);
+  // kUnavailable while this host is crashed.
+  Status CheckAlive() const;
 
-  // Health-checked link for a pool address.
-  Result<CxlLink*> RouteCxl(uint64_t addr);
+  // Health-checked link for the pool line at `addr` in `segment`: the MHD
+  // is up and this host's link to it is connected and up.
+  Result<CxlLink*> RouteLine(const PoolSegment& segment, uint64_t addr);
 
   // Applies the configured lognormal jitter to a CXL base latency.
   Nanos JitterCxl(Nanos base);
 
-  // The accessors share the plain helpers below; each accessor coroutine
-  // keeps only what crosses its awaits.
+  // The accessors' stages are the plain helpers below.
 
   // Bytes per CXL link for one access (defined in the .cc).
   class LinkTally;
 
   enum class AccessKind : uint8_t {
-    kRead,         // Load, DmaRead, ReadFresh's load: fills `out`
-    kStore,        // cached Store: copies `in`
-    kPostedWrite,  // StoreNt, DmaWrite: copies `in`
-    kFlush,        // Flush, ReadFresh's invalidation: moves no bytes
+    kRead,   // Load, DmaRead, ReadFresh's load: fills `out`
+    kStore,  // Store, and StoreNt/DmaWrite to local DRAM: copies `in`
   };
 
-  // The start every accessor shares. Resolves [addr, addr+len). A local
-  // DRAM access is served here and completes at the returned time
-  // (*in_dram is set). A pool access may go on to its lines at the
-  // returned time: reads and cached stores wait there for same-line
-  // posted writes to commit.
-  Result<Nanos> Begin(AccessKind kind, uint64_t addr, uint64_t len,
-                      std::span<std::byte> out, std::span<const std::byte> in,
-                      bool* in_dram);
+  // The start of a load or store on a resolved range. A local DRAM access
+  // is served here and completes at the returned time. A pool read or
+  // cached store goes on to its lines at the returned time, once same-line
+  // posted writes have committed; a posted write to the pool starts in
+  // PostWrite instead.
+  Result<Nanos> Begin(AccessKind kind, const Resolved& where, uint64_t addr,
+                      uint64_t len, std::span<std::byte> out,
+                      std::span<const std::byte> in);
 
   // Walks a Load (kRead) or Store (kStore) through this host's cache line
   // by line, fetching misses from pool media. Returns its completion time.
-  Result<Nanos> CachedAccess(AccessKind kind, uint64_t addr, uint64_t len,
-                             std::span<std::byte> out, std::span<const std::byte> in);
+  Result<Nanos> CachedAccess(AccessKind kind, const Resolved& where, uint64_t addr,
+                             uint64_t len, std::span<std::byte> out,
+                             std::span<const std::byte> in);
 
   // DmaRead's line walk: snoops this host's cache, else reads pool media.
   // Returns its completion time.
-  Result<Nanos> SnoopedRead(uint64_t addr, std::span<std::byte> out);
+  Result<Nanos> SnoopedRead(const Resolved& where, uint64_t addr,
+                            std::span<std::byte> out);
 
   // When the line fetches tallied in `fetched`, all issued now, complete:
   // the later of the pipelined read latency and each link's serialization
@@ -187,17 +209,20 @@ class HostAdapter {
   Nanos FetchDone(LinkTally& fetched, Nanos serial_tail);
 
   // The posted write shared by StoreNt (`op` kStoreNt) and DmaWrite
-  // (kDmaWrite): drops this host's cached copies, schedules the media
-  // commit and returns when the writer may move on.
-  Result<Nanos> PostWrite(CoherenceOp op, uint64_t addr, std::span<const std::byte> in);
+  // (kDmaWrite): drops this host's cached copies, hands the bytes to the
+  // pool to commit and returns when the writer may move on.
+  Result<Nanos> PostWrite(CoherenceOp op, const Resolved& where, uint64_t addr,
+                          std::span<const std::byte> in);
 
   // Takes this host's copies of [addr, addr+len) out of the cache, moving
   // dirty ones to `writebacks`, and returns when those writebacks land;
   // the issue cost is `per_line` for each touched line.
-  Result<Nanos> TakeLines(uint64_t addr, uint64_t len, Nanos per_line,
+  Result<Nanos> TakeLines(const PoolSegment& segment, uint64_t addr, uint64_t len,
+                          Nanos per_line,
                           std::vector<mem::WriteBackCache::EvictedLine>* writebacks);
   // Applies the writebacks TakeLines collected once they have landed.
-  void WriteBack(std::span<const mem::WriteBackCache::EvictedLine> writebacks);
+  void WriteBack(const mem::Region& region,
+                 std::span<const mem::WriteBackCache::EvictedLine> writebacks);
 
   // Writes an evicted dirty line back to the pool (async with respect to
   // the evicting operation). Drops the data if the path is unhealthy.
@@ -255,6 +280,101 @@ class HostAdapter {
   // instead of bytes (media RAS, paper §5 gray failures).
   obs::Counter* poisoned_reads_ = metrics_.GetCounter("host.poisoned_reads");
 };
+
+// One HostAdapter access, awaited in place: `Status st = co_await
+// host.Load(addr, buf);`. It has no frame of its own. Awaiting it runs its
+// first stage; a stage whose start time has come runs at once, exactly
+// where a coroutine's `co_await sim::WaitUntil` would not have yielded, and
+// a later one is one wake-up queued on the event loop at that time. The
+// awaiting coroutine is resumed from the last stage. The loop holds the
+// access's address while it waits, so it is neither copied nor moved: it
+// is built in place where it is returned or awaited.
+class [[nodiscard]] HostAdapter::Access final : public sim::Waker {
+ public:
+  Access(const Access&) = delete;
+  Access& operator=(const Access&) = delete;
+
+  bool await_ready() { return Advance(); }
+  void await_suspend(std::coroutine_handle<> waiter) { waiter_ = waiter; }
+  Status await_resume() { return std::move(status_); }
+
+ private:
+  friend class HostAdapter;
+
+  enum class Op : uint8_t {
+    kLoad,
+    kStore,
+    kStoreNt,
+    kFlush,
+    kReadFresh,
+    kDmaRead,
+    kDmaWrite,
+  };
+  // What runs next.
+  enum class Stage : uint8_t {
+    kIssue,      // count, resolve, then the op's first step
+    kLines,      // Load/Store/ReadFresh: the cache walk; DmaRead: the snoop
+    kWriteBack,  // Flush/ReadFresh: apply the landed writebacks (a
+                 // ReadFresh then starts its load)
+    kDone,       // resume the awaiting coroutine
+  };
+
+  Access(HostAdapter& host, Op op, uint64_t addr, uint64_t len, std::byte* out,
+         const std::byte* in)
+      : host_(&host), addr_(addr), len_(len), out_(out), in_(in), op_(op) {}
+
+  // Runs every stage whose start time has come. True when the access is
+  // done; otherwise one wake-up is queued for the next stage.
+  bool Advance();
+  void Wake() override;
+  // Runs the current stage, sets the next one and returns when it starts.
+  Nanos RunStage();
+  // Starts the load a Load, Store, DmaRead or ReadFresh makes: a pool
+  // access goes on to kLines, a local DRAM one is done.
+  Nanos StartLines(AccessKind kind);
+  // Ends the access at once with `status`.
+  Nanos Fail(Status status);
+  std::span<std::byte> out() const { return {out_, out_ != nullptr ? len_ : 0}; }
+  std::span<const std::byte> in() const { return {in_, in_ != nullptr ? len_ : 0}; }
+
+  HostAdapter* host_;
+  uint64_t addr_;
+  uint64_t len_;
+  std::byte* out_;       // the bytes a read fills, or nullptr
+  const std::byte* in_;  // the bytes a write copies, or nullptr
+  Resolved where_;
+  std::coroutine_handle<> waiter_;
+  Status status_;
+  std::vector<mem::WriteBackCache::EvictedLine> writebacks_;
+  Op op_;
+  Stage stage_ = Stage::kIssue;
+};
+
+inline HostAdapter::Access HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
+  return Access(*this, Access::Op::kLoad, addr, out.size(), out.data(), nullptr);
+}
+inline HostAdapter::Access HostAdapter::Store(uint64_t addr,
+                                              std::span<const std::byte> in) {
+  return Access(*this, Access::Op::kStore, addr, in.size(), nullptr, in.data());
+}
+inline HostAdapter::Access HostAdapter::StoreNt(uint64_t addr,
+                                                std::span<const std::byte> in) {
+  return Access(*this, Access::Op::kStoreNt, addr, in.size(), nullptr, in.data());
+}
+inline HostAdapter::Access HostAdapter::Flush(uint64_t addr, uint64_t len) {
+  return Access(*this, Access::Op::kFlush, addr, len, nullptr, nullptr);
+}
+inline HostAdapter::Access HostAdapter::ReadFresh(uint64_t addr,
+                                                  std::span<std::byte> out) {
+  return Access(*this, Access::Op::kReadFresh, addr, out.size(), out.data(), nullptr);
+}
+inline HostAdapter::Access HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) {
+  return Access(*this, Access::Op::kDmaRead, addr, out.size(), out.data(), nullptr);
+}
+inline HostAdapter::Access HostAdapter::DmaWrite(uint64_t addr,
+                                                 std::span<const std::byte> in) {
+  return Access(*this, Access::Op::kDmaWrite, addr, in.size(), nullptr, in.data());
+}
 
 }  // namespace cxlpool::cxl
 

@@ -16,7 +16,7 @@ CxlPod::CxlPod(sim::EventLoop& loop, const CxlPodConfig& config)
   CXLPOOL_CHECK(config.num_hosts <= MultiHeadedDevice::kMaxPorts);
   CXLPOOL_CHECK(config.dram_per_host <= kDramWindowStride);
 
-  pool_ = std::make_unique<CxlPool>(map_);
+  pool_ = std::make_unique<CxlPool>(loop_, map_);
   for (int m = 0; m < config.num_mhds; ++m) {
     pool_->AddMhd(config.mhd_capacity);
   }

@@ -152,21 +152,22 @@ Status CxlPool::Free(const PoolSegment& segment) {
   return OkStatus();
 }
 
-Result<MhdId> CxlPool::RouteAddress(uint64_t addr) const {
+const PoolSegment* CxlPool::SegmentAt(uint64_t addr) const {
   auto it = segments_.upper_bound(addr);
   if (it == segments_.begin()) {
-    return NotFound("address below pool window");
+    return nullptr;
   }
   --it;
   const PoolSegment& seg = it->second.segment;
-  if (addr >= seg.end()) {
+  return addr < seg.end() ? &seg : nullptr;
+}
+
+Result<MhdId> CxlPool::RouteAddress(uint64_t addr) const {
+  const PoolSegment* seg = SegmentAt(addr);
+  if (seg == nullptr) {
     return NotFound("address not in any pool segment");
   }
-  if (!seg.interleaved()) {
-    return seg.mhds.front();
-  }
-  uint64_t granule = (addr - seg.base) / kInterleaveGranule;
-  return seg.mhds[granule % seg.mhds.size()];
+  return seg->MhdFor(addr);
 }
 
 uint64_t CxlPool::used_bytes(MhdId id) const {
@@ -205,49 +206,58 @@ size_t CxlPool::PoisonedLineCount() const {
 
 namespace cxlpool::cxl {
 
-Nanos CxlPool::RecordPendingCommit(uint64_t addr, uint64_t len, Nanos visible_at,
-                                   Nanos now) {
-  // Opportunistic GC: drop entries that have already committed.
-  if (pending_commits_.size() > 8192) {
-    for (auto it = pending_commits_.begin(); it != pending_commits_.end();) {
-      if (it->second <= now) {
-        it = pending_commits_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+Nanos CxlPool::Post(const mem::Region& region, uint64_t addr,
+                    std::span<const std::byte> in, Nanos visible_at) {
+  Nanos now = loop_.now();
   uint64_t first = CachelineFloor(addr);
-  uint64_t lines = CachelinesTouched(addr, len);
+  uint64_t end = first + CachelinesTouched(addr, in.size()) * kCachelineSize;
   // Same-address ordering: the controller write buffer drains per-address
   // FIFO, so a write accepted while an earlier same-line write is pending
   // commits no earlier than it. (Equal times are safe: the event loop is
   // FIFO among same-time events, so the later-issued write lands last.)
   Nanos ordered = visible_at;
-  for (uint64_t i = 0; i < lines; ++i) {
-    auto it = pending_commits_.find(first + i * kCachelineSize);
-    if (it != pending_commits_.end() && it->second > now) {
-      ordered = std::max(ordered, it->second);
+  for (size_t i = 0; i < live_writes_; ++i) {
+    const PostedWrite& w = writes_[i];
+    if (w.first_line < end && first < w.end_line && w.commit > now) {
+      ordered = std::max(ordered, w.commit);
     }
   }
-  for (uint64_t i = 0; i < lines; ++i) {
-    Nanos& slot = pending_commits_[first + i * kCachelineSize];
-    slot = std::max(slot, ordered);
+  if (live_writes_ == writes_.size()) {
+    writes_.emplace_back();
   }
+  PostedWrite& w = writes_[live_writes_++];
+  w.id = next_write_id_++;
+  w.first_line = first;
+  w.end_line = end;
+  w.commit = ordered;
+  w.region = &region;
+  w.addr = addr;
+  w.bytes.assign(in.begin(), in.end());
+  loop_.ScheduleAt(ordered, [this, id = w.id] { Land(id); });
   return ordered;
 }
 
-Nanos CxlPool::PendingCommitTime(uint64_t addr, uint64_t len) const {
-  if (pending_commits_.empty()) {
-    return 0;
+void CxlPool::Land(uint64_t id) {
+  size_t i = 0;
+  while (i < live_writes_ && writes_[i].id != id) {
+    ++i;
   }
+  CXLPOOL_CHECK(i < live_writes_);
+  PostedWrite& w = writes_[i];
+  w.region->Write(w.addr, w.bytes);
+  if (i != --live_writes_) {
+    std::swap(w, writes_[live_writes_]);
+  }
+}
+
+Nanos CxlPool::PendingCommitTime(uint64_t addr, uint64_t len) const {
   Nanos latest = 0;
   uint64_t first = CachelineFloor(addr);
-  uint64_t lines = CachelinesTouched(addr, len);
-  for (uint64_t i = 0; i < lines; ++i) {
-    auto it = pending_commits_.find(first + i * kCachelineSize);
-    if (it != pending_commits_.end()) {
-      latest = std::max(latest, it->second);
+  uint64_t end = first + CachelinesTouched(addr, len) * kCachelineSize;
+  for (size_t i = 0; i < live_writes_; ++i) {
+    const PostedWrite& w = writes_[i];
+    if (w.first_line < end && first < w.end_line) {
+      latest = std::max(latest, w.commit);
     }
   }
   return latest;

@@ -6,8 +6,9 @@
 #define SRC_CXL_POOL_H_
 
 #include <map>
-#include <unordered_map>
 #include <memory>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -16,6 +17,7 @@
 #include "src/cxl/params.h"
 #include "src/mem/address_map.h"
 #include "src/mem/cache.h"
+#include "src/sim/event_loop.h"
 
 namespace cxlpool::cxl {
 
@@ -28,13 +30,22 @@ struct PoolSegment {
 
   bool interleaved() const { return mhds.size() > 1; }
   uint64_t end() const { return base + size; }
+  // The MHD serving `addr`, which must lie in this segment: granule-accurate
+  // for interleaved segments.
+  MhdId MhdFor(uint64_t addr) const {
+    if (!interleaved()) {
+      return mhds.front();
+    }
+    return mhds[(addr - base) / kInterleaveGranule % mhds.size()];
+  }
 };
 
 class CxlPool {
  public:
   // Registers pool regions into `map` so devices and hosts resolve pool
-  // addresses through the same address space.
-  explicit CxlPool(mem::AddressMap& map) : map_(map) {}
+  // addresses through the same address space. Posted writes commit on
+  // `loop`.
+  CxlPool(sim::EventLoop& loop, mem::AddressMap& map) : loop_(loop), map_(map) {}
   CxlPool(const CxlPool&) = delete;
   CxlPool& operator=(const CxlPool&) = delete;
 
@@ -58,6 +69,11 @@ class CxlPool {
   // space is not recycled (monotone bump allocation keeps routing simple;
   // the 1 TiB window is far larger than any experiment).
   Status Free(const PoolSegment& segment);
+
+  // The segment containing `addr`, or nullptr if it is not pool memory.
+  // Segments are never erased (Free only returns their capacity), so the
+  // pointer stays valid for the pool's lifetime.
+  const PoolSegment* SegmentAt(uint64_t addr) const;
 
   // Which MHD serves the byte at `addr` (granule-accurate for interleaved
   // segments). kNotFound if the address is not pool memory.
@@ -91,21 +107,26 @@ class CxlPool {
   // writer).
   int BackInvalidate(uint64_t addr, uint64_t len, HostId writer);
 
-  // --- Posted-write commit tracking (same-address ordering) ---
+  // --- Posted writes in flight (same-address ordering) ---
   // A posted write (nt-store or device DMA) is accepted quickly but its
-  // data becomes readable at the MHD only at `visible_at`. Readers of a
-  // line with a pending commit are served from the controller's write
-  // buffer: they complete no earlier than the commit and then observe the
-  // new data. Unrelated lines are unaffected (CXL.mem has no cross-address
-  // ordering).
-  // Returns the ORDERED commit time: never earlier than a still-pending
-  // commit to any of the same lines, so back-to-back posted writes to one
-  // address drain per-address FIFO (jitter must not let an older write
-  // land after — and silently revert — a newer one). Callers schedule
-  // their media write at the returned time, not the raw `visible_at`.
-  Nanos RecordPendingCommit(uint64_t addr, uint64_t len, Nanos visible_at, Nanos now);
+  // bytes reach the MHD only at its commit time. Readers of a line with a
+  // pending commit are served from the controller's write buffer: they
+  // complete no earlier than the commit and then observe the new data.
+  // Unrelated lines are unaffected (CXL.mem has no cross-address ordering).
+  //
+  // Post copies `in` (bound for [addr, addr+in.size()) in `region`) and
+  // schedules its one commit event. The commit time is `visible_at`, but
+  // never earlier than a still-pending commit to any of the same lines, so
+  // back-to-back posted writes to one address drain per-address FIFO
+  // (jitter must not let an older write land after, and silently revert, a
+  // newer one). Returns that ordered commit time. `region` must outlive the
+  // write; regions are never unregistered.
+  Nanos Post(const mem::Region& region, uint64_t addr, std::span<const std::byte> in,
+             Nanos visible_at);
   // Latest pending commit time overlapping [addr, addr+len), or 0.
   Nanos PendingCommitTime(uint64_t addr, uint64_t len) const;
+  // Posted writes whose bytes have not reached media yet.
+  size_t inflight_writes() const { return live_writes_; }
 
  private:
   struct SegmentInfo {
@@ -113,6 +134,22 @@ class CxlPool {
     bool freed = false;
   };
 
+  // A posted write between its issue and its commit.
+  struct PostedWrite {
+    uint64_t id = 0;          // what its commit event carries
+    uint64_t first_line = 0;  // [first_line, end_line): the lines it covers
+    uint64_t end_line = 0;
+    Nanos commit = 0;
+    const mem::Region* region = nullptr;
+    uint64_t addr = 0;
+    std::vector<std::byte> bytes;
+  };
+
+  // The commit event of write `id`: its bytes reach media and it leaves
+  // the in-flight set.
+  void Land(uint64_t id);
+
+  sim::EventLoop& loop_;
   mem::AddressMap& map_;
   std::vector<std::unique_ptr<MultiHeadedDevice>> mhds_;
   std::vector<uint64_t> mhd_used_;        // bytes allocated per MHD
@@ -122,8 +159,12 @@ class CxlPool {
   std::vector<std::unique_ptr<mem::MemoryBackend>> striped_backends_;
   std::map<uint64_t, SegmentInfo> segments_;  // keyed by base
   uint64_t next_base_ = kPoolWindowBase;
-  // line address -> commit time of the newest pending posted write.
-  mutable std::unordered_map<uint64_t, Nanos> pending_commits_;
+  // Posted writes in flight, in no particular order, are
+  // writes_[0, live_writes_). Entries past that keep their byte storage for
+  // reuse by later writes.
+  std::vector<PostedWrite> writes_;
+  size_t live_writes_ = 0;
+  uint64_t next_write_id_ = 0;
 
   // Back-Invalidate snoop filter state.
   bool back_invalidate_ = false;

@@ -26,6 +26,7 @@
 #include "src/cxl/pool.h"
 #include "src/obs/registry.h"
 #include "src/sim/poll.h"
+#include "src/sim/task.h"
 
 namespace cxlpool::cxl {
 

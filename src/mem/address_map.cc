@@ -59,18 +59,24 @@ Result<const Region*> AddressMap::Resolve(uint64_t addr, uint64_t len) const {
   return r;
 }
 
+Status Region::CheckPoison(uint64_t addr, uint64_t len) const {
+  if (backend->RangePoisoned(backend_offset + (addr - base), len)) {
+    return DataLoss("poisoned line in backend '" + backend->name() +
+                    "' at address " + std::to_string(addr));
+  }
+  return OkStatus();
+}
+
 void AddressMap::ReadBytes(uint64_t addr, std::span<std::byte> out) const {
   auto r = Resolve(addr, out.size());
   CXLPOOL_CHECK_OK(r.status());
-  const Region* region = r.value();
-  region->backend->Read(region->backend_offset + (addr - region->base), out);
+  r.value()->Read(addr, out);
 }
 
 void AddressMap::WriteBytes(uint64_t addr, std::span<const std::byte> in) {
   auto r = Resolve(addr, in.size());
   CXLPOOL_CHECK_OK(r.status());
-  const Region* region = r.value();
-  region->backend->Write(region->backend_offset + (addr - region->base), in);
+  r.value()->Write(addr, in);
 }
 
 Status AddressMap::PoisonLine(uint64_t addr) {
@@ -96,19 +102,6 @@ bool AddressMap::RangePoisoned(uint64_t addr, uint64_t len) const {
   }
   return region->backend->RangePoisoned(
       region->backend_offset + (addr - region->base), len);
-}
-
-Status AddressMap::CheckPoison(uint64_t addr, uint64_t len) const {
-  const Region* region = Lookup(addr);
-  if (region == nullptr || !region->Contains(addr, len)) {
-    return OkStatus();
-  }
-  uint64_t off = region->backend_offset + (addr - region->base);
-  if (region->backend->RangePoisoned(off, len)) {
-    return DataLoss("poisoned line in backend '" + region->backend->name() +
-                    "' at address " + std::to_string(addr));
-  }
-  return OkStatus();
 }
 
 }  // namespace cxlpool::mem

@@ -36,6 +36,19 @@ struct Region {
   bool Contains(uint64_t addr, uint64_t len) const {
     return addr >= base && addr + len <= base + size;
   }
+
+  // Untimed access to the bytes at global address `addr`, for a range this
+  // region contains: no map lookup, so a timed access resolves its region
+  // once and reuses it for every line.
+  void Read(uint64_t addr, std::span<std::byte> out) const {
+    backend->Read(backend_offset + (addr - base), out);
+  }
+  void Write(uint64_t addr, std::span<const std::byte> in) const {
+    backend->Write(backend_offset + (addr - base), in);
+  }
+  // OkStatus, or kDataLoss naming the backend if [addr, addr+len) touches
+  // a poisoned line.
+  Status CheckPoison(uint64_t addr, uint64_t len) const;
 };
 
 class AddressMap {
@@ -47,7 +60,8 @@ class AddressMap {
   // Registers a region. Fails on overlap or missing backend.
   Status Register(const Region& region);
 
-  // Region containing `addr`, or nullptr if unmapped.
+  // Region containing `addr`, or nullptr if unmapped. Regions are never
+  // unregistered, so the pointer stays valid for the map's lifetime.
   const Region* Lookup(uint64_t addr) const;
 
   // Region containing the whole byte range, or error. Ranges spanning two
@@ -66,11 +80,8 @@ class AddressMap {
   Status PoisonLine(uint64_t addr);
   Status ClearPoison(uint64_t addr);
   // True if any media line backing [addr, addr+len) is poisoned. Unmapped
-  // ranges are not poisoned.
+  // ranges are not poisoned. (Timed accesses check their resolved Region.)
   bool RangePoisoned(uint64_t addr, uint64_t len) const;
-  // OkStatus, or kDataLoss naming the poisoned backend if the range touches
-  // a poisoned line. The one-liner the timed access paths call.
-  Status CheckPoison(uint64_t addr, uint64_t len) const;
 
   size_t region_count() const { return regions_.size(); }
 

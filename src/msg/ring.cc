@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <coroutine>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -184,57 +185,99 @@ RingReceiver::RingReceiver(cxl::HostAdapter& host, const RingConfig& config)
   CXLPOOL_CHECK(IsPowerOfTwo(config.slots));
 }
 
-sim::Task<Result<uint32_t>> RingReceiver::LoadSlot(
-    uint64_t index, std::array<std::byte, kSlotSize>* line) {
-  // Burst drain: serve from the cached window when it covers this slot.
-  // Every cached slot was observed published, and a published slot is
-  // immutable until our cursor passes it, so no re-invalidation is needed.
-  if (win_valid_ > 0 && index >= win_start_ && index - win_start_ < win_valid_) {
-    window_hits_->Inc();
-    std::memcpy(line->data(),
-                window_.data() + (index - win_start_) * kSlotSize, kSlotSize);
-    co_return wire::GetU32(line->data() + kSeqOffset);
+// LoadSlot's result. A window hit is served when LoadSlot is called; a
+// miss holds the one windowed ReadFresh, started and awaited in place, and
+// caches its published prefix when it completes, before the caller
+// resumes.
+class [[nodiscard]] RingReceiver::SlotLoad {
+ public:
+  SlotLoad(RingReceiver& rx, uint64_t index, std::array<std::byte, kSlotSize>* line)
+      : rx_(rx),
+        index_(index),
+        line_(line),
+        window_(Plan(rx, index, line)),
+        fresh_(rx.host_.ReadFresh(
+            rx.config_.base + index % rx.config_.slots * kSlotSize,
+            std::span<std::byte>(rx.window_.data(),
+                                 static_cast<size_t>(window_) * kSlotSize))) {}
+
+  bool await_ready() { return window_ == 0 || fresh_.await_ready(); }
+  void await_suspend(std::coroutine_handle<> waiter) { fresh_.await_suspend(waiter); }
+
+  Result<uint32_t> await_resume() {
+    if (window_ > 0) {
+      RETURN_IF_ERROR(fresh_.await_resume());
+      CacheWindow();
+    }
+    return wire::GetU32(line_->data() + kSeqOffset);
   }
-  win_valid_ = 0;
-  uint64_t slot = index % config_.slots;
-  uint32_t window = std::min(std::max<uint32_t>(1, cur_window_), kRecvWindow);
-  window = static_cast<uint32_t>(
-      std::min<uint64_t>(window, config_.slots - slot));  // clamp at wrap
-  uint64_t slot_addr = config_.base + slot * kSlotSize;
-  if (window_.size() < static_cast<size_t>(window) * kSlotSize) {
-    window_.resize(static_cast<size_t>(window) * kSlotSize);
+
+ private:
+  // Serves slot `index` from the cached window and returns 0, or sizes the
+  // window for a fresh read from `index` and returns its slot count.
+  static uint32_t Plan(RingReceiver& rx, uint64_t index,
+                       std::array<std::byte, kSlotSize>* line) {
+    // Burst drain: serve from the cached window when it covers this slot.
+    // Every cached slot was observed published, and a published slot is
+    // immutable until our cursor passes it, so no re-invalidation is needed.
+    if (rx.win_valid_ > 0 && index >= rx.win_start_ &&
+        index - rx.win_start_ < rx.win_valid_) {
+      rx.window_hits_->Inc();
+      std::memcpy(line->data(),
+                  rx.window_.data() + (index - rx.win_start_) * kSlotSize, kSlotSize);
+      return 0;
+    }
+    rx.win_valid_ = 0;
+    uint64_t slot = index % rx.config_.slots;
+    uint32_t window = std::min(std::max<uint32_t>(1, rx.cur_window_), kRecvWindow);
+    window = static_cast<uint32_t>(
+        std::min<uint64_t>(window, rx.config_.slots - slot));  // clamp at wrap
+    if (rx.window_.size() < static_cast<size_t>(window) * kSlotSize) {
+      rx.window_.resize(static_cast<size_t>(window) * kSlotSize);
+    }
+    // Software coherence: read fresh, dropping any cached copy, or we would
+    // spin on a stale line forever. One ReadFresh covers the whole window —
+    // the CXL read pipelines the extra lines instead of paying the full
+    // first-line latency per slot.
+    return window;
   }
-  // Software coherence: read fresh, dropping any cached copy, or we would
-  // spin on a stale line forever. One ReadFresh covers the whole window —
-  // the CXL read pipelines the extra lines instead of paying the full
-  // first-line latency per slot.
-  std::span<std::byte> bytes(window_.data(),
-                             static_cast<size_t>(window) * kSlotSize);
-  Status st = co_await host_.ReadFresh(slot_addr, bytes);
-  if (!st.ok()) {
-    co_return st;
+
+  // Caches only the published prefix of the window just read; an
+  // unpublished slot may be written at any moment and must be re-read
+  // fresh next time.
+  void CacheWindow() {
+    RingReceiver& rx = rx_;
+    rx.window_loads_->Inc();
+    uint32_t valid = 0;
+    while (valid < window_ &&
+           wire::GetU32(rx.window_.data() + static_cast<size_t>(valid) * kSlotSize +
+                        kSeqOffset) == static_cast<uint32_t>(index_ + valid + 1)) {
+      ++valid;
+    }
+    rx.win_start_ = index_;
+    rx.win_valid_ = valid;
+    // Adapt: a fully-valid scan means the producer is ahead of us — widen
+    // the next load. A (near-)empty scan means we are caught up and paying
+    // for unpublished lines — fall back to single-slot loads.
+    if (valid == window_) {
+      rx.cur_window_ = std::min<uint32_t>(std::max<uint32_t>(1, rx.cur_window_) * 2,
+                                          kRecvWindow);
+    } else if (valid <= 1) {
+      rx.cur_window_ = 1;
+    }
+    std::memcpy(line_->data(), rx.window_.data(), kSlotSize);
   }
-  window_loads_->Inc();
-  // Cache only the published prefix; an unpublished slot may be written
-  // at any moment and must be re-read fresh next time.
-  uint32_t valid = 0;
-  while (valid < window &&
-         wire::GetU32(window_.data() + static_cast<size_t>(valid) * kSlotSize +
-                      kSeqOffset) == static_cast<uint32_t>(index + valid + 1)) {
-    ++valid;
-  }
-  win_start_ = index;
-  win_valid_ = valid;
-  // Adapt: a fully-valid scan means the producer is ahead of us — widen
-  // the next load. A (near-)empty scan means we are caught up and paying
-  // for unpublished lines — fall back to single-slot loads.
-  if (valid == window) {
-    cur_window_ = std::min<uint32_t>(std::max<uint32_t>(1, cur_window_) * 2, kRecvWindow);
-  } else if (valid <= 1) {
-    cur_window_ = 1;
-  }
-  std::memcpy(line->data(), window_.data(), kSlotSize);
-  co_return wire::GetU32(line->data() + kSeqOffset);
+
+  RingReceiver& rx_;
+  uint64_t index_;
+  std::array<std::byte, kSlotSize>* line_;
+  uint32_t window_;  // slots the fresh read covers; 0 when served from the window
+  cxl::HostAdapter::Access fresh_;
+};
+
+RingReceiver::SlotLoad RingReceiver::LoadSlot(uint64_t index,
+                                              std::array<std::byte, kSlotSize>* line) {
+  return SlotLoad(*this, index, line);
 }
 
 sim::Task<Status> RingReceiver::PublishCursor() {

@@ -27,6 +27,7 @@
 #ifndef SRC_MSG_RING_H_
 #define SRC_MSG_RING_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -144,11 +145,16 @@ class RingReceiver {
   cxl::HostAdapter& host() { return host_; }
 
  private:
+  // The awaitable LoadSlot returns (defined in ring.cc). It has no frame:
+  // it wraps the one HostAdapter::ReadFresh access it may make, so an idle
+  // poll allocates nothing.
+  class [[nodiscard]] SlotLoad;
+
   // Reads slot `index`'s line, serving from the cached burst window when
   // it covers the index; otherwise does one windowed ReadFresh and caches
-  // the valid prefix. Returns seq.
-  sim::Task<Result<uint32_t>> LoadSlot(uint64_t index,
-                                       std::array<std::byte, kSlotSize>* line);
+  // the valid prefix. Resolves to seq. Await it at once: it plans the read
+  // when called.
+  SlotLoad LoadSlot(uint64_t index, std::array<std::byte, kSlotSize>* line);
   sim::Task<Status> PublishCursor();
   // Pops one full message whose first chunk line is already loaded.
   sim::Task<Status> ConsumeMessage(std::array<std::byte, kSlotSize> first_line,

@@ -115,21 +115,36 @@ sim::Task<Status> PcieDevice::MmioWrite(uint64_t reg, uint64_t value) {
   }
   Nanos extra = interposer_ ? interposer_->MmioExtraLatency(/*is_read=*/false) : 0;
   // Posted semantics: the device sees the write after the PCIe latency;
-  // the CPU continues as soon as its write buffer drains. A wedged device
-  // absorbs the write without acting on it — the CPU cannot tell, which is
-  // what makes wedges gray.
-  loop_.Schedule(timing_.mmio_write + extra, [this, reg, value] {
-    if (host_ == nullptr || failed_) {
-      return;
-    }
-    if (wedged_) {
-      dropped_mmio_writes_->Inc();
-      return;
-    }
-    OnMmioWrite(reg, value);
-  });
+  // the CPU continues as soon as its write buffer drains. The write waits
+  // in a slab slot, so the delivery event carries only the slot index and
+  // fits std::function's inline buffer.
+  uint32_t slot;
+  if (free_mmio_slots_.empty()) {
+    slot = static_cast<uint32_t>(posted_mmio_.size());
+    posted_mmio_.push_back({reg, value});
+  } else {
+    slot = free_mmio_slots_.back();
+    free_mmio_slots_.pop_back();
+    posted_mmio_[slot] = {reg, value};
+  }
+  loop_.Schedule(timing_.mmio_write + extra, [this, slot] { DeliverMmioWrite(slot); });
   co_await sim::Delay(loop_, timing_.mmio_post_cpu);
   co_return OkStatus();
+}
+
+void PcieDevice::DeliverMmioWrite(uint32_t slot) {
+  auto [reg, value] = posted_mmio_[slot];
+  free_mmio_slots_.push_back(slot);
+  if (host_ == nullptr || failed_) {
+    return;
+  }
+  // A wedged device absorbs the write without acting on it — the CPU
+  // cannot tell, which is what makes wedges gray.
+  if (wedged_) {
+    dropped_mmio_writes_->Inc();
+    return;
+  }
+  OnMmioWrite(reg, value);
 }
 
 sim::Task<Result<uint64_t>> PcieDevice::MmioRead(uint64_t reg) {

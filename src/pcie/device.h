@@ -19,6 +19,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/status.h"
@@ -161,6 +162,15 @@ class PcieDevice {
   sim::Task<Status> DmaWrite(uint64_t addr, std::span<const std::byte> in);
 
  private:
+  // A posted MMIO write between its issue and its delivery.
+  struct PostedMmio {
+    uint64_t reg;
+    uint64_t value;
+  };
+  // The delivery event of the posted write in `slot`: the device acts on
+  // it unless it has detached, failed or wedged meanwhile.
+  void DeliverMmioWrite(uint32_t slot);
+
   PcieDeviceId id_;
   std::string name_;
   sim::EventLoop& loop_;
@@ -174,6 +184,8 @@ class PcieDevice {
   uint64_t untaken_wedges_ = 0;        // see TakeWedges
   std::function<void(PcieDevice*)> destroy_listener_;
   uint64_t generation_ = 0;
+  std::vector<PostedMmio> posted_mmio_;  // slots; free ones are listed below
+  std::vector<uint32_t> free_mmio_slots_;
   sim::BandwidthQueue to_host_;    // DMA writes / read completions
   sim::BandwidthQueue from_host_;  // DMA read data fetch direction
   std::optional<obs::Scope> metrics_;

@@ -34,8 +34,14 @@ void EventLoop::ScheduleAt(Nanos when, Callback cb) {
 
 void EventLoop::ResumeAt(Nanos when, std::coroutine_handle<> h) {
   Ref ref = reinterpret_cast<uintptr_t>(h.address());
-  CXLPOOL_DCHECK(h && (ref & 1) == 0);
+  CXLPOOL_DCHECK(h && (ref & kTagMask) == 0);
   Enqueue(when, ref);
+}
+
+void EventLoop::WakeAt(Nanos when, Waker* w) {
+  Ref ref = reinterpret_cast<uintptr_t>(w);
+  CXLPOOL_DCHECK(w != nullptr && (ref & kTagMask) == 0);
+  Enqueue(when, ref | kWakerTag);
 }
 
 void EventLoop::Enqueue(Nanos when, Ref ref) {
@@ -121,8 +127,12 @@ void EventLoop::RunOne(Nanos when) {
   --near_count_;
   ++executed_;
 
-  if ((ref & 1) == 0) {
+  if ((ref & kTagMask) == 0) {
     std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ref)).resume();
+    return;
+  }
+  if ((ref & kTagMask) == kWakerTag) {
+    reinterpret_cast<Waker*>(ref & ~kTagMask)->Wake();
     return;
   }
   // Move the callback out first: it may schedule more callbacks, which can

@@ -6,8 +6,9 @@
 // Events less than kWheelSize ns ahead of now() sit in one FIFO list per
 // nanosecond slot, found through a two-level occupancy bitmap; the few
 // further ahead wait in a binary heap ordered by (time, scheduling order)
-// and move into their slot as now() comes within range. An event is either
-// a coroutine handle (the common case: every Delay and Event wakeup) or an
+// and move into their slot as now() comes within range. An event is a
+// coroutine handle (the common case: every Delay and Event wakeup), a
+// Waker (an object resumed in place, such as a HostAdapter access), or an
 // index into a table of boxed callbacks.
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
@@ -23,6 +24,18 @@
 namespace cxlpool::sim {
 
 using Callback = std::function<void()>;
+
+// An event target that is neither a coroutine frame nor a boxed callback:
+// the loop calls Wake() at the scheduled time. Its owner keeps it alive
+// until then. Awaitables that run their stages as plain code (no frame)
+// queue themselves this way.
+class Waker {
+ public:
+  virtual void Wake() = 0;
+
+ protected:
+  ~Waker() = default;
+};
 
 class EventLoop {
  public:
@@ -43,6 +56,10 @@ class EventLoop {
   // Resumes `h` at absolute simulated time `when` (clamped to now()),
   // ordered with ScheduleAt events by scheduling order.
   void ResumeAt(Nanos when, std::coroutine_handle<> h);
+
+  // Calls w->Wake() at absolute simulated time `when` (clamped to now()),
+  // ordered with the other events by scheduling order.
+  void WakeAt(Nanos when, Waker* w);
 
   // Processes events until the calendar is empty or Stop() is called.
   void Run();
@@ -71,9 +88,12 @@ class EventLoop {
   static constexpr uint32_t kNil = UINT32_MAX;
   static_assert(kWheelSize == 64 * 64, "one summary word covers the bitmap");
 
-  // An event reference: a coroutine frame address (even), or
-  // (callback index << 1) | 1.
+  // An event reference: a coroutine frame address (low bits 00), a Waker
+  // address | 2, or (callback index << 1) | 1. Frames and Wakers are at
+  // least 8-aligned.
   using Ref = uint64_t;
+  static constexpr Ref kTagMask = 3;
+  static constexpr Ref kWakerTag = 2;
 
   struct Node {
     Ref ref;

@@ -605,6 +605,125 @@ TEST(HostAdapterGoldenTest, AccessorsKeepTheirEventsAndTiming) {
                         }));
 }
 
+// Two hosts whose accesses interleave, so a stage that woke in the wrong
+// slot of the event loop would reorder events or move a completion time:
+//   - host 1's Load of line 0 is held back by host 0's in-flight StoreNt;
+//   - host 1's ReadFresh and host 0's DmaRead of line 2 both wait for one
+//     commit and wake at the same instant;
+//   - back-to-back StoreNts to line 3 commit in issue order, and a Load
+//     issued between them waits for the second;
+//   - host 1 crashes while its ReadFresh of line 5 waits for a writeback.
+// Event and completion times are pinned to the values the coroutine
+// accessors produced.
+TEST(HostAdapterGoldenTest, InterleavedAccessesKeepTheirEventsAndTiming) {
+  sim::EventLoop loop;
+  CxlPodConfig c;
+  c.num_hosts = 2;
+  c.num_mhds = 1;
+  c.mhd_capacity = 1 * kMiB;
+  c.dram_per_host = 1 * kMiB;
+  CxlPod pod(loop, c);
+  auto seg = pod.pool().Allocate(4096);
+  ASSERT_TRUE(seg.ok());
+  RecordingObserver rec(seg->base);
+  pod.SetCoherenceObserver(&rec);
+  // Completions in order, as "<access> <status>@<time>".
+  struct Log {
+    sim::EventLoop& loop;
+    std::vector<std::string> done;
+    void Note(const std::string& what, const Status& st) {
+      done.push_back(what + " " + std::string(StatusCodeName(st.code())) + "@" +
+                     std::to_string(loop.now()));
+    }
+  };
+  Log log{loop, {}};
+  constexpr uint64_t kL = kCachelineSize;
+
+  // Five actors, all started at t=0; pod and log outlive the loop's drain.
+  auto host0 = [](CxlPod& pod, Log& log, uint64_t b) -> Task<> {
+    HostAdapter& h = pod.host(0);
+    std::array<std::byte, 64> one{};
+    log.Note("h0 storent L0", co_await h.StoreNt(b, Fill(64, 0x11)));
+    log.Note("h0 storent L2", co_await h.StoreNt(b + 2 * kL, Fill(64, 0x22)));
+    log.Note("h0 dmaread L2", co_await h.DmaRead(b + 2 * kL, one));
+    CXLPOOL_CHECK(one[0] == std::byte{0x22});
+    log.Note("h0 storent L3", co_await h.StoreNt(b + 3 * kL, Fill(64, 0x31)));
+    log.Note("h0 storent L3", co_await h.StoreNt(b + 3 * kL, Fill(64, 0x32)));
+  };
+  auto load1 = [](CxlPod& pod, Log& log, uint64_t b) -> Task<> {
+    std::array<std::byte, 64> one{};
+    co_await sim::Delay(pod.loop(), 2);
+    log.Note("h1 load L0", co_await pod.host(1).Load(b, one));
+    CXLPOOL_CHECK(one[0] == std::byte{0x11});
+  };
+  auto fresh1 = [](CxlPod& pod, Log& log, uint64_t b) -> Task<> {
+    std::array<std::byte, 64> one{};
+    co_await sim::Delay(pod.loop(), 4);
+    log.Note("h1 readfresh L2", co_await pod.host(1).ReadFresh(b + 2 * kL, one));
+    CXLPOOL_CHECK(one[0] == std::byte{0x22});
+  };
+  auto load0 = [](CxlPod& pod, Log& log, uint64_t b) -> Task<> {
+    std::array<std::byte, 64> one{};
+    // Between the two StoreNts to line 3: the second is in flight.
+    co_await sim::WaitUntil(pod.loop(), 600);
+    log.Note("h0 load L3", co_await pod.host(0).Load(b + 3 * kL, one));
+    CXLPOOL_CHECK(one[0] == std::byte{0x32});
+  };
+  auto crash1 = [](CxlPod& pod, Log& log, uint64_t b, uint64_t* loads_before) -> Task<> {
+    HostAdapter& h = pod.host(1);
+    std::array<std::byte, 64> one{};
+    co_await sim::WaitUntil(pod.loop(), 2000);
+    log.Note("h1 store L5", co_await h.Store(b + 5 * kL, Fill(64, 0x55)));
+    *loads_before = CounterValue(pod.metrics(), "host.loads", h.metrics().labels());
+    // The host fails while the dirty line's writeback is in flight.
+    pod.loop().Schedule(50, [&pod] { pod.FailHost(HostId(1)); });
+    log.Note("h1 readfresh L5", co_await h.ReadFresh(b + 5 * kL, one));
+  };
+  uint64_t loads_before = 0;
+  sim::Spawn(host0(pod, log, seg->base));
+  sim::Spawn(load1(pod, log, seg->base));
+  sim::Spawn(fresh1(pod, log, seg->base));
+  sim::Spawn(load0(pod, log, seg->base));
+  sim::Spawn(crash1(pod, log, seg->base, &loads_before));
+  loop.Run();
+  pod.SetCoherenceObserver(nullptr);
+
+  EXPECT_EQ(log.done, (std::vector<std::string>{
+                      "h0 storent L0 OK@3",
+                      "h0 storent L2 OK@6",
+                      "h1 load L0 OK@473",
+                      "h1 readfresh L2 OK@494",
+                      "h0 dmaread L2 OK@532",
+                      "h0 storent L3 OK@535",
+                      "h0 storent L3 OK@538",
+                      "h0 load L3 OK@1156",
+                      "h1 store L5 OK@2345",
+                      "h1 readfresh L5 UNAVAILABLE@2606",
+                  }));
+  EXPECT_EQ(rec.events, (std::vector<std::string>{
+                            "0 nt-store L0@0",
+                            "0 nt-store L2@3",
+                            "0 dma-read-miss L2@189",
+                            "1 load-miss L2@189",
+                            "1 load-miss L0@211",
+                            "0 nt-store L3@532",
+                            "0 nt-store L3@535",
+                            "0 load-miss L3@785",
+                            "1 store-miss L5@2000",
+                            "1 flush-writeback L5@2606",
+                        }));
+  // The crashed ReadFresh counted its load stage before failing it, as the
+  // coroutine accessor did.
+  EXPECT_EQ(CounterValue(pod.metrics(), "host.loads", pod.host(1).metrics().labels()),
+            loads_before + 1);
+  // Line 3's commits landed in issue order.
+  std::array<std::byte, 64> line3{};
+  pod.host(0).PeekBackend(seg->base + 3 * kCachelineSize, line3);
+  EXPECT_EQ(line3[0], std::byte{0x32});
+  // Every posted write left the pool's in-flight set when it landed.
+  EXPECT_EQ(pod.pool().inflight_writes(), 0u);
+}
+
 TEST_F(CxlPodTest, StatsAccumulate) {
   auto seg = pod_.pool().Allocate(4096);
   ASSERT_TRUE(seg.ok());

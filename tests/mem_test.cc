@@ -212,21 +212,22 @@ TEST_F(AddressMapTest, BackendOffsetApplied) {
 
 TEST_F(AddressMapTest, PoisonRoutesThroughRegions) {
   // Poison by pod address, translated to the backing store (including
-  // backend_offset), surfaced again by CheckPoison.
+  // backend_offset), surfaced again by the region's CheckPoison.
   ASSERT_TRUE(map_.PoisonLine(0x1000000 + 256).ok());
   EXPECT_TRUE(map_.RangePoisoned(0x1000000 + 256, 1));
   EXPECT_TRUE(pool_.LinePoisoned(256));
   EXPECT_FALSE(dram_.RangePoisoned(0, 64 * kKiB));
 
-  Status st = map_.CheckPoison(0x1000000 + 256, 64);
+  const Region* pool_region = map_.Lookup(0x1000000);
+  ASSERT_NE(pool_region, nullptr);
+  Status st = pool_region->CheckPoison(0x1000000 + 256, 64);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(map_.CheckPoison(0x1000000, 64).ok());
+  EXPECT_TRUE(pool_region->CheckPoison(0x1000000, 64).ok());
   // Unmapped addresses are not poisoned (the access fails elsewhere).
   EXPECT_FALSE(map_.RangePoisoned(0, 8));
-  EXPECT_TRUE(map_.CheckPoison(0, 8).ok());
 
   ASSERT_TRUE(map_.ClearPoison(0x1000000 + 256).ok());
-  EXPECT_TRUE(map_.CheckPoison(0x1000000 + 256, 64).ok());
+  EXPECT_TRUE(pool_region->CheckPoison(0x1000000 + 256, 64).ok());
 }
 
 TEST_F(AddressMapTest, PoisonUnmappedAddressFails) {

@@ -185,6 +185,20 @@ struct ResumeAtAwaiter {
   void await_resume() const {}
 };
 
+// Runs `fn` from a Waker event, then deletes itself.
+class OneShotWaker final : public Waker {
+ public:
+  explicit OneShotWaker(std::function<void()> fn) : fn_(std::move(fn)) {}
+  void Wake() override {
+    std::function<void()> fn = std::move(fn_);
+    delete this;
+    fn();
+  }
+
+ private:
+  std::function<void()> fn_;
+};
+
 // A seeded random workload over `Loop` (EventLoop or ReferenceLoop). Each
 // event's behaviour depends only on its id, so both loops see the same
 // program as long as they run events in the same order.
@@ -193,17 +207,21 @@ class LoopScenario {
  public:
   LoopScenario(Loop& loop, uint64_t seed) : loop_(loop), seed_(seed) {}
 
-  // Schedules the next event as a coroutine resumption or a callback, at a
-  // delay around the near horizon (4096 ns) or far beyond it; `far` picks
-  // only [10 us, 10 ms].
+  // Schedules the next event as a callback, a coroutine resumption or a
+  // Waker, at a delay around the near horizon (4096 ns) or far beyond it;
+  // `far` picks only [10 us, 10 ms].
   void AddRandom(Rng& rng, bool far = false) {
     Nanos delay = far ? FarDelay(rng) : DrawDelay(rng);
-    bool coroutine = rng.Bernoulli(0.5);
+    uint64_t kind = rng.UniformInt(uint64_t{3});
     uint64_t id = next_id_++;
     Nanos when = loop_.now() + delay;
     if constexpr (std::is_same_v<Loop, EventLoop>) {
-      if (coroutine) {
+      if (kind == 1) {
         Spawn(Resumed(loop_, when, [this, id] { Fire(id); }));
+        return;
+      }
+      if (kind == 2) {
+        loop_.WakeAt(when, new OneShotWaker([this, id] { Fire(id); }));
         return;
       }
     }

@@ -11,14 +11,16 @@ events once per run: pass --runs 2 so the ratio divides by both.
 
 The simulator is deterministic, so for one binary the count repeats
 exactly; a changed count is a changed program. Compare Release builds
-made with the same compiler.
+made with the same compiler. --max-per-event X turns the count into a
+gate: more than X malloc calls per event fails.
 
 Usage:
-  tools/count_allocs.py [--runs N] BENCH [ARGS...]
-  tools/count_allocs.py --runs 2 build/bench/kv_soak --short
+  tools/count_allocs.py [--runs N] [--max-per-event X] BENCH [ARGS...]
+  tools/count_allocs.py --runs 2 --max-per-event 0.6 build/bench/kv_soak --short
   tools/count_allocs.py build/bench/mmio_forwarding
 
-Exit 0 = counted; otherwise the bench's own exit code (its output is
+Exit 0 = counted (and within --max-per-event); 1 = above
+--max-per-event; otherwise the bench's own exit code (its output is
 printed) or 2 for a usage or build error. Stdlib only.
 """
 
@@ -39,6 +41,9 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=1,
                         help="simulation runs the bench makes of the "
                              "enveloped seed (kv_soak, chaos_soak: 2)")
+    parser.add_argument("--max-per-event", type=float, default=None,
+                        metavar="X",
+                        help="fail (exit 1) above X malloc calls per event")
     parser.add_argument("bench", help="bench binary that accepts --json PATH")
     parser.add_argument("args", nargs=argparse.REMAINDER,
                         help="arguments passed to the bench")
@@ -72,10 +77,15 @@ def main() -> int:
             per_run = int(json.load(f)["events"])
 
     events = per_run * opts.runs
+    per_event = mallocs / events
     print(f"bench:            {' '.join([opts.bench, *opts.args])}")
     print(f"malloc calls:     {mallocs}")
     print(f"events executed:  {events} ({opts.runs} run(s) x {per_run})")
-    print(f"malloc per event: {mallocs / events:.3f}")
+    print(f"malloc per event: {per_event:.3f}")
+    if opts.max_per_event is not None and per_event > opts.max_per_event:
+        print(f"FAIL: {per_event:.3f} malloc calls per event exceeds "
+              f"--max-per-event {opts.max_per_event}")
+        return 1
     return 0
 
 

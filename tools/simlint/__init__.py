@@ -19,9 +19,9 @@ It replaced the line-regex engine of the earlier ``lint_tasks.py`` with:
   2. a brace/scope tracker (``scopes``) — function and lambda bodies,
      enclosing classes, coroutine detection, suspension points;
   3. a repo-wide symbol index (``symbols``) — which functions return
-     ``sim::Task``/``Status``/``Result``, which take a ``StopToken&``,
-     which are coroutines — built once from the headers under the
-     configured roots and shared by every rule.
+     ``sim::Task``/``HostAdapter::Access``/``Status``/``Result``, which
+     take a ``StopToken&``, which are coroutines — built once from the
+     headers under the configured roots and shared by every rule.
 
 Run it as ``python3 tools/simlint [paths...]`` or via the CMake ``lint``
 target. ``--self-test`` replays the seeded bug corpus under

@@ -12,8 +12,9 @@ from . import (call_chain_at, is_test_path, iter_statements,
 
 # ---------------------------------------------------------------------------
 # discarded-result — a bare statement calling a repo function that
-# returns sim::Task/Status/Result. A dropped Task never runs (lazy
-# coroutines start suspended); a dropped Status swallows an error.
+# returns sim::Task/HostAdapter::Access/Status/Result. A dropped Task or
+# Access never runs (both start only when awaited); a dropped Status
+# swallows an error.
 # [[nodiscard]] catches most of this at compile time; the lint also
 # covers macro-heavy paths and files gated out of the build.
 #
@@ -38,7 +39,7 @@ def check_discarded_result(ctx):
             continue  # trailing operators: the value is consumed
         ctx.report(
             tokens[s].line, "discarded-result",
-            "result of %s() (Task/Status/Result) is discarded; assign, "
+            "result of %s() (Task/Access/Status/Result) is discarded; assign, "
             "await, check, or cast to (void)" % callee)
 
 

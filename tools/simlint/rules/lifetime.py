@@ -9,20 +9,22 @@ lock-across-await            (new; a guard held across a suspension)
 
 import re
 
+from ..scopes import LAZY_AWAITABLE_HEADS
 from . import (collect_local_names, collect_param_names,
                enclosing_brace_scope, is_msg_internal, is_test_path,
                iter_statements, local_decl_name, statement_end_after)
 
 # ---------------------------------------------------------------------------
-# dangling-frame — a NON-coroutine returning a lazy sim::Task built from
-# its own locals. The frame dies before the task runs; every
-# reference/span argument dangles. PR 1 hit this twice (DoorbellSender::
-# Ring, the RPC reply path), both found only under ASan. Forwarding
-# *parameters* is fine (the caller owns those); only body locals count.
+# dangling-frame — a NON-coroutine returning a lazy sim::Task (or a
+# HostAdapter::Access awaitable, equally lazy) built from its own locals.
+# The frame dies before the operation runs; every reference/span argument
+# dangles. This bit twice (DoorbellSender::Ring, the RPC reply path), both
+# found only under ASan. Forwarding *parameters* is fine (the caller owns
+# those); only body locals count.
 
 
 def _returns_task(fn):
-    return any(t.is_id("Task") for t in fn.return_tokens)
+    return any(t.is_id(*LAZY_AWAITABLE_HEADS) for t in fn.return_tokens)
 
 
 def check_dangling_frame(ctx):
@@ -45,9 +47,10 @@ def check_dangling_frame(ctx):
             if used:
                 ctx.report(
                     tokens[s].line, "dangling-frame",
-                    "non-coroutine returns a Task built from local(s) %s; "
-                    "the frame dies before the task runs — make this a "
-                    "coroutine (co_return co_await ...)" % ", ".join(used))
+                    "non-coroutine returns a Task/Access built from "
+                    "local(s) %s; the frame dies before the operation runs "
+                    "— make this a coroutine (co_return co_await ...)"
+                    % ", ".join(used))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ CONTROL_KEYWORDS = {
     "alignas", "noexcept", "requires", "asm",
 }
 
+# Return types whose value is an operation that has not started yet: a
+# lazy ``sim::Task`` coroutine, or a ``HostAdapter::Access`` awaitable
+# (it has no frame, but it too starts only when awaited and reads its
+# span then). Dropping one never runs it; returning one built from a
+# dying frame's locals dangles.
+LAZY_AWAITABLE_HEADS = ("Task", "Access")
+
 # Tokens allowed between a function's `)` and its body `{` (besides the
 # constructor init list, handled separately).
 _POST_PARAM_OK = {
@@ -445,7 +452,7 @@ def _find_lambdas(model):
                 break
             if tk.is_punct(";", ")", ",", "]"):
                 break  # not a lambda after all (e.g. `[x]` init-capture?)
-            if tk.is_id("Task"):
+            if tk.is_id(*LAZY_AWAITABLE_HEADS):
                 returns_task = True
             j += 1
             budget -= 1

@@ -29,8 +29,8 @@ class FixedDoorbellSender {
   }
 
   // A parameter-only forwarder is safe without being a coroutine: the
-  // caller owns `data` and keeps it alive while awaiting the task.
-  sim::Task<Status> Publish(uint64_t addr, std::span<const std::byte> data) {
+  // caller owns `data` and keeps it alive while awaiting the access.
+  cxl::HostAdapter::Access Publish(uint64_t addr, std::span<const std::byte> data) {
     return host_.StoreNt(addr, data);
   }
 

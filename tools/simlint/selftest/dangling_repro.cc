@@ -18,9 +18,9 @@ class BuggyDoorbellSender {
       : host_(host), addr_(line_addr) {}
 
   // The exact PR 1 bug: NOT a coroutine, so `buf` dies when this frame
-  // returns — but the lazy StoreNt task still holds a span over it and
+  // returns — but the lazy StoreNt access still holds a span over it and
   // only reads the bytes when the caller finally awaits.
-  sim::Task<Status> Ring(uint64_t value) {
+  cxl::HostAdapter::Access Ring(uint64_t value) {
     std::array<std::byte, 8> buf;
     msg::wire::PutU64(buf.data(), value);
     return host_.StoreNt(addr_, buf);  // simlint-expect: dangling-frame
@@ -31,9 +31,9 @@ class BuggyDoorbellSender {
   uint64_t addr_;
 };
 
-// The companion bug class: a Task<Status> dropped on the floor. Lazy
-// coroutines start suspended, so this Flush never executes at all — the
-// dirty lines silently stay unpublished.
+// The companion bug class: an access dropped on the floor. Accesses start
+// only when awaited, so this Flush never executes at all — the dirty lines
+// silently stay unpublished.
 inline void ForgetToAwait(cxl::HostAdapter& host, uint64_t addr) {
   host.Flush(addr, 64);  // simlint-expect: discarded-result
 }

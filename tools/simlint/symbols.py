@@ -4,7 +4,8 @@ One scan over every header under the configured roots answers, for all
 rules at once:
 
   * ``must_use``: function names whose every header overload returns
-    ``sim::Task``/``Status``/``Result`` (names that ALSO have a
+    ``sim::Task``/``HostAdapter::Access``/``Status``/``Result`` (names
+    that ALSO have a
     void/other overload anywhere are dropped — at a call site without
     type resolution they are ambiguous, and simlint prefers false
     negatives over noise);
@@ -22,9 +23,9 @@ import os
 
 from . import lexer, scopes
 
-MUST_USE_HEADS = ("Task", "Status", "Result")
+MUST_USE_HEADS = scopes.LAZY_AWAITABLE_HEADS + ("Status", "Result")
 # Names excluded outright even if every overload matches: too generic.
-_MUST_USE_BLOCKLIST = {"Task", "Status", "Result", "status", "ok"}
+_MUST_USE_BLOCKLIST = set(MUST_USE_HEADS) | {"status", "ok"}
 
 
 class SymbolIndex:
@@ -53,8 +54,8 @@ class SymbolIndex:
 
 
 def _returns_must_use(return_tokens):
-    """True when the return-type token list is Task<...>/Status/Result<...>
-    (optionally namespace-qualified)."""
+    """True when the return-type token list is Task<...>/Access/Status/
+    Result<...> (optionally namespace- or class-qualified)."""
     ids = [t.text for t in return_tokens if t.is_id()]
     if not ids:
         return False

@@ -8,7 +8,7 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))))
 
-from simlint import scopes, symbols  # noqa: E402
+from simlint import engine, scopes, symbols  # noqa: E402
 from simlint.lexer import tokenize  # noqa: E402
 
 
@@ -51,6 +51,52 @@ class MustUseHarvest(unittest.TestCase):
             void Drain();
         """)
         self.assertNotIn("Drain", idx.must_use_names())
+
+
+class LazyAwaitables(unittest.TestCase):
+    # HostAdapter's accessors return an Access awaitable, not a Task. It
+    # has no frame but is just as lazy: nothing runs until it is awaited.
+    HEADER = """
+        class HostAdapter {
+         public:
+          class Access;
+          Access Flush(uint64_t addr, uint64_t len);
+          Access StoreNt(uint64_t addr, std::span<const std::byte> in);
+        };
+        inline HostAdapter::Access HostAdapter::Flush(uint64_t a, uint64_t n) {
+          return Access(*this, a, n);
+        }
+    """
+
+    def test_access_returners_are_must_use(self):
+        names = index_of(self.HEADER).must_use_names()
+        self.assertIn("Flush", names)
+        self.assertIn("StoreNt", names)
+        self.assertNotIn("Access", names)
+
+    def test_discarded_and_dangling_access(self):
+        with tempfile.TemporaryDirectory() as d:
+            with open(os.path.join(d, "host.h"), "w") as f:
+                f.write(self.HEADER)
+            src = os.path.join(d, "user.cc")
+            with open(src, "w") as f:
+                f.write("""
+                    void Drop(HostAdapter& host, uint64_t a) {
+                      host.Flush(a, 64);
+                    }
+                    cxl::HostAdapter::Access Ring(HostAdapter& host, uint64_t a) {
+                      std::array<std::byte, 8> buf;
+                      return host.StoreNt(a, buf);
+                    }
+                    cxl::HostAdapter::Access Forward(HostAdapter& host, uint64_t a,
+                                                     std::span<const std::byte> in) {
+                      return host.StoreNt(a, in);
+                    }
+                """)
+            findings, _ = engine.Analyzer(
+                [d], ["discarded-result", "dangling-frame"]).lint_file(src)
+        self.assertEqual([(f.line, f.rule) for f in findings],
+                         [(3, "discarded-result"), (7, "dangling-frame")])
 
 
 class StopTokenAndMembers(unittest.TestCase):
