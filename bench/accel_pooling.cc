@@ -76,7 +76,7 @@ RunResult RunScenario(int accels) {
     dev->AttachTo(&rack.pod().host(home));
     devices::Accelerator* raw = dev.get();
     rack.orchestrator().RegisterDevice(HostId(home), raw, DeviceType::kAccel,
-                                       [raw] { return raw->EngineUtilization(); });
+                                       [raw] { return raw->Utilization(); });
     devs.push_back(std::move(dev));
   }
   rack.Start();
@@ -110,7 +110,7 @@ RunResult RunScenario(int accels) {
   double util = 0;
   for (auto& d : devs) {
     util += static_cast<double>(d->busy_ns()) /
-            (static_cast<double>(kDuration) * d->engines());
+            (static_cast<double>(kDuration) * d->units());
   }
   result.utilization = util / accels;
   result.jobs = jobs_total;

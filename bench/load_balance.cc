@@ -30,6 +30,9 @@ struct Client {
   sim::Histogram latency_before;
   sim::Histogram latency_after;
   uint64_t jobs = 0;
+  // Jobs started after the repair on the handle the client holds now
+  // (zeroed at each migration).
+  uint64_t held_jobs_after_repair = 0;
 };
 
 Task<> JobStream(Rack& rack, Client& c, uint64_t in_buf, uint64_t out_buf,
@@ -41,7 +44,8 @@ Task<> JobStream(Rack& rack, Client& c, uint64_t in_buf, uint64_t out_buf,
   while (!stop.stopped()) {
     co_await sim::Delay(loop, static_cast<Nanos>(rng.Exponential(30000)));  // ~33k jobs/s (overloads one device)
     Nanos start = loop.now();
-    auto st = co_await c.accel->RunJob(in_buf, static_cast<uint32_t>(data.size()),
+    VirtualAccel* handle = c.accel.get();
+    auto st = co_await handle->RunJob(in_buf, static_cast<uint32_t>(data.size()),
                                        out_buf, loop.now() + 50 * kMillisecond);
     if (!st.ok() || *st != 0) {
       continue;  // mid-migration hiccup
@@ -51,6 +55,9 @@ Task<> JobStream(Rack& rack, Client& c, uint64_t in_buf, uint64_t out_buf,
       c.latency_before.Add(loop.now() - start);
     } else {
       c.latency_after.Add(loop.now() - start);
+      if (handle == c.accel.get()) {
+        ++c.held_jobs_after_repair;
+      }
     }
   }
 }
@@ -124,6 +131,7 @@ int main() {
           drained->push_back(std::move(cp->accel));  // let in-flight jobs finish
           cp->accel = std::move(*va);
           cp->qp = *qp;
+          cp->held_jobs_after_repair = 0;
           if (*first_rebalance < 0) {
             *first_rebalance = loop->now();
           }
@@ -141,7 +149,7 @@ int main() {
   }
 
   loop.RunUntil(repair_at);
-  double util_before = rack.accel(0)->EngineUtilization();
+  double util_before = rack.accel(0)->Utilization();
   rack.accel(1)->Repair();
   std::printf("t=%.1f ms: accel 1 repaired; accel 0 utilization %.0f%% "
               "(threshold %.0f%%)\n",
@@ -172,6 +180,11 @@ int main() {
   }
   std::printf("\nexpected shape: leases split across both devices and job p50 "
               "drops once\nqueueing on the hot accelerator is relieved.\n");
+  // Every host is still served after the repair, by the accelerator it
+  // holds at the end: a repaired device must run jobs again.
+  for (auto& c : clients) {
+    CXLPOOL_CHECK(c->held_jobs_after_repair > 0);
+  }
   CXLPOOL_CHECK(rack.pod().TotalLostDirtyLines() == 0);
   return 0;
 }

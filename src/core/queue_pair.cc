@@ -1,15 +1,25 @@
 #include "src/core/queue_pair.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/check.h"
 #include "src/msg/wire.h"
 
 namespace cxlpool::core {
 
+using devices::kQpCmdSize;
+using devices::kQpCplSize;
 using msg::wire::GetU16;
 using msg::wire::GetU64;
 using msg::wire::PutU64;
+
+namespace {
+// Completion poll cadence: every 200 ns while commands complete, backing
+// off to 4 us while idle.
+constexpr Nanos kPollMin = 200;
+constexpr Nanos kPollMax = 4 * kMicrosecond;
+}  // namespace
 
 QueuePairDriver::QueuePairDriver(cxl::HostAdapter& host,
                                  std::unique_ptr<MmioPath> mmio, Config config)
@@ -17,7 +27,7 @@ QueuePairDriver::QueuePairDriver(cxl::HostAdapter& host,
       mmio_(std::move(mmio)),
       config_(config),
       mem_(host, config.rings_in_cxl),
-      backoff_(config.poll_min, config.poll_max) {}
+      backoff_(kPollMin, kPollMax) {}
 
 QueuePairDriver::~QueuePairDriver() {
   if (owns_segment_) {
@@ -31,8 +41,7 @@ sim::Task<Result<std::unique_ptr<QueuePairDriver>>> QueuePairDriver::Create(
   auto driver = std::unique_ptr<QueuePairDriver>(
       new QueuePairDriver(host, std::move(mmio), config));
 
-  uint64_t bytes = static_cast<uint64_t>(config.entries) *
-                   (config.cmd_size + config.cpl_size);
+  uint64_t bytes = static_cast<uint64_t>(config.entries) * (kQpCmdSize + kQpCplSize);
   if (config.rings_in_cxl) {
     auto seg = host.cxl_pool().Allocate(bytes);
     if (!seg.ok()) {
@@ -49,7 +58,7 @@ sim::Task<Result<std::unique_ptr<QueuePairDriver>>> QueuePairDriver::Create(
     driver->sq_base_ = *addr;
   }
   driver->cq_base_ =
-      driver->sq_base_ + static_cast<uint64_t>(config.entries) * config.cmd_size;
+      driver->sq_base_ + static_cast<uint64_t>(config.entries) * kQpCmdSize;
 
   Status st = co_await driver->ProgramDevice();
   if (!st.ok()) {
@@ -59,20 +68,22 @@ sim::Task<Result<std::unique_ptr<QueuePairDriver>>> QueuePairDriver::Create(
 }
 
 sim::Task<Status> QueuePairDriver::ProgramDevice() {
-  std::vector<std::byte> zeros(config_.cpl_size, std::byte{0});
+  const std::array<std::byte, kQpCplSize> zeros{};
   for (uint32_t i = 0; i < config_.entries; ++i) {
-    CO_RETURN_IF_ERROR(co_await mem_.Publish(cq_base_ + i * config_.cpl_size, zeros));
+    CO_RETURN_IF_ERROR(co_await mem_.Publish(cq_base_ + i * kQpCplSize, zeros));
   }
-  CO_RETURN_IF_ERROR(co_await mmio_->Write(config_.reset_reg, 1));
-  CO_RETURN_IF_ERROR(co_await mmio_->Write(config_.sq_base_reg, sq_base_));
-  CO_RETURN_IF_ERROR(co_await mmio_->Write(config_.sq_size_reg, config_.entries));
-  CO_RETURN_IF_ERROR(co_await mmio_->Write(config_.cq_base_reg, cq_base_));
+  uint64_t regs = config_.reg_base;
+  CO_RETURN_IF_ERROR(co_await mmio_->Write(regs + devices::kQpRegReset, 1));
+  CO_RETURN_IF_ERROR(co_await mmio_->Write(regs + devices::kQpRegSqBase, sq_base_));
+  CO_RETURN_IF_ERROR(
+      co_await mmio_->Write(regs + devices::kQpRegSqSize, config_.entries));
+  CO_RETURN_IF_ERROR(co_await mmio_->Write(regs + devices::kQpRegCqBase, cq_base_));
   co_return OkStatus();
 }
 
 sim::Task<Result<bool>> QueuePairDriver::PollCqOnce() {
-  uint64_t addr = cq_base_ + (cq_next_ % config_.entries) * config_.cpl_size;
-  std::vector<std::byte> entry(config_.cpl_size);
+  uint64_t addr = cq_base_ + (cq_next_ % config_.entries) * kQpCplSize;
+  std::array<std::byte, kQpCplSize> entry{};
   Status st = co_await mem_.ReadFresh(addr, entry);
   if (!st.ok()) {
     co_return st;
@@ -90,9 +101,8 @@ sim::Task<Result<bool>> QueuePairDriver::PollCqOnce() {
   co_return true;
 }
 
-sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(std::span<std::byte> cmd,
-                                                           Nanos deadline) {
-  CXLPOOL_CHECK(cmd.size() == config_.cmd_size);
+sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(
+    devices::QueuePairDevice::Command& cmd, Nanos deadline) {
   // Flow control on the submission queue.
   while (in_flight_ >= config_.entries) {
     if (!polling_) {
@@ -113,7 +123,7 @@ sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(std::span<std::byte> 
   }
 
   uint64_t cookie = next_cookie_++;
-  PutU64(cmd.data() + config_.cookie_offset, cookie);
+  PutU64(cmd.data() + devices::kQpCookieOffset, cookie);
   // Root span for this command's life: publish, doorbell (possibly
   // forwarded — the context rides the RPC wire), completion poll.
   obs::Span op = obs::MaybeStartTrace(config_.tracer, "qp.submit_wait",
@@ -122,7 +132,7 @@ sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(std::span<std::byte> 
   // collide; the doorbell only covers the contiguous published prefix.
   uint64_t slot = sq_posted_++;
   ++in_flight_;
-  uint64_t addr = sq_base_ + (slot % config_.entries) * config_.cmd_size;
+  uint64_t addr = sq_base_ + (slot % config_.entries) * kQpCmdSize;
   Status publish_st = co_await mem_.Publish(addr, cmd);
   if (!publish_st.ok()) {
     op.End(host_.loop().now());
@@ -139,15 +149,14 @@ sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(std::span<std::byte> 
       // Ownership transfer: the doorbell hands the published SQ prefix to
       // the device, which will DMA-read it from the pool. Any dirty cached
       // command bytes at this instant would be invisible to the device.
-      host_.NoteHandoff(sq_base_,
-                        static_cast<uint64_t>(config_.entries) * config_.cmd_size,
+      host_.NoteHandoff(sq_base_, static_cast<uint64_t>(config_.entries) * kQpCmdSize,
                         "sq-doorbell");
     }
     // The doorbell inherits the command's absolute deadline: if it expires
     // in a queue along the forwarded path, every hop sheds it instead of
     // ringing a bell whose command the submitter has already given up on.
-    Status bell_st = co_await mmio_->Write(config_.sq_doorbell_reg, value,
-                                           op.context(), deadline);
+    Status bell_st = co_await mmio_->Write(config_.reg_base + devices::kQpRegSqDoorbell,
+                                           value, op.context(), deadline);
     if (!bell_st.ok()) {
       op.End(host_.loop().now());
       co_return bell_st;

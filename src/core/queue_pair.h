@@ -1,12 +1,10 @@
-// QueuePairDriver: generic host-side driver for submission/completion
-// queue devices (the SSD and accelerator models share this shape, as real
-// NVMe-like devices do). Placement and MMIO-path genericity work exactly
-// as in VirtualNic: rings live in local DRAM or CXL pool memory, doorbells
-// go direct or over the forwarding channel.
-//
-// Completion entries are 64 B: seq u64 | cookie u64 | status u16. Commands
-// are 64 B with a u64 cookie at a fixed offset. Completions may arrive out
-// of submission order; SubmitAndWait matches on cookie.
+// QueuePairDriver: the host half of one queue pair on a
+// devices::QueuePairDevice (the SSD and the accelerator), whose register
+// map, 64 B command and completion formats and cookie offset it shares.
+// Placement and MMIO-path genericity work exactly as in VirtualNic: rings
+// live in local DRAM or CXL pool memory, doorbells go direct or over the
+// forwarding channel. Completions may arrive out of submission order;
+// SubmitAndWait matches on cookie.
 #ifndef SRC_CORE_QUEUE_PAIR_H_
 #define SRC_CORE_QUEUE_PAIR_H_
 
@@ -17,6 +15,7 @@
 #include "src/core/mmio_path.h"
 #include "src/core/placed_memory.h"
 #include "src/cxl/pool.h"
+#include "src/devices/queue_pair_device.h"
 #include "src/sim/poll.h"
 
 namespace cxlpool::core {
@@ -26,17 +25,8 @@ class QueuePairDriver {
   struct Config {
     uint32_t entries = 64;
     bool rings_in_cxl = true;
-    Nanos poll_min = 200;
-    Nanos poll_max = 4 * kMicrosecond;
-    // Device register map (device-specific values passed by the wrapper).
-    uint64_t reset_reg = 0;
-    uint64_t sq_base_reg = 0;
-    uint64_t sq_size_reg = 0;
-    uint64_t sq_doorbell_reg = 0;
-    uint64_t cq_base_reg = 0;
-    uint64_t cmd_size = 64;
-    uint64_t cpl_size = 64;
-    uint64_t cookie_offset = 32;
+    // The queue pair's register block: qp * devices::kQpStride.
+    uint64_t reg_base = 0;
     // Optional tracer: every SubmitAndWait becomes a qp.submit_wait root
     // span whose context rides into the doorbell MMIO (and, for forwarded
     // paths, across the wire to the home agent).
@@ -48,7 +38,8 @@ class QueuePairDriver {
 
   // Stamps a fresh cookie into `cmd`, submits it, and waits for its
   // completion status until `deadline`.
-  sim::Task<Result<uint16_t>> SubmitAndWait(std::span<std::byte> cmd, Nanos deadline);
+  sim::Task<Result<uint16_t>> SubmitAndWait(devices::QueuePairDevice::Command& cmd,
+                                            Nanos deadline);
 
   // Retarget to a replacement device (failover / migration).
   sim::Task<Status> Rebind(std::unique_ptr<MmioPath> mmio);

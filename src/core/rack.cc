@@ -50,7 +50,7 @@ Rack::Rack(sim::EventLoop& loop, const RackConfig& config)
       ssd->AttachTo(&pod_->host(h));
       devices::Ssd* raw = ssd.get();
       orchestrator_->RegisterDevice(HostId(h), raw, DeviceType::kSsd,
-                                    [raw] { return raw->ChannelUtilization(); });
+                                    [raw] { return raw->Utilization(); });
       ssds_.push_back(std::move(ssd));
     }
   }
@@ -63,7 +63,7 @@ Rack::Rack(sim::EventLoop& loop, const RackConfig& config)
     devices::Accelerator* raw = accel.get();
     orchestrator_->RegisterDevice(HostId(config_.accel_home), raw,
                                   DeviceType::kAccel,
-                                  [raw] { return raw->EngineUtilization(); });
+                                  [raw] { return raw->Utilization(); });
     accels_.push_back(std::move(accel));
   }
 }

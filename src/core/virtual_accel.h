@@ -1,7 +1,8 @@
 // VirtualAccel: host-side handle to a (possibly remote) pooled
-// accelerator — the §5 "soft accelerator disaggregation" datapath. A rack
-// deploys one specialized accelerator; every host in the CXL pod submits
-// jobs to it through pool memory and the forwarding channel.
+// accelerator — the §5 "soft accelerator disaggregation" datapath: a
+// QueuePairDriver on one of the device's queue pairs, 32 entries deep. A
+// rack deploys one specialized accelerator; every host in the CXL pod
+// submits jobs to it through pool memory and the forwarding channel.
 #ifndef SRC_CORE_VIRTUAL_ACCEL_H_
 #define SRC_CORE_VIRTUAL_ACCEL_H_
 
@@ -15,29 +16,21 @@ namespace cxlpool::core {
 class VirtualAccel {
  public:
   struct Config {
-    uint32_t queue_entries = 32;
     bool rings_in_cxl = true;
     obs::Tracer* tracer = nullptr;
   };
 
   // `queue_pair` selects the device queue pair this handle drives (obtain
-  // one via Accelerator::AllocateQueuePair; each concurrent user needs its
-  // own).
+  // one via QueuePairDevice::AllocateQueuePair; each concurrent user needs
+  // its own).
   static sim::Task<Result<std::unique_ptr<VirtualAccel>>> Create(
       cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config,
       int queue_pair = 0) {
-    uint64_t base = static_cast<uint64_t>(queue_pair) * devices::kAccelQpStride;
-    QueuePairDriver::Config qp;
-    qp.entries = config.queue_entries;
-    qp.rings_in_cxl = config.rings_in_cxl;
-    qp.tracer = config.tracer;
-    qp.reset_reg = base + devices::kAccelRegReset;
-    qp.sq_base_reg = base + devices::kAccelRegSqBase;
-    qp.sq_size_reg = base + devices::kAccelRegSqSize;
-    qp.sq_doorbell_reg = base + devices::kAccelRegSqDoorbell;
-    qp.cq_base_reg = base + devices::kAccelRegCqBase;
-    qp.cmd_size = devices::kAccelJobSize;
-    qp.cpl_size = devices::kAccelCplSize;
+    QueuePairDriver::Config qp{
+        .entries = 32,
+        .rings_in_cxl = config.rings_in_cxl,
+        .reg_base = static_cast<uint64_t>(queue_pair) * devices::kQpStride,
+        .tracer = config.tracer};
     auto driver = co_await QueuePairDriver::Create(host, std::move(mmio), qp);
     if (!driver.ok()) {
       co_return driver.status();

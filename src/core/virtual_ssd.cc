@@ -7,7 +7,7 @@ namespace cxlpool::core {
 sim::Task<Result<uint16_t>> VirtualSsd::Submit(uint8_t opcode, uint64_t lba,
                                                uint32_t nsectors, uint64_t buf_addr,
                                                Nanos deadline) {
-  std::array<std::byte, devices::kSsdCmdSize> cmd{};
+  devices::QueuePairDevice::Command cmd{};
   cmd[0] = std::byte{opcode};
   msg::wire::PutU64(cmd.data() + 8, lba);
   msg::wire::PutU32(cmd.data() + 16, nsectors);

@@ -1,6 +1,7 @@
-// VirtualSsd: host-side handle to a (possibly remote) pooled SSD, built on
-// the generic QueuePairDriver. Storage is the second workload class the
-// paper pools (local-SSD stranding is the largest at 54%, §2.1).
+// VirtualSsd: host-side handle to a (possibly remote) pooled SSD: a
+// QueuePairDriver on the SSD's one queue pair, 64 entries deep. Storage is
+// the second workload class the paper pools (local-SSD stranding is the
+// largest at 54%, §2.1).
 #ifndef SRC_CORE_VIRTUAL_SSD_H_
 #define SRC_CORE_VIRTUAL_SSD_H_
 
@@ -14,24 +15,15 @@ namespace cxlpool::core {
 class VirtualSsd {
  public:
   struct Config {
-    uint32_t queue_entries = 64;
     bool rings_in_cxl = true;
     obs::Tracer* tracer = nullptr;
   };
 
   static sim::Task<Result<std::unique_ptr<VirtualSsd>>> Create(
       cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config) {
-    QueuePairDriver::Config qp;
-    qp.entries = config.queue_entries;
-    qp.rings_in_cxl = config.rings_in_cxl;
-    qp.tracer = config.tracer;
-    qp.reset_reg = devices::kSsdRegReset;
-    qp.sq_base_reg = devices::kSsdRegSqBase;
-    qp.sq_size_reg = devices::kSsdRegSqSize;
-    qp.sq_doorbell_reg = devices::kSsdRegSqDoorbell;
-    qp.cq_base_reg = devices::kSsdRegCqBase;
-    qp.cmd_size = devices::kSsdCmdSize;
-    qp.cpl_size = devices::kSsdCplSize;
+    QueuePairDriver::Config qp{.entries = 64,
+                               .rings_in_cxl = config.rings_in_cxl,
+                               .tracer = config.tracer};
     auto driver = co_await QueuePairDriver::Create(host, std::move(mmio), qp);
     if (!driver.ok()) {
       co_return driver.status();

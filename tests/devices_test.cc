@@ -332,5 +332,136 @@ TEST(AccelDeviceTest, TwoHostsConcurrentQueuePairs) {
   loop.RunFor(200 * kMicrosecond);
 }
 
+TEST(AccelDeviceTest, ReleasedQueuePairFetchesNothing) {
+  sim::EventLoop loop;
+  RackConfig rc = TinyRack();
+  rc.accels = 1;
+  Rack rack(loop, rc);
+  rack.Start();
+  Accelerator* accel = rack.accel(0);
+  auto qp = accel->AllocateQueuePair();
+  ASSERT_TRUE(qp.ok());
+
+  // A driver programs the queue pair; then the lease ends.
+  auto program = [](Rack& rack, int qp) -> Task<Status> {
+    auto path = rack.orchestrator().MakeMmioPath(HostId(0), rack.accel(0)->id());
+    CXLPOOL_CHECK_OK(path.status());
+    auto handle = co_await core::VirtualAccel::Create(rack.pod().host(0),
+                                                      std::move(*path), {}, qp);
+    co_return handle.status();
+  };
+  ASSERT_TRUE(RunBlocking(loop, program(rack, *qp)).ok());
+  loop.RunFor(10 * kMicrosecond);  // the posted register writes land
+  accel->ReleaseQueuePair(*qp);
+
+  obs::Labels labels = DeviceLabels(accel->id().value());
+  uint64_t reads = CounterValue(rack.pod().metrics(), "pcie.dma_reads", labels);
+  uint64_t doorbell = static_cast<uint64_t>(*qp) * kQpStride + kQpRegSqDoorbell;
+  ASSERT_TRUE(RunBlocking(loop, accel->MmioWrite(doorbell, 1)).ok());
+  loop.RunFor(100 * kMicrosecond);
+  EXPECT_EQ(CounterValue(rack.pod().metrics(), "pcie.dma_reads", labels), reads);
+  rack.Shutdown();
+  loop.RunFor(200 * kMicrosecond);
+}
+
+// --- FLR: both queue-pair devices run commands again after recovery ---
+
+enum class Recovery { kRepair, kReset };
+
+// One command through a host handle; true when it completes OK inside 1 ms.
+Task<bool> CompletesOk(core::VirtualSsd& ssd, uint64_t buf, sim::EventLoop& loop) {
+  auto st = co_await ssd.ReadBlocks(0, 8, buf, loop.now() + kMillisecond);
+  co_return st.ok() && *st == kSsdStatusOk;
+}
+Task<bool> CompletesOk(core::VirtualAccel& accel, uint64_t buf, sim::EventLoop& loop) {
+  auto st =
+      co_await accel.RunJob(buf, 4096, buf + 16 * kKiB, loop.now() + kMillisecond);
+  co_return st.ok() && *st == 0;
+}
+
+// Runs a command, takes `dev` down and recovers it (fail-stop + Repair, or
+// wedge + the watchdog's FLR Reset), rebinds the handle as a driver must
+// after an FLR, and runs another command.
+template <typename Handle>
+Task<bool> CompletesAfterRecovery(Rack& rack, QueuePairDevice& dev, Handle& handle,
+                                  uint64_t buf, Recovery recovery) {
+  sim::EventLoop& loop = rack.loop();
+  if (!co_await CompletesOk(handle, buf, loop)) {
+    co_return false;
+  }
+  if (recovery == Recovery::kRepair) {
+    dev.InjectFailure();
+    co_await sim::Delay(loop, 10 * kMicrosecond);
+    dev.Repair();
+  } else {
+    dev.Wedge();
+    co_await sim::Delay(loop, 10 * kMicrosecond);
+    dev.Reset();
+  }
+  auto path = rack.orchestrator().MakeMmioPath(HostId(0), dev.id());
+  CXLPOOL_CHECK_OK(path.status());
+  CXLPOOL_CHECK_OK(co_await handle.Rebind(std::move(*path)));
+  co_return co_await CompletesOk(handle, buf, loop);
+}
+
+Task<bool> SsdCompletesAfterRecovery(Rack& rack, Recovery recovery) {
+  auto path = rack.orchestrator().MakeMmioPath(HostId(0), rack.ssd(0)->id());
+  CXLPOOL_CHECK_OK(path.status());
+  auto ssd =
+      co_await core::VirtualSsd::Create(rack.pod().host(0), std::move(*path), {});
+  CXLPOOL_CHECK_OK(ssd.status());
+  auto seg = rack.pod().pool().Allocate(32 * kKiB);
+  CXLPOOL_CHECK_OK(seg.status());
+  co_return co_await CompletesAfterRecovery(rack, *rack.ssd(0), **ssd, seg->base,
+                                            recovery);
+}
+
+Task<bool> AccelCompletesAfterRecovery(Rack& rack, Recovery recovery) {
+  auto qp = rack.accel(0)->AllocateQueuePair();
+  CXLPOOL_CHECK_OK(qp.status());
+  auto path = rack.orchestrator().MakeMmioPath(HostId(0), rack.accel(0)->id());
+  CXLPOOL_CHECK_OK(path.status());
+  auto accel = co_await core::VirtualAccel::Create(rack.pod().host(0),
+                                                   std::move(*path), {}, *qp);
+  CXLPOOL_CHECK_OK(accel.status());
+  auto seg = rack.pod().pool().Allocate(32 * kKiB);
+  CXLPOOL_CHECK_OK(seg.status());
+  co_return co_await CompletesAfterRecovery(rack, *rack.accel(0), **accel, seg->base,
+                                            recovery);
+}
+
+class QueuePairRecoveryTest : public ::testing::TestWithParam<Recovery> {
+ protected:
+  QueuePairRecoveryTest() {
+    RackConfig rc = TinyRack();
+    rc.ssds_per_host = 1;
+    rc.accels = 1;
+    rack_ = std::make_unique<Rack>(loop_, rc);
+    rack_->Start();
+  }
+  ~QueuePairRecoveryTest() override {
+    rack_->Shutdown();
+    loop_.RunFor(200 * kMicrosecond);
+  }
+
+  sim::EventLoop loop_;
+  std::unique_ptr<Rack> rack_;
+};
+
+TEST_P(QueuePairRecoveryTest, SsdRunsCommandsAgain) {
+  EXPECT_TRUE(RunBlocking(loop_, SsdCompletesAfterRecovery(*rack_, GetParam())));
+}
+
+TEST_P(QueuePairRecoveryTest, AccelRunsJobsAgain) {
+  EXPECT_TRUE(RunBlocking(loop_, AccelCompletesAfterRecovery(*rack_, GetParam())));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recoveries, QueuePairRecoveryTest,
+    ::testing::Values(Recovery::kRepair, Recovery::kReset),
+    [](const ::testing::TestParamInfo<Recovery>& info) {
+      return info.param == Recovery::kRepair ? "Repair" : "Reset";
+    });
+
 }  // namespace
 }  // namespace cxlpool::devices
