@@ -189,7 +189,6 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
   // plane's own CXL traffic (rings, doorbells, leases).
   analysis::CoherenceChecker checker;
   checker.AttachTo(rack.pod());
-  checker.BindObservability(obs);
 
   // One doorbell accel per host, so failover always has somewhere to go.
   // In storm mode host 3's accel is homed on host 0 instead: h3 then drives
@@ -248,10 +247,9 @@ RunResult RunSoak(uint64_t seed, Nanos soak, bool print,
     // Mirror every executed fail/repair/recover line into the flight
     // recorder (ring 0 — chaos is rack-level, not per-host), so a failure
     // dump interleaves faults with the control plane's own events.
-    obs::Observability* o = obs;
-    sim::EventLoop* lp = &loop;
-    chaos.SetEventHook([o, lp](const std::string& line) {
-      o->flight().Note(lp->now(), 0, "chaos", "%s", line.c_str());
+    cxl::HostAdapter* ring0 = &rack.pod().host(0);
+    chaos.SetEventHook([ring0](const std::string& line) {
+      ring0->FlightNote("chaos", "%s", line.c_str());
     });
   }
 

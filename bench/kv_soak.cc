@@ -346,7 +346,7 @@ Task<> Soak::RestartServer(Server* s, const char* tag) {
   while (s->node->inflight() > 0) {
     co_await sim::Delay(loop_, 50 * kMicrosecond);
   }
-  co_await sim::Delay(loop_, 3 * NodeCfg().recv_poll);
+  co_await sim::Delay(loop_, 3 * kv::kNodeRecvPoll);
   // Park the old generation: drained-but-suspended coroutines may still
   // hold pointers into it until teardown.
   s->retired_nodes.push_back(std::move(s->node));

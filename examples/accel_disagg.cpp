@@ -35,16 +35,14 @@ int main() {
   rack.Start();
 
   // Every host — including ones with no accelerator — runs a job.
-  auto run_job = [obs = &obs](Rack& rack, HostId host) -> Task<Nanos> {
+  auto run_job = [](Rack& rack, HostId host) -> Task<Nanos> {
     sim::EventLoop& loop = rack.loop();
     auto lease = rack.AcquireDevice(host, DeviceType::kAccel);
     CXLPOOL_CHECK_OK(lease.status());
     auto qp = rack.accel(0)->AllocateQueuePair();
     CXLPOOL_CHECK_OK(qp.status());
-    VirtualAccel::Config vc;
-    vc.tracer = obs->tracer();
     auto accel = co_await VirtualAccel::Create(rack.pod().host(host),
-                                               std::move(lease->mmio), vc, *qp);
+                                               std::move(lease->mmio), {}, *qp);
     CXLPOOL_CHECK_OK(accel.status());
 
     // Job data lives in pool memory so the remote device can DMA it.

@@ -55,8 +55,6 @@ void CoherenceChecker::Detach() {
   }
 }
 
-void CoherenceChecker::BindObservability(obs::Observability* obs) { obs_ = obs; }
-
 void CoherenceChecker::ExportCounts(obs::Registry& registry) const {
   for (int t = 0; t < kNumViolationTypes; ++t) {
     auto type = static_cast<ViolationType>(t);
@@ -83,17 +81,18 @@ void CoherenceChecker::ReportViolation(ViolationType type,
                                        Nanos time, std::string context) {
   ++total_violations_;
   ++counts_[static_cast<size_t>(type)];
-  if (obs_ != nullptr) {
+  obs::Observability* obs = pod_ != nullptr ? pod_->obs() : nullptr;
+  if (obs != nullptr) {
     // Land the offending operation in the offender's flight ring *before*
     // dumping, so the dump always contains it.
-    obs_->flight().Note(
+    obs->flight().Note(
         time, offender.value(), "coherence",
         "%s line=0x%llx v%llu (latest v%llu) other=h%u %s",
         std::string(ViolationTypeName(type)).c_str(),
         (unsigned long long)line_addr, (unsigned long long)observed_version,
         (unsigned long long)line.version, other.value(), context.c_str());
-    obs_->DumpFlight("coherence violation: " +
-                     std::string(ViolationTypeName(type)));
+    obs->DumpFlight("coherence violation: " +
+                    std::string(ViolationTypeName(type)));
   }
   if (violations_.size() >= options_.max_recorded_violations) {
     return;

@@ -101,14 +101,13 @@ class CoherenceChecker : public cxl::CoherenceObserver {
 
   // Attaches to every host of `pod`. The checker must outlive the pod's
   // traffic (it detaches itself on destruction). Back-Invalidate pods are
-  // handled: BI snoops count as ordering edges.
+  // handled: BI snoops count as ordering edges. When the pod has an
+  // observability bundle (CxlPodConfig::obs), each detected violation is
+  // noted in the offender host's flight ring and triggers one
+  // flight-recorder dump (so the per-host history is preserved at
+  // first-detection time).
   void AttachTo(cxl::CxlPod& pod);
   void Detach();
-
-  // Optional observability bundle: each detected violation is noted in the
-  // offender host's flight ring and triggers one flight-recorder dump (so
-  // the per-host history is preserved at first-detection time).
-  void BindObservability(obs::Observability* obs);
 
   // The checker is an oracle, not a metric: it keeps its own counts. A
   // bench that snapshots a registry copies the final values in once, at the
@@ -163,7 +162,6 @@ class CoherenceChecker : public cxl::CoherenceObserver {
 
   Options options_;
   cxl::CxlPod* pod_ = nullptr;
-  obs::Observability* obs_ = nullptr;
   std::unordered_map<uint64_t, LineState> lines_;
   std::vector<Violation> violations_;
   std::array<uint64_t, kNumViolationTypes> counts_ = {};

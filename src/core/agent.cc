@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdarg>
 
 #include "src/common/check.h"
 #include "src/devices/nic.h"
@@ -108,17 +107,6 @@ Result<Decoded> Decode(std::span<const std::byte> payload) {
 
 }  // namespace epoch_wire
 
-void Agent::FlightNote(const char* category, const char* fmt, ...) {
-  if (obs_ == nullptr) {
-    return;
-  }
-  va_list args;
-  va_start(args, fmt);
-  obs_->flight().NoteV(host_.loop().now(), host_.id().value(), category, fmt,
-                       args);
-  va_end(args);
-}
-
 void Agent::RegisterDevice(pcie::PcieDevice* device, DeviceType type,
                            UtilProbe util_probe, HealthProbe health_probe) {
   CXLPOOL_CHECK(device != nullptr);
@@ -183,7 +171,7 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
   // the op touches device state, so this is the last cheap exit.
   if (sctx.deadline > 0 && host_.loop().now() >= sctx.deadline) {
     expired_at_device_->Inc();
-    FlightNote("mmio", "pre-BAR deadline expiry method=%u", method);
+    host_.FlightNote("mmio", "pre-BAR deadline expiry method=%u", method);
     co_return DeadlineExceeded("op deadline expired before device BAR");
   }
   auto decoded = mmio_wire::Decode(payload, is_write);
@@ -201,16 +189,16 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
   // "wait out the TTL" a sound fencing proof on the orchestrator side.
   if (self_fenced()) {
     self_fence_rejects_->Inc();
-    FlightNote("mmio", "self-fence reject dev=%u (lease TTL expired)",
-               decoded->device.value());
+    host_.FlightNote("mmio", "self-fence reject dev=%u (lease TTL expired)",
+                     decoded->device.value());
     co_return Aborted("agent lease TTL expired; self-fenced");
   }
   if (decoded->epoch != it->second.epoch) {
     stale_epoch_rejects_->Inc();
-    FlightNote("mmio", "stale-epoch reject dev=%u epoch=%llu (local %llu)",
-               decoded->device.value(),
-               static_cast<unsigned long long>(decoded->epoch),
-               static_cast<unsigned long long>(it->second.epoch));
+    host_.FlightNote("mmio", "stale-epoch reject dev=%u epoch=%llu (local %llu)",
+                     decoded->device.value(),
+                     static_cast<unsigned long long>(decoded->epoch),
+                     static_cast<unsigned long long>(it->second.epoch));
     co_return Aborted("stale lease epoch");
   }
   pcie::PcieDevice* device = it->second.device;
@@ -225,14 +213,14 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
         it->second.applied_write_seq.try_emplace(decoded->client_id, 0);
     if (!inserted && decoded->seq <= seq_it->second) {
       dedup_hits_->Inc();
-      FlightNote("mmio", "dedup ack dev=%u client=%llu seq=%llu",
-                 decoded->device.value(),
-                 static_cast<unsigned long long>(decoded->client_id),
-                 static_cast<unsigned long long>(decoded->seq));
+      host_.FlightNote("mmio", "dedup ack dev=%u client=%llu seq=%llu",
+                       decoded->device.value(),
+                       static_cast<unsigned long long>(decoded->client_id),
+                       static_cast<unsigned long long>(decoded->seq));
       co_return std::vector<std::byte>{};
     }
     forwarded_writes_->Inc();
-    obs::Span bar = obs::MaybeStartSpan(tracer(), "mmio.device_bar",
+    obs::Span bar = obs::MaybeStartSpan(host_.tracer(), "mmio.device_bar",
                                         host_.id().value(), ctx,
                                         host_.loop().now());
     // The inflight window opens here with NO suspension point since the
@@ -257,7 +245,7 @@ sim::Task<Result<std::vector<std::byte>>> Agent::HandleForwarding(
     co_return std::vector<std::byte>{};
   }
   forwarded_reads_->Inc();
-  obs::Span bar = obs::MaybeStartSpan(tracer(), "mmio.device_bar",
+  obs::Span bar = obs::MaybeStartSpan(host_.tracer(), "mmio.device_bar",
                                       host_.id().value(), ctx,
                                       host_.loop().now());
   ++inflight_forwarded_;
@@ -316,7 +304,6 @@ void Agent::Serve(msg::Endpoint& endpoint, msg::RpcServer::ContextHandler handle
                   msg::AdmissionController* admission, sim::StopToken& stop) {
   auto server =
       std::make_unique<msg::RpcServer>(endpoint, std::move(handler), "agent.rpc_");
-  server->BindObservability(obs_);
   server->BindAdmission(admission);
   sim::Spawn(server->ServeSupervised(stop));
   servers_.push_back(std::move(server));
@@ -411,8 +398,8 @@ sim::Task<std::vector<DeviceStatus>> Agent::ProbeDevices() {
         watchdog_misses_->Inc();
         ++entry.mmio_misses;
         s.healthy = false;
-        FlightNote("watchdog", "probe miss dev=%u consecutive=%d", id.value(),
-                   entry.mmio_misses);
+        host_.FlightNote("watchdog", "probe miss dev=%u consecutive=%d", id.value(),
+                         entry.mmio_misses);
         if (entry.mmio_misses >= config_.wedge_miss_threshold) {
           // FLR: drains engines via the generation bump, re-initializes
           // BAR state, clears the wedge. The episode is reported to the
@@ -421,8 +408,8 @@ sim::Task<std::vector<DeviceStatus>> Agent::ProbeDevices() {
           flr_resets_->Inc();
           ++entry.fault_episodes;
           entry.mmio_misses = 0;
-          FlightNote("watchdog", "FLR reset dev=%u episode=%u", id.value(),
-                     entry.fault_episodes);
+          host_.FlightNote("watchdog", "FLR reset dev=%u episode=%u", id.value(),
+                           entry.fault_episodes);
         }
       } else {
         entry.mmio_misses = 0;

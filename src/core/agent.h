@@ -16,7 +16,7 @@
 
 #include "src/core/mmio_path.h"
 #include "src/msg/rpc.h"
-#include "src/obs/obs.h"
+#include "src/obs/registry.h"
 #include "src/pcie/device.h"
 #include "src/sim/poll.h"
 
@@ -101,10 +101,6 @@ class Agent {
     // leases) is never shed, which is what keeps the watchdog honest
     // under pure overload.
     msg::AdmissionController::Options admission;
-    // Shared observability bundle (null = disabled): device_bar spans on
-    // forwarded ops and flight-recorder notes on anomalies (stale epoch,
-    // dedup, FLR, serve-loop aborts).
-    obs::Observability* obs = nullptr;
     // Split-brain-safe lease clock (ISSUE 9). When > 0 and reporting has
     // started, the agent treats its lease authority as a TTL renewed ONLY
     // by a successful report round-trip (request delivered AND response
@@ -127,12 +123,11 @@ class Agent {
   // Counts under the host's scope ({"host": id}): the agent.* series
   // declared with its members, agent.rpc_* for every serve loop it spawns
   // (agent.rpc_shed, agent.rpc_expired, ...; see RpcServer), and the
-  // admission controller's series.
+  // admission controller's series. Traces mmio.device_bar spans on
+  // forwarded ops and notes anomalies (stale epoch, dedup, FLR) through
+  // the host as well.
   Agent(cxl::HostAdapter& host, Config config)
-      : host_(host),
-        config_(config),
-        obs_(config.obs),
-        admission_(host.metrics(), config.admission) {}
+      : host_(host), config_(config), admission_(host.metrics(), config.admission) {}
   Agent(const Agent&) = delete;
   Agent& operator=(const Agent&) = delete;
 
@@ -226,13 +221,9 @@ class Agent {
   // `admission` when non-null.
   void Serve(msg::Endpoint& endpoint, msg::RpcServer::ContextHandler handler,
              msg::AdmissionController* admission, sim::StopToken& stop);
-  obs::Tracer* tracer() { return obs_ != nullptr ? obs_->tracer() : nullptr; }
-  void FlightNote(const char* category, const char* fmt, ...)
-      __attribute__((format(printf, 3, 4)));
 
   cxl::HostAdapter& host_;
   Config config_;
-  obs::Observability* obs_;
   msg::AdmissionController admission_;
   Nanos slow_drain_ = 0;
   std::map<PcieDeviceId, LocalDevice> devices_;

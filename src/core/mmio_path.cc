@@ -55,13 +55,15 @@ Result<Decoded> Decode(std::span<const std::byte> payload, bool is_write) {
 
 obs::Span ForwardedMmioPath::StartOpSpan(const char* name,
                                          obs::TraceContext parent) {
-  if (tracer_ == nullptr) {
+  cxl::HostAdapter& host = client_->endpoint().host();
+  obs::Tracer* tracer = host.tracer();
+  if (tracer == nullptr) {
     return obs::Span();
   }
   if (parent.traced()) {
-    return tracer_->StartSpan(name, trace_host_, parent, loop_.now());
+    return tracer->StartSpan(name, host.id().value(), parent, loop_.now());
   }
-  return tracer_->StartTrace(name, trace_host_, loop_.now());
+  return tracer->StartTrace(name, host.id().value(), loop_.now());
 }
 
 sim::Task<Status> ForwardedMmioPath::Write(uint64_t reg, uint64_t value,

@@ -99,7 +99,8 @@ class ForwardedMmioPath : public MmioPath {
   // fail fast with kOverloaded while it is open, and every final outcome
   // feeds it.
   // The retry policy counts retry.* under the client host's scope plus
-  // {"device": device}.
+  // {"device": device}. Ops trace mmio.write / mmio.read spans with the
+  // client host's tracer, labeled with that host.
   ForwardedMmioPath(std::shared_ptr<msg::RpcClient> client, PcieDeviceId device,
                     uint64_t epoch, Nanos timeout, sim::EventLoop& loop,
                     uint64_t client_id, msg::RetryPolicy::Options retry,
@@ -114,13 +115,6 @@ class ForwardedMmioPath : public MmioPath {
                    {{"device", std::to_string(device.value())}}),
                retry),
         breaker_(breaker) {}
-
-  // Enables root mmio.write/mmio.read spans on this path. `host` labels
-  // the spans with the client host issuing the ops.
-  void BindTracer(obs::Tracer* tracer, uint32_t host) {
-    tracer_ = tracer;
-    trace_host_ = host;
-  }
 
   sim::Task<Status> Write(uint64_t reg, uint64_t value,
                           obs::TraceContext parent = {},
@@ -149,8 +143,6 @@ class ForwardedMmioPath : public MmioPath {
   uint64_t next_seq_ = 0;  // assigned once per op; identical across retries
   msg::RetryPolicy retry_;
   msg::CircuitBreaker& breaker_;
-  obs::Tracer* tracer_ = nullptr;
-  uint32_t trace_host_ = 0;
 };
 
 // Encodes/serves the forwarded-MMIO wire format; used by ForwardedMmioPath

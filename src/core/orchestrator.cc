@@ -1,7 +1,6 @@
 #include "src/core/orchestrator.h"
 
 #include <algorithm>
-#include <cstdarg>
 
 #include "src/common/check.h"
 #include "src/sim/logger.h"
@@ -16,26 +15,12 @@ Orchestrator::Orchestrator(cxl::CxlPod& pod, HostId home, Config config)
   CXLPOOL_CHECK(config_.quarantine_flap_threshold > 0);
 }
 
-void Orchestrator::FlightNote(const char* category, const char* fmt, ...) {
-  if (config_.obs == nullptr) {
-    return;
-  }
-  va_list args;
-  va_start(args, fmt);
-  config_.obs->flight().NoteV(pod_.loop().now(), home_.value(), category, fmt,
-                              args);
-  va_end(args);
-}
-
 Result<Agent*> Orchestrator::AddAgent(cxl::HostAdapter& host) {
   if (agents_.contains(host.id())) {
     return AlreadyExists("agent already exists for host");
   }
   AgentEntry entry;
   Agent::Config agent_config = config_.agent;
-  if (agent_config.obs == nullptr) {
-    agent_config.obs = config_.obs;
-  }
   // Split-brain safety: every orchestrated agent runs a lease TTL, so an
   // unacked fence may resolve once TTL + fence_margin elapses (by then the
   // agent has provably self-fenced). The stamped value must match the
@@ -81,7 +66,8 @@ void Orchestrator::RegisterDevice(HostId home, pcie::PcieDevice* device,
       config_.breaker);
   rec.breaker->OnOpen([this, id] {
     breaker_opens_->Inc();
-    FlightNote("breaker", "dev=%u circuit breaker opened", id.value());
+    pod_.host(home_).FlightNote("breaker", "dev=%u circuit breaker opened",
+                                id.value());
     NoteFlaps(id, 1);
   });
   devices_.emplace(device->id(), std::move(rec));
@@ -116,7 +102,6 @@ void Orchestrator::Start(sim::StopToken& stop) {
         [this](uint16_t m, std::span<const std::byte> p) {
           return HandleReport(m, p);
         });
-    entry.report_server->BindObservability(config_.obs);
     sim::Spawn(entry.report_server->ServeSupervised(stop));
     // Agent-side services.
     entry.agent->ServeControl(entry.control_channel->end_b(), stop);
@@ -155,8 +140,8 @@ sim::Task<Result<std::vector<std::byte>>> Orchestrator::HandleReport(
         // fence on new grants.
         entry.liveness = AgentEntry::Liveness::kAlive;
         suspect_recoveries_->Inc();
-        FlightNote("liveness", "host=%u suspect recovered",
-                   decoded->reporter.value());
+        pod_.host(home_).FlightNote("liveness", "host=%u suspect recovered",
+                                    decoded->reporter.value());
         CXLPOOL_LOG(Info) << "host " << decoded->reporter
                           << " recovered from suspect";
         break;
@@ -237,9 +222,9 @@ void Orchestrator::AccumulateFlaps(PcieDeviceId id, DeviceRecord& rec,
       pod_.loop().now() + config_.quarantine_probation * (Nanos{1} << shift);
   ++rec.quarantine_level;
   quarantines_->Inc();
-  FlightNote("quarantine", "dev=%u quarantined level=%u until=%lld",
-             id.value(), rec.quarantine_level,
-             static_cast<long long>(rec.probation_until));
+  pod_.host(home_).FlightNote("quarantine", "dev=%u quarantined level=%u until=%lld",
+                              id.value(), rec.quarantine_level,
+                              static_cast<long long>(rec.probation_until));
   CXLPOOL_LOG(Warning) << "device " << id << " quarantined (level "
                        << rec.quarantine_level << ", probation until "
                        << rec.probation_until << "ns)";
@@ -408,14 +393,12 @@ Result<std::unique_ptr<MmioPath>> Orchestrator::MakeMmioPath(
   auto client = std::make_shared<msg::RpcClient>(
       channel->end_a(), client_options,
       obs::Labels{{"device", std::to_string(device.value())}});
-  client->BindTracer(tracer());
   // Each path gets a unique client_id: the home agent's dedup window is
   // keyed on it, so a timed-out-then-retried posted write is acknowledged
   // exactly once even across path rebuilds.
   auto path = std::make_unique<ForwardedMmioPath>(
       client, device, rec.epoch, config_.rpc_timeout, pod_.loop(),
       ++next_path_client_id_, config_.mmio_retry, *rec.breaker);
-  path->BindTracer(tracer(), user.value());
   forwarding_channels_.push_back(std::move(channel));
   forwarding_clients_.push_back(std::move(client));
   return std::unique_ptr<MmioPath>(std::move(path));
@@ -556,8 +539,8 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
       if (entry.liveness == AgentEntry::Liveness::kAlive) {
         entry.liveness = AgentEntry::Liveness::kSuspect;
         suspects_->Inc();
-        FlightNote("liveness", "host=%u suspect (stale for %lld ns)",
-                   host_id.value(), static_cast<long long>(staleness));
+        pod_.host(home_).FlightNote("liveness", "host=%u suspect (stale for %lld ns)",
+                                    host_id.value(), static_cast<long long>(staleness));
         CXLPOOL_LOG(Warning) << "host " << host_id << " suspect (" << staleness
                              << "ns since last report)";
       }
@@ -587,9 +570,9 @@ sim::Task<> Orchestrator::LivenessLoop(sim::StopToken& stop) {
 void Orchestrator::DeclareAgentDead(HostId host, AgentEntry& entry) {
   entry.liveness = AgentEntry::Liveness::kDead;
   host_deaths_->Inc();
-  FlightNote("liveness", "host=%u declared dead (stale for %lld ns)",
-             host.value(),
-             static_cast<long long>(pod_.loop().now() - entry.last_report));
+  pod_.host(home_).FlightNote(
+      "liveness", "host=%u declared dead (stale for %lld ns)", host.value(),
+      static_cast<long long>(pod_.loop().now() - entry.last_report));
   CXLPOOL_LOG(Warning) << "host " << host << " declared dead ("
                        << (pod_.loop().now() - entry.last_report)
                        << "ns since last report)";
@@ -628,8 +611,8 @@ void Orchestrator::FenceDevice(PcieDeviceId id, DeviceRecord& rec) {
   // agent's own lease clock (renewed at most fence_margin after our
   // receipt timestamp) has expired.
   Nanos deadline = pod_.loop().now() + ttl + config_.fence_margin;
-  FlightNote("fence", "dev=%u fencing at epoch=%llu", id.value(),
-             static_cast<unsigned long long>(rec.epoch));
+  pod_.host(home_).FlightNote("fence", "dev=%u fencing at epoch=%llu", id.value(),
+                              static_cast<unsigned long long>(rec.epoch));
   if (stop_ == nullptr) {
     // Not started: no serve loops and no forwarded paths exist yet, so
     // there is no old holder to wait out — the bumped epoch alone fences.
@@ -671,8 +654,9 @@ sim::Task<> Orchestrator::FenceLoop(PcieDeviceId device, uint64_t epoch,
       if (rec.fence_pending) {
         rec.fence_pending = false;
         fences_acked_->Inc();
-        FlightNote("fence", "dev=%u epoch=%llu fence acked", device.value(),
-                   static_cast<unsigned long long>(epoch));
+        pod_.host(home_).FlightNote("fence", "dev=%u epoch=%llu fence acked",
+                                    device.value(),
+                                    static_cast<unsigned long long>(epoch));
       }
       co_return;
     }
@@ -680,8 +664,10 @@ sim::Task<> Orchestrator::FenceLoop(PcieDeviceId device, uint64_t epoch,
       if (rec.fence_pending) {
         rec.fence_pending = false;
         fences_ttl_expired_->Inc();
-        FlightNote("fence", "dev=%u epoch=%llu fence resolved by TTL expiry",
-                   device.value(), static_cast<unsigned long long>(epoch));
+        pod_.host(home_).FlightNote("fence",
+                                    "dev=%u epoch=%llu fence resolved by TTL expiry",
+                                    device.value(),
+                                    static_cast<unsigned long long>(epoch));
         CXLPOOL_LOG(Warning)
             << "fence for device " << device << " resolved by TTL expiry; "
             << "home agent on host " << home << " never acked";

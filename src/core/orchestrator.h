@@ -80,12 +80,6 @@ class Orchestrator {
     uint32_t quarantine_flap_threshold = 3;
     // Base probation; doubles with every quarantine entry for the device.
     Nanos quarantine_probation = 2 * kMillisecond;
-    // Shared observability bundle (null = standalone). When set, it is also
-    // handed to every agent this orchestrator creates (unless the agent
-    // config pins its own), forwarded MMIO paths get tracers, and anomalies
-    // leave flight-recorder notes. Counters live in the pod's registry
-    // either way.
-    obs::Observability* obs = nullptr;
     Agent::Config agent;
   };
 
@@ -129,11 +123,13 @@ class Orchestrator {
     std::unique_ptr<msg::CircuitBreaker> breaker;
   };
 
-  // `home` is the host running the orchestrator container. Counts the orch.*
-  // series declared with its members into the pod's registry, unlabeled. Its
-  // control-plane retries count retry.* under the home host; each device's
-  // breaker counts breaker.* under {"device": id}; each forwarded path's
-  // client and retries count under the user host plus {"device": id}.
+  // `home` is the host running the orchestrator container, whose flight
+  // ring takes the orchestrator's notes (liveness, fencing, quarantine,
+  // breaker). Counts the orch.* series declared with its members into the
+  // pod's registry, unlabeled. Its control-plane retries count retry.*
+  // under the home host; each device's breaker counts breaker.* under
+  // {"device": id}; each forwarded path's client and retries count under
+  // the user host plus {"device": id}.
   Orchestrator(cxl::CxlPod& pod, HostId home, Config config);
   Orchestrator(const Orchestrator&) = delete;
   Orchestrator& operator=(const Orchestrator&) = delete;
@@ -248,11 +244,6 @@ class Orchestrator {
   sim::Task<> PushEpoch(HostId home, PcieDeviceId device, uint64_t epoch);
   // After a host re-registers, re-sends current epochs for its devices.
   sim::Task<> ResyncEpochs(HostId host);
-  obs::Tracer* tracer() {
-    return config_.obs != nullptr ? config_.obs->tracer() : nullptr;
-  }
-  void FlightNote(const char* category, const char* fmt, ...)
-      __attribute__((format(printf, 3, 4)));
 
   cxl::CxlPod& pod_;
   HostId home_;

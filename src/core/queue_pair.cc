@@ -126,7 +126,7 @@ sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(
   PutU64(cmd.data() + devices::kQpCookieOffset, cookie);
   // Root span for this command's life: publish, doorbell (possibly
   // forwarded — the context rides the RPC wire), completion poll.
-  obs::Span op = obs::MaybeStartTrace(config_.tracer, "qp.submit_wait",
+  obs::Span op = obs::MaybeStartTrace(host_.tracer(), "qp.submit_wait",
                                       host_.id().value(), host_.loop().now());
   // Reserve the slot before suspending so concurrent submitters never
   // collide; the doorbell only covers the contiguous published prefix.

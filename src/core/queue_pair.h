@@ -27,12 +27,11 @@ class QueuePairDriver {
     bool rings_in_cxl = true;
     // The queue pair's register block: qp * devices::kQpStride.
     uint64_t reg_base = 0;
-    // Optional tracer: every SubmitAndWait becomes a qp.submit_wait root
-    // span whose context rides into the doorbell MMIO (and, for forwarded
-    // paths, across the wire to the home agent).
-    obs::Tracer* tracer = nullptr;
   };
 
+  // When `host` traces, every SubmitAndWait becomes a qp.submit_wait root
+  // span whose context rides into the doorbell MMIO (and, for forwarded
+  // paths, across the wire to the home agent).
   static sim::Task<Result<std::unique_ptr<QueuePairDriver>>> Create(
       cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config);
 

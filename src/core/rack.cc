@@ -8,9 +8,8 @@ namespace cxlpool::core {
 
 Rack::Rack(sim::EventLoop& loop, const RackConfig& config)
     : loop_(loop), config_(config) {
-  if (config_.obs != nullptr) {
-    if (config_.orch.obs == nullptr) config_.orch.obs = config_.obs;
-    if (config_.pod.metrics == nullptr) config_.pod.metrics = &config_.obs->metrics();
+  if (config_.pod.obs == nullptr) {
+    config_.pod.obs = config_.obs;
   }
   pod_ = std::make_unique<cxl::CxlPod>(loop, config_.pod);
   network_ = std::make_unique<netsim::Network>(loop, config_.net);

@@ -32,10 +32,9 @@ struct RackConfig {
   devices::AccelConfig accel;
   Orchestrator::Config orch;
   int orchestrator_home = 0;  // §4.2: runs on one of the pod's hosts
-  // Shared observability bundle for the whole rack. When set it is
-  // propagated into the orchestrator and every agent, and its registry is
-  // the pod's (unless pod.metrics already names one): every component of
-  // the rack counts there.
+  // Shared observability bundle for the whole rack: it becomes the pod's
+  // (pod.obs, unless that already names one), so every component of the
+  // rack counts, traces and notes through it via its host.
   obs::Observability* obs = nullptr;
 };
 

@@ -17,7 +17,6 @@ class VirtualAccel {
  public:
   struct Config {
     bool rings_in_cxl = true;
-    obs::Tracer* tracer = nullptr;
   };
 
   // `queue_pair` selects the device queue pair this handle drives (obtain
@@ -29,8 +28,7 @@ class VirtualAccel {
     QueuePairDriver::Config qp{
         .entries = 32,
         .rings_in_cxl = config.rings_in_cxl,
-        .reg_base = static_cast<uint64_t>(queue_pair) * devices::kQpStride,
-        .tracer = config.tracer};
+        .reg_base = static_cast<uint64_t>(queue_pair) * devices::kQpStride};
     auto driver = co_await QueuePairDriver::Create(host, std::move(mmio), qp);
     if (!driver.ok()) {
       co_return driver.status();

@@ -26,8 +26,6 @@ VirtualNic::VirtualNic(cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio,
       mmio_(std::move(mmio)),
       config_(config),
       mem_(host, config.rings_in_cxl),
-      rx_backoff_(config.poll_min, config.poll_max),
-      tx_backoff_(config.poll_min, config.poll_max),
       rx_shadow_(config.rx_entries, 0),
       rx_doorbell_([this](uint64_t value) { return RxDoorbellWrite(value); },
                    config.rx_doorbell_batch,

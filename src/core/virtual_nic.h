@@ -39,8 +39,6 @@ class VirtualNic {
     bool rings_in_cxl = true;
     // Post RX doorbells every N buffers (MMIO amortization).
     uint32_t rx_doorbell_batch = 8;
-    Nanos poll_min = 100;
-    Nanos poll_max = 500;  // dedicated polling core (Junction-style)
   };
 
   struct RxEvent {
@@ -101,8 +99,12 @@ class VirtualNic {
   std::unique_ptr<MmioPath> mmio_;
   Config config_;
   PlacedMemory mem_;
-  sim::PollBackoff rx_backoff_;
-  sim::PollBackoff tx_backoff_;
+  // Completion-poll backoff bounds: a dedicated polling core
+  // (Junction-style).
+  static constexpr Nanos kPollMin = 100;
+  static constexpr Nanos kPollMax = 500;
+  sim::PollBackoff rx_backoff_{kPollMin, kPollMax};
+  sim::PollBackoff tx_backoff_{kPollMin, kPollMax};
 
   // Memory layout.
   cxl::PoolSegment segment_;  // when rings_in_cxl

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "src/common/check.h"
 #include "src/core/queue_pair.h"
 #include "src/devices/ssd.h"
 
@@ -16,14 +17,15 @@ class VirtualSsd {
  public:
   struct Config {
     bool rings_in_cxl = true;
+    // Chooses nothing: the driver traces with host.tracer(). Create CHECKs
+    // that it is null or that tracer. Kept only so existing callers build.
     obs::Tracer* tracer = nullptr;
   };
 
   static sim::Task<Result<std::unique_ptr<VirtualSsd>>> Create(
       cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config) {
-    QueuePairDriver::Config qp{.entries = 64,
-                               .rings_in_cxl = config.rings_in_cxl,
-                               .tracer = config.tracer};
+    CXLPOOL_CHECK(config.tracer == nullptr || config.tracer == host.tracer());
+    QueuePairDriver::Config qp{.entries = 64, .rings_in_cxl = config.rings_in_cxl};
     auto driver = co_await QueuePairDriver::Create(host, std::move(mmio), qp);
     if (!driver.ok()) {
       co_return driver.status();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdarg>
 #include <cstring>
 #include <string>
 
@@ -71,13 +72,15 @@ class HostAdapter::LinkTally {
 };
 
 HostAdapter::HostAdapter(HostId id, sim::EventLoop& loop, mem::AddressMap& map,
-                         CxlPool& pool, obs::Registry& metrics, Config config)
+                         CxlPool& pool, obs::Registry& metrics,
+                         obs::Observability* obs, Config config)
     : id_(id),
       loop_(loop),
       map_(map),
       pool_(pool),
       config_(config),
       metrics_(metrics, {{"host", std::to_string(id.value())}}),
+      obs_(obs),
       cache_(config.cache_lines, metrics_),
       dram_bw_(config.timing.dram_bytes_per_ns),
       jitter_rng_(static_cast<uint64_t>(id.value()) * 7919 + 13) {}
@@ -590,8 +593,14 @@ void HostAdapter::PeekBackend(uint64_t addr, std::span<std::byte> out) const {
   map_.ReadBytes(addr, out);
 }
 
-void HostAdapter::PokeBackend(uint64_t addr, std::span<const std::byte> in) {
-  map_.WriteBytes(addr, in);
+void HostAdapter::FlightNote(const char* category, const char* fmt, ...) {
+  if (obs_ == nullptr) {
+    return;
+  }
+  va_list args;
+  va_start(args, fmt);
+  obs_->flight().NoteV(loop_.now(), id_.value(), category, fmt, args);
+  va_end(args);
 }
 
 }  // namespace cxlpool::cxl

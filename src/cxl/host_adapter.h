@@ -17,6 +17,11 @@
 // this host's root complex: coherent with THIS host's cache (snooped) but
 // not with any other host's — which is exactly the asymmetry the paper's
 // datapath is designed around.
+//
+// The adapter is also how a component running on this host reaches
+// observability: it counts through metrics(), starts spans with tracer()
+// and leaves flight-recorder notes with FlightNote(), all backed by the
+// pod's obs::Observability bundle (CxlPodConfig::obs).
 #ifndef SRC_CXL_HOST_ADAPTER_H_
 #define SRC_CXL_HOST_ADAPTER_H_
 
@@ -36,7 +41,7 @@
 #include "src/cxl/pool.h"
 #include "src/mem/address_map.h"
 #include "src/mem/cache.h"
-#include "src/obs/registry.h"
+#include "src/obs/obs.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/random.h"
@@ -59,9 +64,10 @@ class HostAdapter {
   };
 
   // Counts the host.* series declared with its members into `metrics` under
-  // {"host": id}; the cache counts cache.* under the same scope.
+  // {"host": id}; the cache counts cache.* under the same scope. `obs` (the
+  // pod's bundle, nullable) backs tracer() and FlightNote().
   HostAdapter(HostId id, sim::EventLoop& loop, mem::AddressMap& map, CxlPool& pool,
-              obs::Registry& metrics, Config config);
+              obs::Registry& metrics, obs::Observability* obs, Config config);
   HostAdapter(const HostAdapter&) = delete;
   HostAdapter& operator=(const HostAdapter&) = delete;
 
@@ -115,15 +121,25 @@ class HostAdapter {
   Access DmaRead(uint64_t addr, std::span<std::byte> out);
   Access DmaWrite(uint64_t addr, std::span<const std::byte> in);
 
-  // Untimed helpers for tests: direct backend access, no cache interaction.
+  // Untimed helper for tests: direct backend read, no cache interaction.
   void PeekBackend(uint64_t addr, std::span<std::byte> out) const;
-  void PokeBackend(uint64_t addr, std::span<const std::byte> in);
 
   mem::WriteBackCache& cache() { return cache_; }
+
+  // --- Observability: the three pillars, reached the same way ---
   // This host's metrics scope ({"host": id} in the pod's registry).
   // Components running on the host (rings, RPC, stacks, devices attached
   // here) take their handles from it.
   const obs::Scope& metrics() const { return metrics_; }
+  // The pod's tracer, or null when the pod has no bundle or tracing is
+  // off. Hook sites pass it to obs::MaybeStartTrace / MaybeStartSpan and
+  // label their spans with this host's id.
+  obs::Tracer* tracer() const { return obs_ != nullptr ? obs_->tracer() : nullptr; }
+  // Records one printf-style event in this host's flight-recorder ring at
+  // the current sim time. No-op when the pod has no bundle.
+  void FlightNote(const char* category, const char* fmt, ...)
+      __attribute__((format(printf, 3, 4)));
+
   mem::AddressMap& address_map() { return map_; }
   CxlPool& cxl_pool() { return pool_; }
 
@@ -241,6 +257,7 @@ class HostAdapter {
   CxlPool& pool_;
   Config config_;
   obs::Scope metrics_;
+  obs::Observability* obs_;
   mem::WriteBackCache cache_;
 
   std::vector<CxlLink*> links_;  // indexed by MHD id; may contain nullptr

@@ -9,7 +9,7 @@ namespace cxlpool::cxl {
 CxlPod::CxlPod(sim::EventLoop& loop, const CxlPodConfig& config)
     : loop_(loop),
       config_(config),
-      metrics_(config.metrics != nullptr ? config.metrics : &own_metrics_),
+      metrics_(config.obs != nullptr ? &config.obs->metrics() : &own_metrics_),
       fault_plane_(config.fault_plane_seed, obs::Scope(*metrics_)) {
   CXLPOOL_CHECK(config.num_hosts > 0);
   CXLPOOL_CHECK(config.num_mhds > 0);
@@ -28,7 +28,7 @@ CxlPod::CxlPod(sim::EventLoop& loop, const CxlPodConfig& config)
     hc.timing = config.timing;
     hc.cache_lines = config.cache_lines_per_host;
     auto adapter = std::make_unique<HostAdapter>(host_id, loop_, map_, *pool_,
-                                                 *metrics_, hc);
+                                                 *metrics_, config.obs, hc);
 
     // Local DRAM window.
     auto dram = std::make_unique<mem::MemoryBackend>(

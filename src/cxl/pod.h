@@ -16,7 +16,7 @@
 #include "src/mem/address_map.h"
 #include "src/mem/backend.h"
 #include "src/netsim/fault_plane.h"
-#include "src/obs/registry.h"
+#include "src/obs/obs.h"
 #include "src/sim/event_loop.h"
 
 namespace cxlpool::cxl {
@@ -31,9 +31,12 @@ struct CxlPodConfig {
   size_t cache_lines_per_host = 128 * 1024;  // 8 MiB of cached CXL lines
   // Seed for the message-fabric fault plane's per-frame loss draws.
   uint64_t fault_plane_seed = 0x9E3779B97F4A7C15ULL;
-  // Registry every component of the pod counts into. Null: the pod owns
-  // one. A rack built with an obs::Observability passes its registry here.
-  obs::Registry* metrics = nullptr;
+  // The observability bundle behind every host's metrics(), tracer() and
+  // FlightNote(): components count into its registry, trace with its
+  // tracer and note into its flight recorder. Null: the pod counts into a
+  // registry of its own, and tracing and flight notes are off. A rack
+  // built with an obs::Observability passes it here.
+  obs::Observability* obs = nullptr;
 };
 
 class CxlPod {
@@ -46,8 +49,10 @@ class CxlPod {
   mem::AddressMap& address_map() { return map_; }
   CxlPool& pool() { return *pool_; }
   const CxlPodConfig& config() const { return config_; }
-  // The pod's metrics registry (its own, or CxlPodConfig::metrics).
+  // The pod's metrics registry (CxlPodConfig::obs's, or its own).
   obs::Registry& metrics() { return *metrics_; }
+  // CxlPodConfig::obs (null when the pod has none).
+  obs::Observability* obs() const { return config_.obs; }
 
   int host_count() const { return static_cast<int>(hosts_.size()); }
   HostAdapter& host(int i) { return *hosts_.at(i); }

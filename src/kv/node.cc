@@ -58,7 +58,7 @@ WireStatus KvNode::MapStatus(const Status& st) {
 sim::Task<> KvNode::Worker(sim::StopToken& stop) {
   sim::EventLoop& loop = sock_->Loop();
   while (!stop.stopped()) {
-    auto d = co_await sock_->Recv(loop.now() + config_.recv_poll);
+    auto d = co_await sock_->Recv(loop.now() + kNodeRecvPoll);
     if (!d.ok()) {
       continue;  // poll timeout (or teardown); keep watching for stop
     }

@@ -17,6 +17,10 @@
 
 namespace cxlpool::kv {
 
+// How long a node worker's socket receive waits before it re-checks its
+// stop token.
+inline constexpr Nanos kNodeRecvPoll = 50 * kMicrosecond;
+
 struct NodeConfig {
   uint16_t port = 11211;
   // Receive loops pulling from the socket (dispatchers).
@@ -24,7 +28,6 @@ struct NodeConfig {
   // Admission bound: requests beyond this many concurrent services are
   // shed kOverloaded at the front, before the store sees them.
   uint64_t max_inflight = 64;
-  Nanos recv_poll = 50 * kMicrosecond;
 };
 
 class KvNode {

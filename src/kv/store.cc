@@ -126,7 +126,7 @@ sim::Task<Status> Store::EvictOne(Shard& shard, Nanos deadline) {
     co_return Overloaded("kv: nothing evictable in shard");
   }
   sim::EventLoop& loop = pool_->memory().host().loop();
-  if (deadline > 0 && loop.now() + config_.ssd_min_headroom > deadline) {
+  if (deadline > 0 && loop.now() + kSsdMinHeadroom > deadline) {
     co_return DeadlineExceeded("kv: no headroom for eviction write");
   }
   std::string key = shard.lru.back();
@@ -224,7 +224,7 @@ sim::Task<Result<Store::GetResult>> Store::Get(const std::string& key,
     co_return GetResult{std::move(*bytes), Origin::kPool};
   }
   // Spilled: hydrate from the cold tier back into a fresh pool buffer.
-  if (deadline > 0 && loop.now() + config_.ssd_min_headroom > deadline) {
+  if (deadline > 0 && loop.now() + kSsdMinHeadroom > deadline) {
     expired_->Inc();
     co_return DeadlineExceeded("kv: no headroom for hydration read");
   }

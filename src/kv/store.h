@@ -37,15 +37,16 @@
 
 namespace cxlpool::kv {
 
+// Minimum headroom an op needs before starting an SSD round trip; with
+// less than this left the op is shed as kDeadlineExceeded instead of
+// occupying a queue slot it cannot use (PR 6 shed-before-BAR).
+inline constexpr Nanos kSsdMinHeadroom = 30 * kMicrosecond;
+
 struct StoreConfig {
   int shards = 8;
   // Keep at least this many pool buffers free: SET/hydration trigger LRU
   // overflow to SSD when availability drops below the mark.
   uint32_t free_low_water = 8;
-  // Minimum headroom an op needs before starting an SSD round trip; with
-  // less than this left the op is shed as kDeadlineExceeded instead of
-  // occupying a queue slot it cannot use (PR 6 shed-before-BAR).
-  Nanos ssd_min_headroom = 30 * kMicrosecond;
   // Background scrub cadence (0 disables ScrubLoop).
   Nanos scrub_interval = 500 * kMicrosecond;
 };

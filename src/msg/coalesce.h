@@ -9,8 +9,8 @@
 // buffer posting) or when its owner calls Flush().
 //
 // The ring action is injected as a function so the same policy + counters
-// cover both flavors of doorbell in the tree: a msg::DoorbellSender CXL
-// line and a forwarded MMIO register write (VirtualNic's RX doorbell).
+// cover any doorbell: a non-temporal store to a CXL line or an MMIO
+// register write, direct or forwarded (VirtualNic's RX doorbell).
 //
 // Values are folded with max() and a flush that would not advance past
 // the last rung value is skipped entirely — rung values are strictly

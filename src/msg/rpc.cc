@@ -1,7 +1,6 @@
 #include "src/msg/rpc.h"
 
 #include <algorithm>
-#include <cstdarg>
 
 #include "src/common/check.h"
 #include "src/msg/wire.h"
@@ -118,7 +117,7 @@ sim::Task<Result<std::vector<std::byte>>> RpcClient::Call(
   w.Bytes(request);
 
   obs::Span enqueue =
-      obs::MaybeStartSpan(tracer_, "rpc.enqueue", host, ctx, sent_at);
+      obs::MaybeStartSpan(endpoint_.host().tracer(), "rpc.enqueue", host, ctx, sent_at);
   Status st = co_await endpoint_.Send(frame, priority);
   enqueue.End(loop.now());
   if (!st.ok()) {
@@ -264,17 +263,6 @@ RpcServer::RpcServer(Endpoint& endpoint, ContextHandler handler,
   bad_version_ = scope.GetCounter(prefix + "bad_version");
 }
 
-void RpcServer::FlightNote(const char* fmt, ...) {
-  if (obs_ == nullptr) {
-    return;
-  }
-  va_list args;
-  va_start(args, fmt);
-  obs_->flight().NoteV(endpoint_.loop().now(), endpoint_.host().id().value(), "rpc",
-                       fmt, args);
-  va_end(args);
-}
-
 namespace {
 // Serves guard: balances AdmissionController::TryEnterServe on every exit.
 class ServeSlot {
@@ -296,6 +284,7 @@ class ServeSlot {
 sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
   sim::EventLoop& loop = endpoint_.loop();
   uint32_t host = endpoint_.host().id().value();
+  obs::Tracer* tracer = endpoint_.host().tracer();
   while (!stop.stopped()) {
     std::vector<std::byte> frame;
     // Slice the wait so the stop flag is observed promptly.
@@ -308,7 +297,8 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       // here is an invisible dead control plane — count it and leave a
       // flight note so the outage shows up even without ServeSupervised.
       serve_aborts_->Inc();
-      FlightNote("serve loop aborted on channel death: %s", st.ToString().c_str());
+      endpoint_.host().FlightNote("rpc", "serve loop aborted on channel death: %s",
+                                  st.ToString().c_str());
       co_return;
     }
     if (frame.size() < kReqHeaderSize) {
@@ -327,8 +317,8 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       // Old-format frame: there is no call_id we can trust to reply to, so
       // count and drop. The peer's call times out rather than misparses.
       bad_version_->Inc();
-      FlightNote("frame with unsupported wire version %d dropped",
-                 static_cast<int>(version));
+      endpoint_.host().FlightNote("rpc", "frame with unsupported wire version %d dropped",
+                                  static_cast<int>(version));
       continue;
     }
     uint8_t kind = r.U8();
@@ -377,10 +367,10 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       }
     }
     if (!refuse.ok()) {
-      if (tracer() != nullptr && wire_ctx.traced()) {
+      if (tracer != nullptr && wire_ctx.traced()) {
         // The whole story of this request is its queue wait; record it as
         // one retroactive span so sheds are visible in traces.
-        tracer()->RecordSpan(refuse_span, host, wire_ctx, sent_at, now);
+        tracer->RecordSpan(refuse_span, host, wire_ctx, sent_at, now);
       }
       std::vector<std::byte> resp;
       wire::Writer w(&resp);
@@ -391,8 +381,8 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       Status send_st = co_await endpoint_.Send(resp);
       if (!send_st.ok()) {
         serve_aborts_->Inc();
-        FlightNote("serve loop aborted on send failure: %s",
-                   send_st.ToString().c_str());
+        endpoint_.host().FlightNote("rpc", "serve loop aborted on send failure: %s",
+                                    send_st.ToString().c_str());
         co_return;
       }
       continue;
@@ -402,12 +392,12 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
     // The flight span (sender's Send to our dequeue) is only knowable
     // here, after the fact — record it retroactively, then serve under it.
     obs::TraceContext serve_parent = wire_ctx;
-    if (tracer() != nullptr && wire_ctx.traced()) {
-      serve_parent = tracer()->RecordSpan("rpc.flight", host, wire_ctx, sent_at,
-                                         loop.now());
+    if (tracer != nullptr && wire_ctx.traced()) {
+      serve_parent =
+          tracer->RecordSpan("rpc.flight", host, wire_ctx, sent_at, loop.now());
     }
-    obs::Span serve = obs::MaybeStartSpan(tracer(), "rpc.serve", host,
-                                          serve_parent, loop.now());
+    obs::Span serve =
+        obs::MaybeStartSpan(tracer, "rpc.serve", host, serve_parent, loop.now());
     sctx.trace = serve.context();
     Result<std::vector<std::byte>> result =
         co_await handler_(method, r.Rest(), sctx);
@@ -427,14 +417,14 @@ sim::Task<> RpcServer::Serve(sim::StopToken& stop) {
       w.U16(static_cast<uint16_t>(result.status().code()));
     }
     ++calls_served_;
-    obs::Span reply = obs::MaybeStartSpan(tracer(), "rpc.reply", host,
-                                          serve_parent, loop.now());
+    obs::Span reply =
+        obs::MaybeStartSpan(tracer, "rpc.reply", host, serve_parent, loop.now());
     Status send_st = co_await endpoint_.Send(resp);
     reply.End(loop.now());
     if (!send_st.ok()) {
       serve_aborts_->Inc();
-      FlightNote("serve loop aborted on send failure: %s",
-                 send_st.ToString().c_str());
+      endpoint_.host().FlightNote("rpc", "serve loop aborted on send failure: %s",
+                                  send_st.ToString().c_str());
       co_return;
     }
   }

@@ -38,7 +38,8 @@
 #include "src/common/status.h"
 #include "src/msg/backpressure.h"
 #include "src/msg/channel.h"
-#include "src/obs/obs.h"
+#include "src/obs/registry.h"
+#include "src/obs/trace.h"
 #include "src/sim/poll.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -75,16 +76,13 @@ class RpcClient {
 
   // Counts the rpc_client.* series declared with its members under the
   // endpoint host's scope plus `labels` (an owner with several clients on
-  // one host tells them apart there).
+  // one host tells them apart there). A call with a traced `ctx` records
+  // an rpc.enqueue span with the endpoint host's tracer.
   explicit RpcClient(Endpoint& endpoint) : RpcClient(endpoint, Options()) {}
   RpcClient(Endpoint& endpoint, Options options, obs::Labels labels = {})
       : endpoint_(endpoint),
         options_(options),
         metrics_(endpoint.host().metrics().With(std::move(labels))) {}
-
-  // Enables client-side spans (rpc.enqueue) and on-wire propagation of
-  // `ctx`. Null (the default) keeps every hook one branch.
-  void BindTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   // Issues a call and waits for the response (until `deadline`, absolute).
   // Calls from concurrent coroutines share the channel: up to
@@ -158,7 +156,6 @@ class RpcClient {
   std::deque<TurnWaiter*> turn_queue_;
   std::map<uint64_t, PendingCall*> pending_calls_;
   bool reader_active_ = false;
-  obs::Tracer* tracer_ = nullptr;
   obs::Scope metrics_;
   // Refusals at the max_pending bound.
   obs::Counter* rejected_ = metrics_.GetCounter("rpc_client.rejected");
@@ -199,6 +196,13 @@ class RpcServer {
   // inflight bound) and <prefix>bad_version (dropped: wire version
   // mismatch). An owner that accounts for its servers under its own name
   // passes its prefix: the home agent's servers count as agent.rpc_*.
+  //
+  // A traced request gets server-side spans from the endpoint host's
+  // tracer: rpc.flight (recorded retroactively from the request's
+  // sent_at), rpc.serve around the handler, rpc.reply around the response
+  // send, or rpc.shed / rpc.expired when admission control or a deadline
+  // check refuses it. Serve aborts and dropped frames leave an "rpc" note
+  // in that host's flight ring (the counters count them either way).
   RpcServer(Endpoint& endpoint, Handler handler,
             const std::string& prefix = "rpc_server.")
       : RpcServer(
@@ -211,14 +215,6 @@ class RpcServer {
             prefix) {}
   RpcServer(Endpoint& endpoint, ContextHandler handler,
             const std::string& prefix = "rpc_server.");
-
-  // The owner's observability bundle (null = none). Enables server-side
-  // spans when it traces: rpc.flight (recorded retroactively from the
-  // request's sent_at), rpc.serve around the handler, rpc.reply around the
-  // response send, plus rpc.shed / rpc.expired when admission control or
-  // deadline checks refuse a request. Serve aborts and dropped frames leave
-  // a flight-recorder note (the counters above count them either way).
-  void BindObservability(obs::Observability* obs) { obs_ = obs; }
 
   // Shares a per-home-agent admission controller across this server's
   // serve loop: expired requests are refused with kDeadlineExceeded and
@@ -245,13 +241,9 @@ class RpcServer {
   uint64_t calls_served() const { return calls_served_; }
 
  private:
-  obs::Tracer* tracer() { return obs_ != nullptr ? obs_->tracer() : nullptr; }
-  void FlightNote(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
   Endpoint& endpoint_;
   ContextHandler handler_;
   uint64_t calls_served_ = 0;
-  obs::Observability* obs_ = nullptr;
   AdmissionController* admission_ = nullptr;
   obs::Counter* serve_aborts_;
   obs::Counter* restarts_;

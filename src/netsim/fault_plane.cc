@@ -61,11 +61,6 @@ void FaultPlane::SetLossy(HostId src, HostId dst, const LinkState& state) {
   links_[MakeEdge(src, dst)] = state;
 }
 
-void FaultPlane::HealAll() {
-  heals_->Add(links_.size());
-  links_.clear();
-}
-
 bool FaultPlane::IsCut(HostId src, HostId dst) const {
   auto it = links_.find(MakeEdge(src, dst));
   return it != links_.end() && it->second.cut;

@@ -73,8 +73,6 @@ class FaultPlane {
   void HealPartition(std::span<const HostId> a, std::span<const HostId> b);
   // Installs loss parameters on one direction (replaces prior state).
   void SetLossy(HostId src, HostId dst, const LinkState& state);
-  // Restores every link to clean.
-  void HealAll();
 
   bool IsCut(HostId src, HostId dst) const;
   // True if any directed edge carries fault state. Receivers use this as

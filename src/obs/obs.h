@@ -1,5 +1,5 @@
-// Observability: the bundle a harness threads through the stack. One object
-// owns the three pillars —
+// Observability: the bundle a harness hands to the pod. One object owns the
+// three pillars —
 //   tracer()  : distributed tracing (null when tracing disabled, so hook
 //               sites stay one-branch-cheap),
 //   metrics() : the shared metrics registry,
@@ -7,11 +7,12 @@
 // plus the CHECK-failure integration that dumps the flight recorder when an
 // invariant trips.
 //
-// Components accept `obs::Observability*` in their Config (null = tracing
-// and flight notes disabled) and must behave identically either way:
-// observability is pure observation. Metrics do not depend on it: every
-// component counts into its pod's registry (cxl::CxlPod::metrics()), which
-// is this bundle's metrics() when the rack was built with one.
+// The pod owns the bundle (cxl::CxlPodConfig::obs; a core::Rack passes its
+// RackConfig::obs there), and every component reaches all three pillars
+// through the cxl::HostAdapter it runs on: HostAdapter::metrics(),
+// tracer() and FlightNote(). With no bundle the pod counts into a registry
+// of its own, tracer() is null and notes are dropped. Components behave
+// identically either way: observability is pure observation.
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_
 

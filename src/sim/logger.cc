@@ -3,13 +3,10 @@
 #include <cstdio>
 #include <cstring>
 
-#include "src/sim/event_loop.h"
-
 namespace cxlpool::sim {
 
 namespace {
 LogLevel g_level = LogLevel::kWarning;
-const EventLoop* g_clock = nullptr;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -35,18 +32,11 @@ const char* Basename(const char* path) {
 
 LogLevel GetLogLevel() { return g_level; }
 void SetLogLevel(LogLevel level) { g_level = level; }
-void SetLogClock(const EventLoop* loop) { g_clock = loop; }
 
 namespace log_internal {
 void Emit(LogLevel level, const char* file, int line, const std::string& msg) {
-  if (g_clock != nullptr) {
-    std::fprintf(stderr, "[%s t=%lldns %s:%d] %s\n", LevelName(level),
-                 static_cast<long long>(g_clock->now()), Basename(file), line,
-                 msg.c_str());
-  } else {
-    std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), Basename(file), line,
-                 msg.c_str());
-  }
+  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), Basename(file), line,
+               msg.c_str());
 }
 }  // namespace log_internal
 

@@ -1,5 +1,4 @@
-// Minimal leveled logger. Disabled levels cost one branch. Messages carry
-// the simulated timestamp when a loop is attached.
+// Minimal leveled logger. Disabled levels cost one branch.
 #ifndef SRC_SIM_LOGGER_H_
 #define SRC_SIM_LOGGER_H_
 
@@ -21,10 +20,6 @@ enum class LogLevel : int {
 // Global minimum level; default kWarning so tests and benches stay quiet.
 LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
-
-// Optional simulated-time source for log prefixes.
-class EventLoop;
-void SetLogClock(const EventLoop* loop);
 
 namespace log_internal {
 void Emit(LogLevel level, const char* file, int line, const std::string& msg);

@@ -72,15 +72,6 @@ double Rng::Normal(double mean, double stddev) {
 
 double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
 
-double Rng::Pareto(double scale, double shape) {
-  CXLPOOL_CHECK(scale > 0 && shape > 0);
-  double u;
-  do {
-    u = Uniform();
-  } while (u <= 0.0);
-  return scale / std::pow(u, 1.0 / shape);
-}
-
 size_t Rng::Categorical(std::span<const double> weights) {
   CXLPOOL_CHECK(!weights.empty());
   double total = 0;

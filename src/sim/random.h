@@ -57,9 +57,6 @@ class Rng {
   // exp(Normal(mu, sigma)); heavy-ish tails for service times.
   double LogNormal(double mu, double sigma);
 
-  // Pareto with scale x_m > 0 and shape alpha > 0.
-  double Pareto(double scale, double shape);
-
   // Samples an index with probability proportional to weights[i].
   size_t Categorical(std::span<const double> weights);
 

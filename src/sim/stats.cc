@@ -130,14 +130,4 @@ std::string Histogram::PercentileString() const {
   return buf;
 }
 
-std::vector<std::pair<double, int64_t>> Histogram::Cdf(
-    const std::vector<double>& quantiles) const {
-  std::vector<std::pair<double, int64_t>> out;
-  out.reserve(quantiles.size());
-  for (double q : quantiles) {
-    out.emplace_back(q, Percentile(q));
-  }
-  return out;
-}
-
 }  // namespace cxlpool::sim

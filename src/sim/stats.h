@@ -57,9 +57,6 @@ class Histogram {
   // "p50=612 p90=? ..." one-line summary used in bench output.
   std::string PercentileString() const;
 
-  // (quantile, value) pairs for CDF plots, at the given quantiles.
-  std::vector<std::pair<double, int64_t>> Cdf(const std::vector<double>& quantiles) const;
-
   static constexpr int kSubBucketBits = 6;  // 64 sub-buckets / octave
 
  private:

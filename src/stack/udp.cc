@@ -93,13 +93,6 @@ Result<UdpSocket*> UdpStack::Bind(uint16_t port) {
   return raw;
 }
 
-Status UdpStack::Close(uint16_t port) {
-  if (sockets_.erase(port) == 0) {
-    return NotFound("port not bound");
-  }
-  return OkStatus();
-}
-
 sim::Task<Status> UdpStack::PostRxBuffers() {
   while (posted_rx_.size() < config_.rx_buffers) {
     auto buf = pool_->Alloc();
@@ -133,7 +126,7 @@ sim::Task<> UdpStack::IoLoop(sim::StopToken& stop) {
   // Dispatcher core: drains NIC completions into the work queue and keeps
   // the RX ring fed; workers do the per-packet processing.
   while (!stop.stopped()) {
-    auto ev = co_await vnic_->PollRx(host_.loop().now() + config_.rx_poll_slice);
+    auto ev = co_await vnic_->PollRx(host_.loop().now() + kRxPollSlice);
     if (!ev.ok()) {
       if (ev.status().code() == StatusCode::kDeadlineExceeded) {
         // Idle slice: harvest TX completions so buffers parked in
@@ -184,7 +177,7 @@ sim::Task<> UdpStack::Worker(sim::StopToken& stop) {
 
 sim::Task<> UdpStack::ProcessFrame(core::VirtualNic::RxEvent ev) {
   // Stack processing cost (header parse, socket demux, bookkeeping).
-  co_await sim::Delay(host_.loop(), config_.per_packet_cpu);
+  co_await sim::Delay(host_.loop(), kPerPacketCpu);
 
   // Pull the datagram out of the receive buffer with fresh reads (the
   // NIC DMA-wrote it; a cached copy would be stale in CXL placement).

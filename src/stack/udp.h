@@ -62,10 +62,6 @@ class UdpStack {
  public:
   struct Config {
     uint32_t rx_buffers = 128;  // receive buffers kept posted
-    Nanos rx_poll_slice = 50 * kMicrosecond;
-    // Per-packet CPU cost of stack processing (parse, socket lookup,
-    // copies) — Junction-class, not kernel-class.
-    Nanos per_packet_cpu = 500;
     // Worker cores processing received packets in parallel (Junction runs
     // several kthreads; one dispatcher + N workers here).
     int worker_cores = 1;
@@ -81,7 +77,6 @@ class UdpStack {
   sim::Task<Status> Start(sim::StopToken& stop);
 
   Result<UdpSocket*> Bind(uint16_t port);
-  Status Close(uint16_t port);
 
   netsim::MacAddr mac() const { return mac_; }
   cxl::HostAdapter& host() { return host_; }
@@ -95,6 +90,13 @@ class UdpStack {
 
  private:
   friend class UdpSocket;
+
+  // How long the I/O loop waits for a receive completion before it
+  // harvests TX completions and re-checks `stop`.
+  static constexpr Nanos kRxPollSlice = 50 * kMicrosecond;
+  // Per-packet CPU cost of stack processing (parse, socket lookup,
+  // copies) — Junction-class, not kernel-class.
+  static constexpr Nanos kPerPacketCpu = 500;
 
   sim::Task<> IoLoop(sim::StopToken& stop);
   sim::Task<> Worker(sim::StopToken& stop);

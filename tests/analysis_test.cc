@@ -11,7 +11,6 @@
 #include "src/analysis/coherence_checker.h"
 #include "src/cxl/host_adapter.h"
 #include "src/cxl/pod.h"
-#include "src/msg/doorbell.h"
 #include "src/msg/ring.h"
 #include "src/sim/task.h"
 #include "tests/test_metrics.h"
@@ -84,9 +83,11 @@ TEST_F(CoherenceCheckerTest, CachedStoreThenFlushThenHandoffIsClean) {
     auto data = Fill(128, 0x11);
     CXLPOOL_CHECK_OK(co_await pod.host(0).Store(addr, data));
     CXLPOOL_CHECK_OK(co_await pod.host(0).Flush(addr, data.size()));
-    msg::DoorbellSender bell(pod.host(0), db);
-    bell.SetAnnouncedRegion(addr, data.size());
-    CXLPOOL_CHECK_OK(co_await bell.Ring(1));
+    // Ring a doorbell over the region: announce the handoff, then publish
+    // the progress value with one nt-store to the doorbell line.
+    pod.host(0).NoteHandoff(addr, data.size(), "doorbell-ring");
+    auto bell = Fill(8, 0x01);
+    CXLPOOL_CHECK_OK(co_await pod.host(0).StoreNt(db, bell));
   };
   RunBlocking(loop_, t(pod_, base_, base_ + 4 * kKiB));
   EXPECT_EQ(checker_.violation_count(), 0u) << checker_.Report();
@@ -162,9 +163,9 @@ TEST_F(CoherenceCheckerTest, DirtyRegionAtDoorbellFiresUnpublishedHandoff) {
     auto data = Fill(64, 0x33);
     // BUG: cached store, no Flush before announcing the region.
     CXLPOOL_CHECK_OK(co_await pod.host(0).Store(addr, data));
-    msg::DoorbellSender bell(pod.host(0), db);
-    bell.SetAnnouncedRegion(addr, data.size());
-    CXLPOOL_CHECK_OK(co_await bell.Ring(1));
+    pod.host(0).NoteHandoff(addr, data.size(), "doorbell-ring");
+    auto bell = Fill(8, 0x01);
+    CXLPOOL_CHECK_OK(co_await pod.host(0).StoreNt(db, bell));
   };
   RunBlocking(loop_, t(pod_, base_, base_ + 4 * kKiB));
   ExpectOnly(ViolationType::kUnpublishedHandoff, 1);

@@ -387,7 +387,7 @@ TEST(KvStoreSsdTest, HydrationShedsWhenDeadlineTooTight) {
     CXLPOOL_CHECK(
         GaugeValue(rack.pod().metrics(), "kv.spilled_entries", HostLabels(0)) > 0);
     // key0 is the coldest — certainly spilled. A deadline tighter than
-    // ssd_min_headroom must shed before touching the device (PR 6).
+    // kSsdMinHeadroom must shed before touching the device (PR 6).
     auto got = co_await store.Get("key0", loop.now() + 5 * kMicrosecond);
     CXLPOOL_CHECK(got.status().code() == StatusCode::kDeadlineExceeded);
     // With room to breathe the same GET hydrates fine.

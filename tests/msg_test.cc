@@ -12,7 +12,6 @@
 #include "src/netsim/fault_plane.h"
 #include "src/sim/random.h"
 #include "src/msg/coalesce.h"
-#include "src/msg/doorbell.h"
 #include "src/msg/retry.h"
 #include "src/msg/ring.h"
 #include "src/msg/rpc.h"
@@ -451,26 +450,29 @@ TEST_F(MsgTest, ServeCountsAbortWhenChannelDies) {
 }
 
 TEST_F(MsgTest, ServeLoopKilledByHostCrashCountsAndLeavesFlightNote) {
-  auto ch = Channel::Create(pod_.pool(), pod_.host(0), pod_.host(1));
+  // A pod with an observability bundle: the server notes through its host.
+  obs::Observability obs;
+  cxl::CxlPodConfig pc = Config();
+  pc.obs = &obs;
+  cxl::CxlPod pod(loop_, pc);
+  auto ch = Channel::Create(pod.pool(), pod.host(0), pod.host(1));
   ASSERT_TRUE(ch.ok());
   Channel& c = **ch;
   sim::StopToken stop;
-  obs::Observability obs;
   RpcServer server(c.end_b(),
                    [](uint16_t, std::span<const std::byte> req)
                        -> Task<Result<std::vector<std::byte>>> {
                      co_return std::vector<std::byte>(req.begin(), req.end());
                    });
-  server.BindObservability(&obs);
   Spawn(server.Serve(stop));
   loop_.RunFor(10 * kMicrosecond);
   EXPECT_EQ(obs.flight().recorded(), 0u);
 
   // The serving host crashes: the loop's next memory op fails and it exits,
   // counted and noted in the host's flight ring rather than logged.
-  pod_.FailHost(HostId(1));
+  pod.FailHost(HostId(1));
   loop_.RunFor(300 * kMicrosecond);
-  EXPECT_EQ(Count(1, "rpc_server.serve_aborts"), 1u);
+  EXPECT_EQ(CounterValue(obs.metrics(), "rpc_server.serve_aborts", HostLabels(1)), 1u);
   std::vector<obs::FlightRecorder::Event> notes = obs.flight().Snapshot();
   ASSERT_EQ(notes.size(), 1u);
   EXPECT_EQ(notes[0].host, 1u);
@@ -1154,77 +1156,6 @@ TEST_F(MsgTest, RetryBudgetRefillIsDeterministic) {
   EXPECT_EQ(PolicyCount("a", "budget_denied"), PolicyCount("b", "budget_denied"));
   EXPECT_EQ(PolicyCount("a", "exhausted"), PolicyCount("b", "exhausted"));
   EXPECT_DOUBLE_EQ(a.budget_tokens(), b.budget_tokens());
-}
-
-// --- Doorbell ---
-
-TEST_F(MsgTest, DoorbellWaitsAndWakes) {
-  auto seg = pod_.pool().Allocate(kCachelineSize);
-  ASSERT_TRUE(seg.ok());
-  DoorbellSender bell(pod_.host(0), seg->base);
-  DoorbellWatcher watch(pod_.host(1), seg->base);
-
-  auto ringer = [](DoorbellSender& b, sim::EventLoop& loop) -> Task<> {
-    co_await sim::Delay(loop, 5 * kMicrosecond);
-    CXLPOOL_CHECK_OK(co_await b.Ring(1));
-  };
-  auto waiter = [](DoorbellWatcher& w, sim::EventLoop& loop) -> Task<uint64_t> {
-    auto v = co_await w.WaitBeyond(0, loop.now() + kMillisecond);
-    CXLPOOL_CHECK(v.ok());
-    co_return *v;
-  };
-  Spawn(ringer(bell, loop_));
-  uint64_t v = RunBlocking(loop_, waiter(watch, loop_));
-  EXPECT_EQ(v, 1u);
-  EXPECT_GE(loop_.now(), 5 * kMicrosecond);
-}
-
-TEST_F(MsgTest, DoorbellDeadline) {
-  auto seg = pod_.pool().Allocate(kCachelineSize);
-  ASSERT_TRUE(seg.ok());
-  DoorbellWatcher watch(pod_.host(1), seg->base);
-  auto t = [](DoorbellWatcher& w, sim::EventLoop& loop) -> Task<Status> {
-    auto v = co_await w.WaitBeyond(0, loop.now() + 5 * kMicrosecond);
-    co_return v.ok() ? OkStatus() : v.status();
-  };
-  EXPECT_EQ(RunBlocking(loop_, t(watch, loop_)).code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST_F(MsgTest, DoorbellBackoffResetsAfterTimeout) {
-  // A watcher whose previous wait timed out at max backoff must start the
-  // next wait at poll_min again: first-detection latency cannot depend on
-  // the previous wait's outcome.
-  auto seg = pod_.pool().Allocate(kCachelineSize);
-  ASSERT_TRUE(seg.ok());
-  DoorbellSender bell(pod_.host(0), seg->base);
-  DoorbellWatcher watch(pod_.host(1), seg->base, /*poll_min=*/100,
-                        /*poll_max=*/20 * kMicrosecond);
-
-  // Drive the backoff to its (large) max with a wait nothing rings.
-  auto idle = [](DoorbellWatcher& w, sim::EventLoop& loop) -> Task<Status> {
-    auto v = co_await w.WaitBeyond(0, loop.now() + 100 * kMicrosecond);
-    co_return v.ok() ? OkStatus() : v.status();
-  };
-  EXPECT_EQ(RunBlocking(loop_, idle(watch, loop_)).code(),
-            StatusCode::kDeadlineExceeded);
-
-  auto ringer = [](DoorbellSender& b, sim::EventLoop& loop) -> Task<> {
-    co_await sim::Delay(loop, 500);
-    CXLPOOL_CHECK_OK(co_await b.Ring(1));
-  };
-  auto waiter = [](DoorbellWatcher& w, sim::EventLoop& loop,
-                   Nanos* took) -> Task<> {
-    Nanos start = loop.now();
-    auto v = co_await w.WaitBeyond(0, loop.now() + kMillisecond);
-    CXLPOOL_CHECK(v.ok());
-    *took = loop.now() - start;
-  };
-  Nanos took = 0;
-  Spawn(ringer(bell, loop_));
-  RunBlocking(loop_, waiter(watch, loop_, &took));
-  // Without the reset the first poll delay alone is poll_max (20 us);
-  // with it, detection stays near the store-commit latency.
-  EXPECT_LT(took, 10 * kMicrosecond);
 }
 
 // --- DoorbellCoalescer ---

@@ -2,14 +2,17 @@
 // semantics, JSON export), the distributed tracer (span lifecycle,
 // propagation, inertness when disabled), the flight recorder (ring
 // semantics, dumps), and the end-to-end acceptance paths — one forwarded
-// MMIO producing a cross-host trace, and a deliberate coherence violation
-// landing in a flight-recorder dump.
+// MMIO producing a cross-host trace, a queue pair tracing through its host
+// with no wiring, and a deliberate coherence violation landing in a
+// flight-recorder dump.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/coherence_checker.h"
 #include "src/core/rack.h"
@@ -465,22 +468,112 @@ TEST(ObsEndToEndTest, TracingDoesNotChangeSimTiming) {
   EXPECT_GT(obs.tracer()->spans().size(), 0u);
 }
 
-// --- Acceptance: a coherence violation dumps the flight recorder, and the
-// offending operation is among the last-N events ---
+// --- One observability path: components reach the pod's bundle through
+// their host, with no tracer or bundle handed to them ---
 
-TEST(ObsEndToEndTest, CoherenceViolationTriggersFlightDumpWithOffendingOp) {
+TEST(ObsEndToEndTest, HostReachesThePodBundle) {
   sim::EventLoop loop;
   cxl::CxlPodConfig pc;
   pc.num_hosts = 2;
   pc.num_mhds = 1;
   pc.mhd_capacity = 8 * kMiB;
   pc.dram_per_host = 2 * kMiB;
+  {
+    // No bundle: no tracer, and a flight note goes nowhere.
+    cxl::CxlPod pod(loop, pc);
+    EXPECT_EQ(pod.obs(), nullptr);
+    EXPECT_EQ(pod.host(1).tracer(), nullptr);
+    pod.host(1).FlightNote("test", "dropped %d", 1);
+  }
+  Observability obs;
+  pc.obs = &obs;
+  cxl::CxlPod pod(loop, pc);
+  EXPECT_EQ(&pod.metrics(), &obs.metrics());
+  EXPECT_EQ(pod.host(1).tracer(), obs.tracer());
+  loop.RunFor(7);
+  pod.host(1).FlightNote("test", "kept %d", 2);
+  std::vector<FlightRecorder::Event> notes = obs.flight().Snapshot();
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_EQ(notes[0].at, 7);
+  EXPECT_EQ(notes[0].host, 1u);
+  EXPECT_STREQ(notes[0].category, "test");
+  EXPECT_STREQ(notes[0].msg, "kept 2");
+}
+
+// A default-config accelerator queue pair on host 1 traces with no wiring:
+// its qp.submit_wait root carries the forwarded doorbell across to the
+// device's home agent on host 0, and every span lands in the one trace.
+TEST(ObsEndToEndTest, QueuePairTracesThroughItsHostWithNoWiring) {
+  sim::EventLoop loop;
+  Observability obs;
+  RackConfig rc;
+  rc.pod.num_hosts = 2;
+  rc.pod.num_mhds = 1;
+  rc.pod.mhd_capacity = 16 * kMiB;
+  rc.pod.dram_per_host = 4 * kMiB;
+  rc.accels = 1;
+  rc.accel_home = 0;
+  rc.obs = &obs;
+  Rack rack(loop, rc);
+  rack.Start();
+
+  auto job = [](Rack& rack, sim::EventLoop& loop) -> Task<> {
+    auto lease = rack.AcquireDevice(HostId(1), core::DeviceType::kAccel);
+    CXLPOOL_CHECK_OK(lease.status());
+    CXLPOOL_CHECK(lease->mmio->is_remote());
+    auto accel = co_await core::VirtualAccel::Create(rack.pod().host(1),
+                                                     std::move(lease->mmio), {});
+    CXLPOOL_CHECK_OK(accel.status());
+    auto seg = rack.pod().pool().Allocate(16 * kKiB);
+    CXLPOOL_CHECK_OK(seg.status());
+    std::vector<std::byte> input(256, std::byte{0x3c});
+    CXLPOOL_CHECK_OK(co_await rack.pod().host(1).StoreNt(seg->base, input));
+    auto st = co_await (*accel)->RunJob(seg->base, 256, seg->base + 8 * kKiB,
+                                        loop.now() + kSecond);
+    CXLPOOL_CHECK_OK(st.status());
+    CXLPOOL_CHECK(*st == 0);
+  };
+  RunBlocking(loop, job(rack, loop));
+
+  const Tracer& tracer = *obs.tracer();
+  std::vector<uint64_t> qp_traces;
+  for (const SpanRecord& s : tracer.spans()) {
+    if (s.parent_span_id == 0 && std::string(s.name) == "qp.submit_wait") {
+      EXPECT_EQ(s.host, 1u);
+      qp_traces.push_back(s.trace_id);
+    }
+  }
+  ASSERT_EQ(qp_traces.size(), 1u) << "one job, one qp.submit_wait trace";
+  std::set<std::pair<std::string, uint32_t>> spans;  // (name, host)
+  for (const SpanRecord& s : tracer.TraceSpans(qp_traces[0])) {
+    spans.emplace(s.name, s.host);
+  }
+  EXPECT_EQ(spans.count({"mmio.write", 1}), 1u);
+  EXPECT_EQ(spans.count({"rpc.serve", 0}), 1u);
+  EXPECT_EQ(spans.count({"mmio.device_bar", 0}), 1u);
+  EXPECT_EQ(tracer.dropped_spans(), 0u);
+
+  rack.Shutdown();
+  loop.RunFor(100 * kMicrosecond);
+}
+
+// --- Acceptance: a coherence violation dumps the flight recorder, and the
+// offending operation is among the last-N events ---
+
+TEST(ObsEndToEndTest, CoherenceViolationTriggersFlightDumpWithOffendingOp) {
+  sim::EventLoop loop;
+  Observability obs;
+  cxl::CxlPodConfig pc;
+  pc.num_hosts = 2;
+  pc.num_mhds = 1;
+  pc.mhd_capacity = 8 * kMiB;
+  pc.dram_per_host = 2 * kMiB;
+  pc.obs = &obs;
   cxl::CxlPod pod(loop, pc);
 
-  Observability obs;
+  // The checker reports into the bundle of the pod it is attached to.
   analysis::CoherenceChecker checker;
   checker.AttachTo(pod);
-  checker.BindObservability(&obs);
 
   auto seg = pod.pool().Allocate(4 * kKiB);
   ASSERT_TRUE(seg.ok());

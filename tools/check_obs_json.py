@@ -21,7 +21,11 @@ Two artifact shapes, both produced by src/obs/:
     with each event a complete ("ph": "X") slice carrying name/ts/dur/pid
     and trace ids in args. This is what chrome://tracing and
     ui.perfetto.dev ingest; the check here guards the invariants the
-    viewer is silent about (negative durations, missing ids).
+    viewer is silent about (negative durations, missing ids) and the
+    span tree: every non-zero parent_span_id must name a span of the same
+    trace_id, and every trace must have exactly one root
+    (parent_span_id 0). A component that traced into another tracer, or
+    a root that was never ended, leaves an orphan or a rootless trace.
 
 Usage:
   tools/check_obs_json.py --bench BENCH_chaos.json [more.json...]
@@ -153,6 +157,7 @@ def check_trace(path, doc, errors):
         return
     if not events:
         _err(errors, path, "top level", "empty trace")
+    spans = []  # (where, trace_id, span_id, parent_span_id)
     for i, e in enumerate(events):
         where = "traceEvents[%d]" % i
         if not isinstance(e, dict):
@@ -175,6 +180,31 @@ def check_trace(path, doc, errors):
         if not isinstance(args, dict) or not isinstance(
                 args.get("trace_id"), int) or args.get("trace_id", 0) < 1:
             _err(errors, path, where, "args.trace_id must be int >= 1")
+            continue
+        span_id, parent = args.get("span_id"), args.get("parent_span_id")
+        if not _is_count(span_id) or span_id < 1 or not _is_count(parent):
+            _err(errors, path, where, "args.span_id must be int >= 1 and "
+                 "args.parent_span_id int >= 0")
+            continue
+        spans.append((where, args["trace_id"], span_id, parent))
+    check_parentage(path, spans, errors)
+
+
+def check_parentage(path, spans, errors):
+    """Every parent names a span of its own trace; one root per trace."""
+    ids = {}    # trace_id -> span ids
+    roots = {}  # trace_id -> root count
+    for _, trace, span, parent in spans:
+        ids.setdefault(trace, set()).add(span)
+        roots[trace] = roots.get(trace, 0) + (parent == 0)
+    for where, trace, span, parent in spans:
+        if parent != 0 and parent not in ids[trace]:
+            _err(errors, path, where, "span %d: parent_span_id %d names no "
+                 "span of trace %d" % (span, parent, trace))
+    for trace in sorted(roots):
+        if roots[trace] != 1:
+            _err(errors, path, "trace %d" % trace,
+                 "%d root spans, expected exactly 1" % roots[trace])
 
 
 def sniff(doc):
@@ -218,8 +248,10 @@ def main():
                 print("%s: OK (bench=%s, %d series)" %
                       (path, doc.get("bench"), n))
             else:
-                print("%s: OK (trace, %d events)" %
-                      (path, len(doc.get("traceEvents", []))))
+                events = doc.get("traceEvents", [])
+                traces = {e["args"]["trace_id"] for e in events}
+                print("%s: OK (trace, %d events in %d traces)" %
+                      (path, len(events), len(traces)))
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
