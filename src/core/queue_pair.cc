@@ -22,44 +22,26 @@ constexpr Nanos kPollMax = 4 * kMicrosecond;
 }  // namespace
 
 QueuePairDriver::QueuePairDriver(cxl::HostAdapter& host,
-                                 std::unique_ptr<MmioPath> mmio, Config config)
+                                 std::unique_ptr<MmioPath> mmio, Config config,
+                                 PlacedMemory mem)
     : host_(host),
       mmio_(std::move(mmio)),
       config_(config),
-      mem_(host, config.rings_in_cxl),
-      backoff_(kPollMin, kPollMax) {}
-
-QueuePairDriver::~QueuePairDriver() {
-  if (owns_segment_) {
-    (void)host_.cxl_pool().Free(segment_);
-  }
-}
+      mem_(std::move(mem)),
+      backoff_(kPollMin, kPollMax),
+      sq_(mem_.base(), config.entries, kQpCmdSize),
+      cq_base_(mem_.base() + static_cast<uint64_t>(config.entries) * kQpCmdSize) {}
 
 sim::Task<Result<std::unique_ptr<QueuePairDriver>>> QueuePairDriver::Create(
     cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config) {
   CXLPOOL_CHECK(config.entries >= 2);
-  auto driver = std::unique_ptr<QueuePairDriver>(
-      new QueuePairDriver(host, std::move(mmio), config));
-
   uint64_t bytes = static_cast<uint64_t>(config.entries) * (kQpCmdSize + kQpCplSize);
-  if (config.rings_in_cxl) {
-    auto seg = host.cxl_pool().Allocate(bytes);
-    if (!seg.ok()) {
-      co_return seg.status();
-    }
-    driver->segment_ = *seg;
-    driver->owns_segment_ = true;
-    driver->sq_base_ = seg->base;
-  } else {
-    auto addr = host.AllocateDram(bytes);
-    if (!addr.ok()) {
-      co_return addr.status();
-    }
-    driver->sq_base_ = *addr;
+  auto mem = PlacedMemory::Allocate(host, config.rings_in_cxl, bytes);
+  if (!mem.ok()) {
+    co_return mem.status();
   }
-  driver->cq_base_ =
-      driver->sq_base_ + static_cast<uint64_t>(config.entries) * kQpCmdSize;
-
+  auto driver = std::unique_ptr<QueuePairDriver>(
+      new QueuePairDriver(host, std::move(mmio), config, std::move(*mem)));
   Status st = co_await driver->ProgramDevice();
   if (!st.ok()) {
     co_return st;
@@ -74,7 +56,8 @@ sim::Task<Status> QueuePairDriver::ProgramDevice() {
   }
   uint64_t regs = config_.reg_base;
   CO_RETURN_IF_ERROR(co_await mmio_->Write(regs + devices::kQpRegReset, 1));
-  CO_RETURN_IF_ERROR(co_await mmio_->Write(regs + devices::kQpRegSqBase, sq_base_));
+  CO_RETURN_IF_ERROR(
+      co_await mmio_->Write(regs + devices::kQpRegSqBase, sq_.SlotAddr(0)));
   CO_RETURN_IF_ERROR(
       co_await mmio_->Write(regs + devices::kQpRegSqSize, config_.entries));
   CO_RETURN_IF_ERROR(co_await mmio_->Write(regs + devices::kQpRegCqBase, cq_base_));
@@ -130,26 +113,23 @@ sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(
                                       host_.id().value(), host_.loop().now());
   // Reserve the slot before suspending so concurrent submitters never
   // collide; the doorbell only covers the contiguous published prefix.
-  uint64_t slot = sq_posted_++;
+  uint64_t slot = sq_.Claim();
+  uint64_t generation = sq_.generation();
   ++in_flight_;
-  uint64_t addr = sq_base_ + (slot % config_.entries) * kQpCmdSize;
-  Status publish_st = co_await mem_.Publish(addr, cmd);
+  Status publish_st = co_await mem_.Publish(sq_.SlotAddr(slot), cmd);
+  if (publish_st.ok() && generation != sq_.generation()) {
+    publish_st = Aborted("queue pair rebound mid-submit");
+  }
   if (!publish_st.ok()) {
     op.End(host_.loop().now());
     co_return publish_st;
   }
-  sq_published_.insert(slot);
-  while (sq_published_.contains(sq_ready_)) {
-    sq_published_.erase(sq_ready_);
-    ++sq_ready_;
-  }
-  if (sq_ready_ > sq_doorbell_sent_) {
-    uint64_t value = sq_ready_;
+  if (uint64_t value = sq_.Published(slot); value != 0) {
     if (mem_.sw_coherence()) {
       // Ownership transfer: the doorbell hands the published SQ prefix to
       // the device, which will DMA-read it from the pool. Any dirty cached
       // command bytes at this instant would be invisible to the device.
-      host_.NoteHandoff(sq_base_, static_cast<uint64_t>(config_.entries) * kQpCmdSize,
+      host_.NoteHandoff(mem_.base(), static_cast<uint64_t>(config_.entries) * kQpCmdSize,
                         "sq-doorbell");
     }
     // The doorbell inherits the command's absolute deadline: if it expires
@@ -160,9 +140,6 @@ sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(
     if (!bell_st.ok()) {
       op.End(host_.loop().now());
       co_return bell_st;
-    }
-    if (value > sq_doorbell_sent_) {
-      sq_doorbell_sent_ = value;
     }
   }
 
@@ -198,10 +175,7 @@ sim::Task<Result<uint16_t>> QueuePairDriver::SubmitAndWait(
 
 sim::Task<Status> QueuePairDriver::Rebind(std::unique_ptr<MmioPath> mmio) {
   mmio_ = std::move(mmio);
-  sq_posted_ = 0;
-  sq_ready_ = 0;
-  sq_doorbell_sent_ = 0;
-  sq_published_.clear();
+  sq_.Reset();  // in-flight SubmitAndWait publishes abort cleanly
   cq_next_ = 0;
   in_flight_ = 0;
   completed_.clear();

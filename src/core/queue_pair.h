@@ -2,7 +2,8 @@
 // devices::QueuePairDevice (the SSD and the accelerator), whose register
 // map, 64 B command and completion formats and cookie offset it shares.
 // Placement and MMIO-path genericity work exactly as in VirtualNic: rings
-// live in local DRAM or CXL pool memory, doorbells go direct or over the
+// live in local DRAM or CXL pool memory, the submission queue is a
+// DriverRing like the NIC's rings, and doorbells go direct or over the
 // forwarding channel. Completions may arrive out of submission order;
 // SubmitAndWait matches on cookie.
 #ifndef SRC_CORE_QUEUE_PAIR_H_
@@ -10,11 +11,10 @@
 
 #include <map>
 #include <memory>
-#include <set>
 
+#include "src/core/driver_ring.h"
 #include "src/core/mmio_path.h"
 #include "src/core/placed_memory.h"
-#include "src/cxl/pool.h"
 #include "src/devices/queue_pair_device.h"
 #include "src/sim/poll.h"
 
@@ -36,23 +36,19 @@ class QueuePairDriver {
       cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config);
 
   // Stamps a fresh cookie into `cmd`, submits it, and waits for its
-  // completion status until `deadline`.
+  // completion status until `deadline`. kAborted when a Rebind lands while
+  // the command is being published.
   sim::Task<Result<uint16_t>> SubmitAndWait(devices::QueuePairDevice::Command& cmd,
                                             Nanos deadline);
 
   // Retarget to a replacement device (failover / migration).
   sim::Task<Status> Rebind(std::unique_ptr<MmioPath> mmio);
 
-  uint64_t submitted() const { return sq_posted_; }
-  uint64_t completed() const { return cq_next_; }
   bool remote() const { return mmio_->is_remote(); }
-  PlacedMemory& memory() { return mem_; }
-
-  ~QueuePairDriver();
 
  private:
   QueuePairDriver(cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio,
-                  Config config);
+                  Config config, PlacedMemory mem);
 
   sim::Task<Status> ProgramDevice();
   // Consumes at most one completion entry; true if it consumed one.
@@ -61,19 +57,13 @@ class QueuePairDriver {
   cxl::HostAdapter& host_;
   std::unique_ptr<MmioPath> mmio_;
   Config config_;
+  // The submission queue, then the completion queue.
   PlacedMemory mem_;
   sim::PollBackoff backoff_;
-
-  cxl::PoolSegment segment_;
-  bool owns_segment_ = false;
-  uint64_t sq_base_ = 0;
-  uint64_t cq_base_ = 0;
+  DriverRing sq_;
+  uint64_t cq_base_;
 
   uint64_t next_cookie_ = 1;
-  uint64_t sq_posted_ = 0;   // reserved slots
-  uint64_t sq_ready_ = 0;    // contiguous published prefix
-  uint64_t sq_doorbell_sent_ = 0;
-  std::set<uint64_t> sq_published_;
   uint64_t cq_next_ = 0;
   uint64_t in_flight_ = 0;
   bool polling_ = false;

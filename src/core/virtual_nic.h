@@ -16,14 +16,12 @@
 #define SRC_CORE_VIRTUAL_NIC_H_
 
 #include <memory>
-#include <set>
 #include <vector>
 
+#include "src/core/driver_ring.h"
 #include "src/core/mmio_path.h"
 #include "src/core/placed_memory.h"
-#include "src/cxl/pool.h"
 #include "src/devices/nic.h"
-#include "src/msg/coalesce.h"
 #include "src/netsim/network.h"
 #include "src/sim/poll.h"
 
@@ -37,7 +35,8 @@ class VirtualNic {
     // true: rings + completions live in shared CXL pool memory (pooled
     // mode); false: in the host's local DRAM (direct-attached mode).
     bool rings_in_cxl = true;
-    // Post RX doorbells every N buffers (MMIO amortization).
+    // Ring the RX doorbell once N buffers are posted beyond the last
+    // announced value (MMIO amortization).
     uint32_t rx_doorbell_batch = 8;
   };
 
@@ -50,14 +49,14 @@ class VirtualNic {
   // Allocates ring memory per `config` and programs the NIC through
   // `mmio`. `host` is the host running the I/O stack, not necessarily the
   // NIC's home host. Counts the vnic.* series declared with its members
-  // under that host's scope; the RX doorbell's coalesce.* series carry
-  // {"doorbell": "vnic_rx"}.
+  // under that host's scope.
   static sim::Task<Result<std::unique_ptr<VirtualNic>>> Create(
       cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config);
 
   // Queues one frame for transmission. The payload must already be
   // published at `buf_addr` (the stack's BufferPool handles payload
-  // coherence). Blocks in simulated time while the TX ring is full.
+  // coherence). Blocks in simulated time while the TX ring is full;
+  // kAborted when a Rebind lands while the descriptor is being published.
   sim::Task<Status> SendFrame(netsim::MacAddr dst, uint64_t buf_addr, uint32_t len);
 
   // Fresh count of completed TX descriptors.
@@ -65,9 +64,9 @@ class VirtualNic {
   // Last observed completion count (no memory access).
   uint64_t tx_completed_cache() const { return tx_completed_cache_; }
 
-  // Hands a receive buffer to the NIC. Doorbells are batched through a
-  // msg::DoorbellCoalescer at config.rx_doorbell_batch; FlushRxDoorbell()
-  // forces the pending value out.
+  // Hands a receive buffer to the NIC; kAborted when a Rebind lands while
+  // the descriptor is being published. Doorbells are batched at
+  // config.rx_doorbell_batch; FlushRxDoorbell() announces a partial batch.
   sim::Task<Status> PostRxBuffer(uint64_t buf_addr, uint32_t buf_len);
   sim::Task<Status> FlushRxDoorbell();
 
@@ -79,25 +78,20 @@ class VirtualNic {
   // RX buffers must be re-posted by the caller.
   sim::Task<Status> Rebind(std::unique_ptr<MmioPath> mmio);
 
-  PlacedMemory& memory() { return mem_; }
   const Config& config() const { return config_; }
   bool remote() const { return mmio_->is_remote(); }
 
-  ~VirtualNic();
-
  private:
-  VirtualNic(cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config);
+  VirtualNic(cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio, Config config,
+             PlacedMemory mem);
 
-  // Lays out rings within the allocated blob.
-  void ComputeLayout(uint64_t base);
   // Programs ring registers + zeroes completion structures.
   sim::Task<Status> ProgramDevice();
-  // Ring action behind rx_doorbell_: one MMIO write of the folded value.
-  sim::Task<Status> RxDoorbellWrite(uint64_t value);
 
   cxl::HostAdapter& host_;
   std::unique_ptr<MmioPath> mmio_;
   Config config_;
+  // TX ring, TX completion line, RX ring, RX completion ring, in order.
   PlacedMemory mem_;
   // Completion-poll backoff bounds: a dedicated polling core
   // (Junction-style).
@@ -106,30 +100,15 @@ class VirtualNic {
   sim::PollBackoff rx_backoff_{kPollMin, kPollMax};
   sim::PollBackoff tx_backoff_{kPollMin, kPollMax};
 
-  // Memory layout.
-  cxl::PoolSegment segment_;  // when rings_in_cxl
-  uint64_t tx_ring_ = 0;
-  uint64_t tx_cpl_ = 0;
-  uint64_t rx_ring_ = 0;
-  uint64_t rx_cpl_ = 0;
+  DriverRing tx_;
+  uint64_t tx_cpl_;
+  DriverRing rx_;
+  uint64_t rx_cpl_;
 
-  // Driver-side ring state. tx_posted_ counts reserved slots; tx_ready_ is
-  // the contiguous published prefix eligible for the doorbell.
-  uint64_t tx_posted_ = 0;
-  uint64_t tx_ready_ = 0;
-  uint64_t tx_doorbell_sent_ = 0;
-  std::set<uint64_t> tx_published_;  // out-of-order published slots
   uint64_t tx_completed_cache_ = 0;
-  uint64_t rebind_generation_ = 0;
-  uint64_t rx_posted_ = 0;
   uint64_t rx_cpl_next_ = 0;
   std::vector<uint64_t> rx_shadow_;  // ring idx -> posted buffer addr
-  // RX doorbell MMIO writes, folded per rx_doorbell_batch. Rings happen
-  // synchronously inside PostRxBuffer / FlushRxDoorbell frames, so the
-  // `this` capture in the ring fn is safe.
-  msg::DoorbellCoalescer rx_doorbell_;
 
-  bool owns_segment_ = false;
   obs::Counter* tx_posted_count_ = host_.metrics().GetCounter("vnic.tx_posted");
   obs::Counter* rx_posted_count_ = host_.metrics().GetCounter("vnic.rx_posted");
   obs::Counter* rx_events_ = host_.metrics().GetCounter("vnic.rx_events");

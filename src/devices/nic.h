@@ -1,6 +1,6 @@
 // Descriptor-ring NIC model (ConnectX-class, simplified).
 //
-// The driver (src/core/nic_driver.h) programs ring locations via MMIO
+// The driver (core::VirtualNic) programs ring locations via MMIO
 // registers and then operates it entirely through memory:
 //
 //   TX: driver writes 32 B descriptors into the TX ring, rings the TX

@@ -35,7 +35,6 @@ LoadGen::LoadGen(stack::UdpStack* stack, netsim::MacAddr server_mac,
       client_id_(client_id),
       config_(config),
       zipf_(config.keys, config.zipf_theta),
-      rng_(config.seed + static_cast<uint64_t>(client_id) * 7919),
       keys_(config.keys),
       conn_outstanding_(static_cast<size_t>(config.connections), 0),
       dkey_inflight_(kDeleteKeys, false) {

@@ -142,7 +142,6 @@ class LoadGen {
   LoadGenConfig config_;
   stack::UdpSocket* sock_ = nullptr;
   sim::ZipfianSampler zipf_;
-  sim::Rng rng_;
 
   std::vector<KeyState> keys_;
   std::vector<int> conn_outstanding_;   // per-connection pipeline occupancy

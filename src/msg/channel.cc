@@ -7,7 +7,7 @@ Result<std::unique_ptr<Channel>> Channel::Create(cxl::CxlPool& pool,
                                                  cxl::HostAdapter& b,
                                                  Options options) {
   uint64_t per_ring = RingFootprint(options.slots);
-  ASSIGN_OR_RETURN(cxl::PoolSegment seg, pool.Allocate(2 * per_ring, options.mhd));
+  ASSIGN_OR_RETURN(cxl::PoolSegment seg, pool.Allocate(2 * per_ring));
 
   RingConfig a_to_b;
   a_to_b.base = seg.base;

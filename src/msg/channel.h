@@ -67,8 +67,6 @@ class Channel {
     // Bounded-send policy for both rings: how long a Send may wait on a
     // full ring before failing with kOverloaded. 0 = wait forever.
     Nanos full_wait = 0;
-    // Pin the backing segment to a specific MHD (tests); default balances.
-    MhdId mhd;
   };
 
   // Allocates pool memory and builds both endpoints.

@@ -103,7 +103,6 @@ class RingSender {
   // never observes message k+1 before message k.
   sim::Task<Status> SendBatch(std::span<const std::span<const std::byte>> payloads);
 
-  uint64_t messages_sent() const { return head_; }
   cxl::HostAdapter& host() { return host_; }
 
  private:

@@ -54,7 +54,6 @@ class MpscSubmitter {
   sim::Task<Status> Submit(std::span<const std::byte> payload,
                            uint8_t priority = kPriorityData);
 
-  size_t staged() const { return staged_.size(); }
   RingSender& sender() { return sender_; }
 
  private:

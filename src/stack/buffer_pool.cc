@@ -17,27 +17,17 @@ Result<std::unique_ptr<BufferPool>> BufferPool::Create(cxl::HostAdapter& host,
   // across the coherence boundary would corrupt data).
   buffer_size = static_cast<uint32_t>(CachelineCeil(buffer_size));
 
-  auto pool = std::unique_ptr<BufferPool>(
-      new BufferPool(host, placement, buffer_count, buffer_size));
   uint64_t bytes = static_cast<uint64_t>(buffer_count) * buffer_size;
-  if (placement == Placement::kCxlPool) {
-    ASSIGN_OR_RETURN(pool->segment_, host.cxl_pool().Allocate(bytes));
-    pool->base_ = pool->segment_.base;
-    pool->owns_segment_ = true;
-  } else {
-    ASSIGN_OR_RETURN(pool->base_, host.AllocateDram(bytes));
-  }
+  ASSIGN_OR_RETURN(core::PlacedMemory mem,
+                   core::PlacedMemory::Allocate(host, placement == Placement::kCxlPool,
+                                                bytes));
+  auto pool = std::unique_ptr<BufferPool>(
+      new BufferPool(std::move(mem), buffer_count, buffer_size));
   pool->free_.reserve(buffer_count);
   for (uint32_t i = 0; i < buffer_count; ++i) {
-    pool->free_.push_back(pool->base_ + static_cast<uint64_t>(i) * buffer_size);
+    pool->free_.push_back(pool->base() + static_cast<uint64_t>(i) * buffer_size);
   }
   return pool;
-}
-
-BufferPool::~BufferPool() {
-  if (owns_segment_) {
-    (void)host_.cxl_pool().Free(segment_);
-  }
 }
 
 Result<uint64_t> BufferPool::Alloc() {
@@ -50,9 +40,9 @@ Result<uint64_t> BufferPool::Alloc() {
 }
 
 void BufferPool::Free(uint64_t addr) {
-  CXLPOOL_DCHECK(addr >= base_ &&
-                 addr < base_ + static_cast<uint64_t>(buffer_count_) * buffer_size_);
-  CXLPOOL_DCHECK((addr - base_) % buffer_size_ == 0);
+  CXLPOOL_DCHECK(addr >= base() &&
+                 addr < base() + static_cast<uint64_t>(buffer_count_) * buffer_size_);
+  CXLPOOL_DCHECK((addr - base()) % buffer_size_ == 0);
   free_.push_back(addr);
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/placed_memory.h"
-#include "src/cxl/pool.h"
 
 namespace cxlpool::stack {
 
@@ -25,41 +24,29 @@ class BufferPool {
                                                     Placement placement,
                                                     uint32_t buffer_count,
                                                     uint32_t buffer_size);
-  ~BufferPool();
 
   // Pops a free buffer; kResourceExhausted when empty.
   Result<uint64_t> Alloc();
   void Free(uint64_t addr);
 
-  Placement placement() const { return placement_; }
   uint32_t buffer_size() const { return buffer_size_; }
   size_t available() const { return free_.size(); }
   size_t capacity() const { return buffer_count_; }
   // Base address of the backing region; buffer i lives at
   // base() + i * buffer_size(). Chaos harnesses use this to aim media
   // faults (line poison) at live value buffers.
-  uint64_t base() const { return base_; }
+  uint64_t base() const { return mem_.base(); }
 
   // Coherence-correct accessors for buffer contents.
   core::PlacedMemory& memory() { return mem_; }
 
  private:
-  BufferPool(cxl::HostAdapter& host, Placement placement, uint32_t buffer_count,
-             uint32_t buffer_size)
-      : placement_(placement),
-        buffer_count_(buffer_count),
-        buffer_size_(buffer_size),
-        mem_(host, placement == Placement::kCxlPool),
-        host_(host) {}
+  BufferPool(core::PlacedMemory mem, uint32_t buffer_count, uint32_t buffer_size)
+      : buffer_count_(buffer_count), buffer_size_(buffer_size), mem_(std::move(mem)) {}
 
-  Placement placement_;
   uint32_t buffer_count_;
   uint32_t buffer_size_;
   core::PlacedMemory mem_;
-  cxl::HostAdapter& host_;
-  cxl::PoolSegment segment_;
-  bool owns_segment_ = false;
-  uint64_t base_ = 0;
   std::vector<uint64_t> free_;
 };
 

@@ -99,7 +99,15 @@ sim::Task<Status> UdpStack::PostRxBuffers() {
     if (!buf.ok()) {
       break;  // pool drained; keep what we have
     }
-    CO_RETURN_IF_ERROR(co_await vnic_->PostRxBuffer(*buf, pool_->buffer_size()));
+    uint64_t migrations = migrations_;
+    Status st = co_await vnic_->PostRxBuffer(*buf, pool_->buffer_size());
+    if (!st.ok() && migrations != migrations_) {
+      // A migration rebound the NIC mid-post (kAborted): the buffer is on
+      // no live ring, and HandleMigration re-posts the ring itself.
+      pool_->Free(*buf);
+      co_return OkStatus();
+    }
+    CO_RETURN_IF_ERROR(st);
     posted_rx_.push_back(*buf);
   }
   co_return co_await vnic_->FlushRxDoorbell();
@@ -205,6 +213,7 @@ sim::Task<> UdpStack::ProcessFrame(core::VirtualNic::RxEvent ev) {
 }
 
 sim::Task<Status> UdpStack::HandleMigration(std::unique_ptr<core::MmioPath> new_path) {
+  ++migrations_;
   CO_RETURN_IF_ERROR(co_await vnic_->Rebind(std::move(new_path)));
   // The old NIC no longer owns any buffers; reclaim everything.
   for (uint64_t addr : posted_rx_) {

@@ -117,6 +117,7 @@ class UdpStack {
   std::vector<uint64_t> posted_rx_;     // addresses currently owned by the NIC
   std::vector<uint64_t> inflight_tx_;   // FIFO of buffers awaiting completion
   uint64_t tx_reclaimed_ = 0;           // completions already processed
+  uint64_t migrations_ = 0;             // HandleMigration calls so far
 
   obs::Counter* tx_datagrams_ = host_.metrics().GetCounter("stack.tx_datagrams");
   obs::Counter* rx_datagrams_ = host_.metrics().GetCounter("stack.rx_datagrams");

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -29,6 +30,33 @@ class DummyDevice : public pcie::PcieDevice {
  protected:
   void OnMmioWrite(uint64_t reg, uint64_t value) override { regs[reg] = value; }
   uint64_t OnMmioRead(uint64_t reg) override { return regs[reg]; }
+};
+
+// Forwards to `inner` and records every value written to register `reg`,
+// at the instant the write is issued.
+class RecordingMmioPath : public MmioPath {
+ public:
+  RecordingMmioPath(std::unique_ptr<MmioPath> inner, uint64_t reg,
+                    std::vector<uint64_t>* log)
+      : inner_(std::move(inner)), reg_(reg), log_(log) {}
+
+  sim::Task<Status> Write(uint64_t reg, uint64_t value, obs::TraceContext parent = {},
+                          Nanos deadline = 0) override {
+    if (reg == reg_) {
+      log_->push_back(value);
+    }
+    return inner_->Write(reg, value, parent, deadline);
+  }
+  sim::Task<Result<uint64_t>> Read(uint64_t reg, obs::TraceContext parent = {},
+                                   Nanos deadline = 0) override {
+    return inner_->Read(reg, parent, deadline);
+  }
+  bool is_remote() const override { return inner_->is_remote(); }
+
+ private:
+  std::unique_ptr<MmioPath> inner_;
+  uint64_t reg_;
+  std::vector<uint64_t>* log_;
 };
 
 RackConfig SmallRack(int hosts = 3, int nics_per_host = 1) {
@@ -115,6 +143,62 @@ TEST_F(CoreTest, RemoteMmioCostsMoreThanLocal) {
   EXPECT_GE(t_remote, t_local + 700);
   EXPECT_LT(t_remote, 10 * kMicrosecond);
   Drain();
+}
+
+// --- DriverRing ---
+
+TEST(DriverRingTest, DoorbellCoversOnlyTheGaplessPrefix) {
+  DriverRing ring(/*base=*/0x1000, /*entries=*/8, /*entry_size=*/32);
+  uint64_t s0 = ring.Claim();
+  uint64_t s1 = ring.Claim();
+  EXPECT_EQ(ring.SlotAddr(s0), 0x1000u);
+  EXPECT_EQ(ring.SlotAddr(s1), 0x1020u);
+  EXPECT_EQ(ring.SlotAddr(s0 + 8), 0x1000u);  // slots wrap
+  EXPECT_EQ(ring.Published(s1), 0u);          // slot 0 is still a gap
+  EXPECT_EQ(ring.Published(s0), 2u);
+  EXPECT_EQ(ring.TakeUnannounced(), 0u);
+}
+
+TEST(DriverRingTest, BatchesThenFlushesTheRemainderOnce) {
+  DriverRing ring(0, 8, 32);
+  std::vector<uint64_t> rung;
+  for (int i = 0; i < 3; ++i) {
+    rung.push_back(ring.Published(ring.Claim(), /*batch=*/3));
+  }
+  EXPECT_EQ(rung, (std::vector<uint64_t>{0, 0, 3}));
+  EXPECT_EQ(ring.Published(ring.Claim(), 3), 0u);
+  EXPECT_EQ(ring.TakeUnannounced(), 4u);
+  EXPECT_EQ(ring.TakeUnannounced(), 0u);
+}
+
+TEST(DriverRingTest, AnnouncedValuesStrictlyIncreaseAcrossWraps) {
+  // Two posters at a time finish out of order, as flow control allows:
+  // never more than `entries` claimed-but-unannounced slots.
+  DriverRing ring(0, 4, 32);
+  uint64_t last = 0;
+  for (int round = 0; round < 10; ++round) {
+    uint64_t a = ring.Claim();
+    uint64_t b = ring.Claim();
+    EXPECT_EQ(ring.Published(b), 0u);
+    uint64_t value = ring.Published(a);
+    EXPECT_EQ(value, b + 1);
+    EXPECT_GT(value, last);
+    last = value;
+  }
+}
+
+TEST(DriverRingTest, ResetStartsAFreshGeneration) {
+  DriverRing ring(0, 4, 32);
+  ring.Claim();
+  uint64_t s1 = ring.Claim();
+  EXPECT_EQ(ring.Published(s1), 0u);  // marked behind a gap
+  uint64_t generation = ring.generation();
+  ring.Reset();
+  EXPECT_EQ(ring.generation(), generation + 1);
+  EXPECT_EQ(ring.posted(), 0u);
+  // Slot 1's mark from before the reset does not count after it.
+  EXPECT_EQ(ring.Published(ring.Claim()), 1u);
+  EXPECT_EQ(ring.TakeUnannounced(), 0u);
 }
 
 // --- VirtualNic datapath ---
@@ -227,6 +311,73 @@ TEST_F(CoreTest, RemoteNicDatapathWorks) {
   Drain();
 }
 
+TEST_F(CoreTest, RxDoorbellRingsPerBatchAndOnFlush) {
+  rack_ = std::make_unique<Rack>(loop_, SmallRack());
+  rack_->Start();
+
+  std::vector<uint64_t> rung;
+  auto t = [](Rack& rack, std::vector<uint64_t>& rung) -> Task<> {
+    auto mmio = rack.orchestrator().MakeMmioPath(HostId(0), PcieDeviceId(0));
+    CXLPOOL_CHECK(mmio.ok());
+    VirtualNic::Config vc;
+    vc.rx_doorbell_batch = 4;
+    auto vnic = co_await VirtualNic::Create(
+        rack.pod().host(0),
+        std::make_unique<RecordingMmioPath>(std::move(*mmio), devices::kNicRegRxDoorbell,
+                                            &rung),
+        vc);
+    CXLPOOL_CHECK(vnic.ok());
+    auto seg = rack.pod().pool().Allocate(64 * kKiB);
+    CXLPOOL_CHECK(seg.ok());
+    for (uint64_t i = 0; i < 10; ++i) {
+      CXLPOOL_CHECK_OK(co_await (*vnic)->PostRxBuffer(seg->base + i * 2048, 2048));
+    }
+    CXLPOOL_CHECK_OK(co_await (*vnic)->FlushRxDoorbell());
+    CXLPOOL_CHECK_OK(co_await (*vnic)->FlushRxDoorbell());  // nothing left to ring
+  };
+  RunBlocking(loop_, t(*rack_, rung));
+  EXPECT_EQ(rung, (std::vector<uint64_t>{4, 8, 10}));
+  Drain();
+}
+
+TEST_F(CoreTest, ConcurrentRxPostsTakeDistinctSlots) {
+  rack_ = std::make_unique<Rack>(loop_, SmallRack());
+  rack_->Start();
+
+  auto t = [](Rack& rack) -> Task<std::vector<uint64_t>> {
+    EchoPair pair = co_await SetupPair(rack, /*rings_in_cxl=*/true);
+    VirtualNic& rx = *pair.b.vnic;
+    uint64_t base = pair.buffers.base;
+    // Both posts start before either descriptor's publish lands.
+    auto post = [](VirtualNic& nic, uint64_t buf) -> Task<> {
+      CXLPOOL_CHECK_OK(co_await nic.PostRxBuffer(buf, 2048));
+    };
+    Spawn(post(rx, base));
+    Spawn(post(rx, base + 4096));
+    co_await sim::Delay(rack.loop(), 10 * kMicrosecond);
+    CXLPOOL_CHECK_OK(co_await rx.FlushRxDoorbell());
+
+    uint64_t tx_buf = base + 16 * kKiB;
+    std::vector<std::byte> payload(64, std::byte{0x7});
+    CXLPOOL_CHECK_OK(co_await rack.pod().host(0).StoreNt(tx_buf, payload));
+    for (int i = 0; i < 2; ++i) {
+      CXLPOOL_CHECK_OK(co_await pair.a.vnic->SendFrame(pair.b.mac, tx_buf, 64));
+    }
+    std::vector<uint64_t> got;
+    for (int i = 0; i < 2; ++i) {
+      auto ev = co_await rx.PollRx(rack.loop().now() + kMillisecond);
+      got.push_back(ev.ok() ? ev->buf_addr : 0);
+    }
+    co_return got;
+  };
+  std::vector<uint64_t> got = RunBlocking(loop_, t(*rack_));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_NE(got[0], 0u);
+  EXPECT_NE(got[1], 0u);
+  EXPECT_NE(got[0], got[1]);
+  Drain();
+}
+
 // --- VirtualSsd ---
 
 TEST_F(CoreTest, SsdWriteReadRoundTrip) {
@@ -290,6 +441,48 @@ TEST_F(CoreTest, SsdRejectsBadLba) {
     co_return *st;
   };
   EXPECT_EQ(RunBlocking(loop_, t(*rack_, loop_)), devices::kSsdStatusLbaOutOfRange);
+  Drain();
+}
+
+TEST_F(CoreTest, QueuePairRebindDuringSubmitAbortsTheStaleCommand) {
+  RackConfig rc = SmallRack(2);
+  rc.ssds_per_host = 1;
+  rack_ = std::make_unique<Rack>(loop_, rc);
+  rack_->Start();
+
+  std::optional<Result<uint16_t>> first;
+  auto t = [](Rack& rack, sim::EventLoop& loop,
+              std::optional<Result<uint16_t>>& first) -> Task<Result<uint16_t>> {
+    auto lease = rack.AcquireDevice(HostId(0), DeviceType::kSsd);
+    CXLPOOL_CHECK(lease.ok());
+    VirtualSsd::Config sc;
+    sc.rings_in_cxl = true;
+    auto ssd = co_await VirtualSsd::Create(rack.pod().host(0), std::move(lease->mmio), sc);
+    CXLPOOL_CHECK(ssd.ok());
+    auto path = rack.orchestrator().MakeMmioPath(HostId(0), lease->assignment.device);
+    CXLPOOL_CHECK(path.ok());
+    auto seg = rack.pod().pool().Allocate(64 * kKiB);
+    CXLPOOL_CHECK(seg.ok());
+
+    // The first read claims slot 0 and suspends in its publish; the Rebind
+    // resets the queue pair before that publish lands.
+    auto read = [](VirtualSsd& ssd, uint64_t buf, Nanos deadline,
+                   std::optional<Result<uint16_t>>& out) -> Task<> {
+      out = co_await ssd.ReadBlocks(0, 4, buf, deadline);
+    };
+    Spawn(read(**ssd, seg->base, loop.now() + kMillisecond, first));
+    CXLPOOL_CHECK_OK(co_await (*ssd)->Rebind(std::move(*path)));
+    // Long enough for a stale command, had it rung, to complete and be
+    // reaped before the next submit.
+    co_await sim::Delay(loop, 100 * kMicrosecond);
+    co_return co_await (*ssd)->ReadBlocks(0, 4, seg->base + 8 * kKiB,
+                                          loop.now() + kMillisecond);
+  };
+  Result<uint16_t> second = RunBlocking(loop_, t(*rack_, loop_, first));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->status().code(), StatusCode::kAborted);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, devices::kSsdStatusOk);
   Drain();
 }
 

@@ -11,7 +11,6 @@
 #include "src/msg/channel.h"
 #include "src/netsim/fault_plane.h"
 #include "src/sim/random.h"
-#include "src/msg/coalesce.h"
 #include "src/msg/retry.h"
 #include "src/msg/ring.h"
 #include "src/msg/rpc.h"
@@ -1156,59 +1155,6 @@ TEST_F(MsgTest, RetryBudgetRefillIsDeterministic) {
   EXPECT_EQ(PolicyCount("a", "budget_denied"), PolicyCount("b", "budget_denied"));
   EXPECT_EQ(PolicyCount("a", "exhausted"), PolicyCount("b", "exhausted"));
   EXPECT_DOUBLE_EQ(a.budget_tokens(), b.budget_tokens());
-}
-
-// --- DoorbellCoalescer ---
-
-// Records every issued ring with its sim timestamp.
-struct RingLog {
-  sim::EventLoop* loop;
-  std::vector<std::pair<uint64_t, Nanos>> rung;
-  Task<Status> Ring(uint64_t v) {
-    rung.emplace_back(v, loop->now());
-    co_return OkStatus();
-  }
-};
-
-TEST_F(MsgTest, CoalescerFlushesAtWatermark) {
-  RingLog log{&loop_, {}};
-  DoorbellCoalescer co([&log](uint64_t v) { return log.Ring(v); },
-                       /*watermark=*/3, obs::Scope(pod_.metrics()));
-  auto t = [](DoorbellCoalescer& c) -> Task<> {
-    CXLPOOL_CHECK_OK(co_await c.Offer(1));
-    CXLPOOL_CHECK_OK(co_await c.Offer(2));
-    CXLPOOL_CHECK_OK(co_await c.Offer(3));  // watermark fires right here
-  };
-  RunBlocking(loop_, t(co));
-  ASSERT_EQ(log.rung.size(), 1u);
-  EXPECT_EQ(log.rung[0].first, 3u);          // the folded max, once
-  EXPECT_LT(log.rung[0].second, 5 * kMicrosecond);  // rung by the third offer
-  // Nothing is left pending: time passing rings nothing more.
-  loop_.RunFor(20 * kMicrosecond);
-  EXPECT_EQ(log.rung.size(), 1u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.watermark_flushes"), 1u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.rings"), 1u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.coalesced"), 2u);
-}
-
-TEST_F(MsgTest, CoalescerRungValuesStayMonotone) {
-  RingLog log{&loop_, {}};
-  DoorbellCoalescer co([&log](uint64_t v) { return log.Ring(v); },
-                       /*watermark=*/1, obs::Scope(pod_.metrics()));
-  auto t = [](DoorbellCoalescer& c) -> Task<> {
-    CXLPOOL_CHECK_OK(co_await c.Offer(5));
-    CXLPOOL_CHECK_OK(co_await c.Offer(3));  // behind the last rung value
-    CXLPOOL_CHECK_OK(co_await c.Offer(7));
-  };
-  RunBlocking(loop_, t(co));
-  // The out-of-order offer is folded (max) and its flush skipped as stale:
-  // the wire only ever sees strictly increasing values.
-  ASSERT_EQ(log.rung.size(), 2u);
-  EXPECT_EQ(log.rung[0].first, 5u);
-  EXPECT_EQ(log.rung[1].first, 7u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.skipped_stale"), 1u);
-  EXPECT_EQ(CounterValue(pod_.metrics(), "coalesce.rings"), 2u);
-  EXPECT_EQ(co.last_rung(), 7u);
 }
 
 // --- Batched ring transfer ---

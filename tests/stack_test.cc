@@ -243,6 +243,44 @@ TEST_P(StackTest, ManyDatagramsNoLoss) {
   Drain(rack);
 }
 
+// A migration whose Rebind lands while the I/O loop is re-posting an RX
+// buffer: that post is discarded with the old ring, and the stack keeps
+// receiving on the new one.
+TEST(StackMigrationTest, RebindDuringRxRepostKeepsReceiving) {
+  sim::EventLoop loop;
+  Rack rack(loop, TwoHostRack());
+  rack.Start();
+  Node server;
+  Node client;
+  RunBlocking(loop, MakeNode(rack, HostId(0), Placement::kCxlPool, &server));
+  RunBlocking(loop, MakeNode(rack, HostId(1), Placement::kCxlPool, &client));
+  ASSERT_TRUE(server.stack->Bind(7).ok());
+  auto* cli_sock = client.stack->Bind(1234).value();
+  auto send = [](UdpSocket* sock, netsim::MacAddr dst) -> Task<> {
+    CXLPOOL_CHECK_OK(co_await sock->SendTo(dst, 7, Msg("ping")));
+  };
+  const obs::Registry& metrics = rack.pod().metrics();
+
+  // Step to the instant the server's I/O loop takes the first frame; in
+  // that instant it starts re-posting the consumed RX buffer.
+  Spawn(send(cli_sock, server.stack->mac()));
+  while (CounterValue(metrics, "vnic.rx_events", HostLabels(0)) == 0) {
+    loop.RunFor(1);
+  }
+  auto path = rack.orchestrator().MakeMmioPath(HostId(0), server.nic.assignment.device);
+  ASSERT_TRUE(path.ok());
+  EXPECT_TRUE(RunBlocking(loop, server.stack->HandleMigration(std::move(*path))).ok());
+
+  for (int i = 0; i < 5; ++i) {
+    Spawn(send(cli_sock, server.stack->mac()));
+    loop.RunFor(50 * kMicrosecond);
+  }
+  loop.RunFor(500 * kMicrosecond);
+  EXPECT_EQ(CounterValue(metrics, "stack.rx_datagrams", HostLabels(0)), 6u);
+  rack.Shutdown();
+  loop.RunFor(500 * kMicrosecond);
+}
+
 TEST_P(StackTest, RoundTripLatencyIsMicroseconds) {
   // Absolute calibration check behind Figure 3: idle-load RTT for a small
   // UDP payload over 100 Gb/s NICs should be single-digit microseconds
